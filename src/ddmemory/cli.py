@@ -15,8 +15,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence as SeqT, Tuple
+from typing import Dict, List, Optional, Sequence as SeqT
 
 import click
 import numpy as np
@@ -40,7 +39,7 @@ from .noise import (
 )
 from .plateau import plateau_report
 from .pulses import BANG_BANG, PulseShape, bang_bang, dcg3, primitive, total_quadratures
-from .filters import filter_fn, omega_y_tilde
+from .filters import omega_y_tilde
 from .sequences import (
     TimingPattern,
     carr_purcell,
@@ -55,24 +54,7 @@ from .sequences import (
 )
 from .walsh_search import search_series
 
-SUBCOMMANDS = ("ff", "error", "sweep-m", "trace", "plateau", "search", "calibrate")
 FORMATS = ("csv", "json")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved run description; `resolved` is what gets echoed to outputs."""
-
-    subcommand: str
-    resolved: Dict[str, object]
-    output: Optional[str]
-    fmt: str
-
-    def __post_init__(self) -> None:
-        if self.subcommand not in SUBCOMMANDS:
-            raise click.UsageError(f"unknown subcommand {self.subcommand!r}")
-        if self.fmt not in FORMATS:
-            raise click.UsageError(f"--format must be one of {FORMATS}")
 
 
 # -- spec-string parsing -------------------------------------------------------
@@ -137,10 +119,6 @@ def build_pulse(spec: str) -> PulseShape:
     except ValueError as exc:
         raise _usage("--pulse", f"malformed width in {spec!r}: {exc}") from exc
     raise _usage("--pulse", f"unknown pulse kind {name!r} in {spec!r}")
-
-
-def _load_spectrum(source: str) -> NoiseSpectrum:
-    return load_preset(source)
 
 
 def _quad_config(rel_tol: Optional[float], crossover: Optional[int]) -> QuadratureConfig:
@@ -361,7 +339,7 @@ def error_cmd(sequence, tau, duration, pulse, spectrum, repeat, rel_tol, comb_cr
     """Decoupling error chi and coherence for one pattern."""
     p = build_sequence(sequence, tau, duration)
     shape = build_pulse(pulse)
-    spec = _load_spectrum(spectrum)
+    spec = load_preset(spectrum)
     config = _quad_config(rel_tol, comb_crossover)
     if repeat < 1:
         raise _usage("--repeat", f"must be >= 1, got {repeat}")
@@ -390,7 +368,7 @@ def sweep_m_cmd(sequence, tau, duration, pulse, spectrum, m_values, m_max, point
     """chi versus repeat count m for a repeated base pattern."""
     p = build_sequence(sequence, tau, duration)
     shape = build_pulse(pulse)
-    spec = _load_spectrum(spectrum)
+    spec = load_preset(spectrum)
     config = _quad_config(rel_tol, comb_crossover)
     if m_values:
         ms = sorted(set(m_values))
@@ -423,7 +401,7 @@ def trace_cmd(sequence, tau, duration, pulse, spectrum, points, rel_tol, comb_cr
     """Mid-sequence error chi(t) for t in (0, T_p]."""
     p = build_sequence(sequence, tau, duration)
     shape = build_pulse(pulse)
-    spec = _load_spectrum(spectrum)
+    spec = load_preset(spectrum)
     config = _quad_config(rel_tol, comb_crossover)
     if points < 2:
         raise _usage("--points", f"need at least 2, got {points}")
@@ -456,7 +434,7 @@ def plateau_cmd(sequence, tau, duration, pulse, spectrum, t_markov, jitter_budge
     """Coherence-plateau report: conditions, chi_infinity, lifetime bounds."""
     p = build_sequence(sequence, tau, duration)
     shape = build_pulse(pulse)
-    spec = _load_spectrum(spectrum)
+    spec = load_preset(spectrum)
     config = _quad_config(rel_tol, comb_crossover)
     report = plateau_report(
         p, spec, shape,
@@ -503,7 +481,7 @@ def plateau_cmd(sequence, tau, duration, pulse, spectrum, t_markov, jitter_budge
 def search_cmd(tau, t_s_values, pulse, spectrum, threads, limit, rel_tol, comb_crossover, output, fmt):
     """Exhaustive Walsh-family minimum-chi search per storage time."""
     shape = build_pulse(pulse)
-    spec = _load_spectrum(spectrum)
+    spec = load_preset(spectrum)
     config = _quad_config(rel_tol, comb_crossover)
     workers = threads
     if workers is not None:
@@ -539,7 +517,7 @@ def search_cmd(tau, t_s_values, pulse, spectrum, threads, limit, rel_tol, comb_c
 @click.option("--format", "fmt", type=click.Choice(list(FORMATS)), default="json", show_default=True)
 def calibrate_cmd(spectrum, t2, output, fmt):
     """Rescale a spectrum's strength so free evolution has chi(T2) = 1."""
-    template = _load_spectrum(spectrum)
+    template = load_preset(spectrum)
     calibrated = calibrate_strength(template, t2)
     doc = _resolved_doc("calibrate", spec=calibrated, extra={"target_t2_s": t2})
     doc["preset_json_hz"] = spectrum_to_json(calibrated)

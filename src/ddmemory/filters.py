@@ -22,7 +22,6 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import DomainError, SuppressionFitError
 from .sequences import TimingPattern, min_interval
@@ -120,13 +119,16 @@ def _series_eval(p: TimingPattern, theta: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _direct_eval(p: TimingPattern, omega: np.ndarray) -> np.ndarray:
-    times, coeff = _vertex_coefficients(p)
-    out = np.zeros(omega.shape, dtype=complex)
-    step = max(1, _CHUNK_TERMS // max(1, omega.size))
-    for lo in range(0, times.size, step):
-        hi = min(times.size, lo + step)
-        out += np.exp(1j * np.outer(omega, times[lo:hi])) @ coeff[lo:hi].astype(complex)
+def phasor_sum(times: np.ndarray, coeff: np.ndarray, omega: np.ndarray) -> np.ndarray:
+    """sum_j coeff_j exp(i omega t_j) for every omega, one outer product per chunk.
+
+    Chunks run over omega so each holds at most _CHUNK_TERMS complex terms.
+    """
+    coeff = np.asarray(coeff, dtype=complex)
+    out = np.empty(omega.shape, dtype=complex)
+    step = max(1, _CHUNK_TERMS // max(1, times.size))
+    for lo in range(0, omega.size, step):
+        out[lo : lo + step] = np.exp(1j * np.outer(omega[lo : lo + step], times)) @ coeff
     return out
 
 
@@ -140,7 +142,7 @@ def omega_y_tilde(p: TimingPattern, omega) -> np.ndarray:
         out[small] = _series_eval(p, theta[small])
     big = ~small
     if big.any():
-        out[big] = _direct_eval(p, w[big])
+        out[big] = phasor_sum(*_vertex_coefficients(p), w[big])
     if np.isscalar(omega):
         return complex(out[0])
     return out
@@ -179,30 +181,33 @@ def combine(y1, y2, t_p1: float, omega):
     return y1 + np.exp(1j * np.asarray(omega, dtype=float) * t_p1) * y2
 
 
+def dirichlet_ratio(m: int, theta):
+    """Signed kernel sin(m*theta)/sin(theta), with its limit +-m at theta = k*pi.
+
+    Evaluated in the reduced offset delta = theta - k*pi as
+    (-1)^(k(m-1)) sin(m*delta)/sin(delta), and by the series
+    m * (1 - (m^2 - 1)*delta^2/6) where |m*delta| < 1e-3.
+    """
+    th = np.asarray(theta, dtype=float)
+    k = np.round(th / math.pi)
+    delta = th - k * math.pi
+    with np.errstate(invalid="ignore", divide="ignore"):
+        ratio = np.sin(m * delta) / np.sin(delta)
+    series = m * (1.0 - (m * m - 1.0) / 6.0 * delta * delta)
+    sign = 1.0 - 2.0 * ((m - 1) % 2) * (k % 2)
+    out = sign * np.where(np.abs(m * delta) < 1e-3, series, ratio)
+    return float(out) if np.isscalar(theta) else out
+
+
 def dirichlet_factor(m: int, t_p: float, omega):
     """Repetition kernel sin^2(m*omega*T_p/2) / sin^2(omega*T_p/2).
 
-    Removable singularities at omega = 2*pi*k/T_p are patched by the
-    series m^2 * (1 - (m^2 - 1)*delta^2/3) in the reduced offset delta.
+    The square of dirichlet_ratio at theta = omega*T_p/2, so the removable
+    singularities at omega = 2*pi*k/T_p take the value m^2.
     """
     if m < 1:
         raise DomainError(f"repeat count must be >= 1, got {m}")
-    w = np.asarray(omega, dtype=float)
-    if m == 1:
-        out = np.ones_like(w)
-        return float(out) if np.isscalar(omega) else out
-    theta = w * (t_p / 2.0)
-    k = np.round(theta / math.pi)
-    delta = theta - k * math.pi
-    md = m * delta
-    near = np.abs(md) < 1e-3
-    with np.errstate(invalid="ignore", divide="ignore"):
-        ratio = np.sin(md) / np.sin(delta)
-    series = m * m * (1.0 - (m * m - 1.0) / 3.0 * delta * delta)
-    out = np.where(near, series, ratio * ratio)
-    if np.isscalar(omega):
-        return float(out)
-    return out
+    return dirichlet_ratio(m, np.multiply(omega, t_p / 2.0)) ** 2
 
 
 class SuppressionOrder(NamedTuple):
@@ -269,11 +274,22 @@ def passband_max(p: TimingPattern, search_band: tuple[float, float] | None = Non
     a = grid[max(0, i - 1)]
     b = grid[min(n_pts - 1, i + 1)]
     if a < b:
-        res = minimize_scalar(
-            lambda w: -filter_fn(p, float(w)),
-            bounds=(a, b),
-            method="bounded",
-            options={"xatol": (b - a) * 1e-10},
-        )
-        best = max(best, float(-res.fun))
+        best = max(best, _golden_max(lambda w: filter_fn(p, w), a, b, (b - a) * 1e-10))
     return best
+
+
+def _golden_max(f, a: float, b: float, xatol: float) -> float:
+    """Largest value of f found by golden-section search on [a, b]."""
+    r = 0.5 * (math.sqrt(5.0) - 1.0)
+    c, d = b - r * (b - a), a + r * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > xatol:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - r * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + r * (b - a)
+            fd = f(d)
+    return max(fc, fd)

@@ -20,11 +20,17 @@ exact period integral (weight 2 pi m/T_p at each resonance) plus the
 de-oscillated local average 1/(2 sin^2(w T_p/2)) and a symmetrized
 finite-part correction per resonance cell; the two evaluation paths
 are cross-checked at the crossover the first time the fast path is
-used for a given problem.
+used for a given problem.  With m -> infinity the same comb walk, minus
+the masses that grow with m, is the plateau level chi_plateau_limit.
 
-Panel integrals use a 7-point Gauss / 15-point Kronrod pair evaluated
-in batches, and every accumulation is an exact compensated sum over
-panels in frequency order, so results do not depend on thread count.
+Every flavour builds its integrand with one rows factory: the ideal and
+total filter rows S F / omega^2, times an optional kernel (the Dirichlet
+factor or the de-oscillated 1/(2 sin^2(omega T_p/2))).  Direct
+integrals run through integrate_rows, and one assembler turns the
+per-region totals into an ErrorBudget.  Panel integrals use a 7-point
+Gauss / 15-point Kronrod pair evaluated in batches, and every region
+total is a correctly rounded math.fsum, so results do not depend on
+summation order or thread count.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -168,11 +174,16 @@ class _PanelBudget:
     def spend(self, count: int) -> None:
         self.used += count
         if self.used > self.limit:
-            raise _BudgetExhausted()
+            raise _BudgetExhausted(self.limit)
 
 
-class _BudgetExhausted(Exception):
-    pass
+class _BudgetExhausted(AccuracyError):
+    """Panel budget spent; integrate_rows and _chi_comb re-raise it with the partial estimate."""
+
+    def __init__(self, limit: int) -> None:
+        super().__init__(
+            f"quadrature budget of {limit} panels exhausted", estimate=math.nan, error_bound=math.inf
+        )
 
 
 def _eval_panels(rows_fn: RowsFn, a: np.ndarray, b: np.ndarray):
@@ -223,7 +234,7 @@ def _adaptive_region(
         integrals = np.concatenate([integrals[:, ~split], new_integrals], axis=1)
         err = np.concatenate([err[~split], new_err])
     else:
-        raise _BudgetExhausted()
+        raise _BudgetExhausted(budget.limit)
     order = np.argsort(a, kind="stable")
     return a[order], integrals[:, order], float(np.sum(err))
 
@@ -268,31 +279,32 @@ def _tail_envelope(spec: NoiseSpectrum, w_from: float, ff_bound: float) -> float
 
 
 class _Accumulator:
-    """Order-stable collector of panel contributions, split at the cutoff."""
+    """Contributions (2, P) at frequencies (P,), split at the cutoff.
+
+    The totals are math.fsum over each region, which is correctly rounded,
+    so they depend neither on the order contributions arrive in nor on
+    how the work was divided.
+    """
 
     def __init__(self, omega_c: float) -> None:
         self.omega_c = omega_c
-        self.low: List[Tuple[float, float, float]] = []
-        self.high: List[Tuple[float, float, float]] = []
+        self.at: List[np.ndarray] = [np.zeros(0)]
+        self.rows: List[np.ndarray] = [np.zeros((2, 0))]
+        self.total = 0.0  # running sum of row 0, for tail checks
         self.err = 0.0
 
-    def add_panels(self, lefts: np.ndarray, rows: np.ndarray, err: float) -> None:
+    def add(self, at, rows: np.ndarray, err: float = 0.0) -> None:
+        self.at.append(np.atleast_1d(at))
+        self.rows.append(np.reshape(rows, (2, -1)))
+        self.total += float(np.sum(self.rows[-1][0]))
         self.err += err
-        for x, r0, r1 in zip(lefts, rows[0], rows[1]):
-            (self.low if x < self.omega_c else self.high).append((x, r0, r1))
-
-    def add_point(self, w: float, row0: float, row1: float) -> None:
-        (self.low if w < self.omega_c else self.high).append((w, row0, row1))
-
-    def running_total(self) -> float:
-        return sum(r for _, r, _ in self.low) + sum(r for _, r, _ in self.high)
 
     def totals(self) -> Tuple[np.ndarray, np.ndarray]:
-        low = sorted(self.low)
-        high = sorted(self.high)
+        low = np.concatenate(self.at) < self.omega_c
+        rows = np.concatenate(self.rows, axis=1)
         return (
-            np.array([math.fsum(r0 for _, r0, _ in low), math.fsum(r1 for _, _, r1 in low)]),
-            np.array([math.fsum(r0 for _, r0, _ in high), math.fsum(r1 for _, _, r1 in high)]),
+            np.array([math.fsum(r[low]) for r in rows]),
+            np.array([math.fsum(r[~low]) for r in rows]),
         )
 
 
@@ -319,25 +331,25 @@ def _integrate_band(
     lobe = math.pi / t_osc
     core_hi = min(w_hi, max(1.25 * spec.omega_c, w_lo * 10.0, 6.0 * lobe))
     edges = _with_breakpoint(_ladder_and_lobes(w_lo, core_hi, lobe), spec.omega_c)
-    acc.add_panels(*_adaptive_region(rows_fn, edges, cfg, budget))
+    acc.add(*_adaptive_region(rows_fn, edges, cfg, budget))
     w = core_hi
     while w < w_hi:
         w_next = min(w_hi, w + _WALK_BLOCK_LOBES * lobe)
         edges = _with_breakpoint(_ladder_and_lobes(w, w_next, lobe), spec.omega_c)
-        acc.add_panels(*_adaptive_region(rows_fn, edges, cfg, budget))
+        acc.add(*_adaptive_region(rows_fn, edges, cfg, budget))
         w = w_next
         if w >= w_hi:
             break
         tail = _tail_envelope(spec, w, ff_bound)
-        if tail <= max(cfg.abs_floor, _TAIL_SHARE * cfg.rel_tol * acc.running_total()):
+        if tail <= max(cfg.abs_floor, _TAIL_SHARE * cfg.rel_tol * acc.total):
             acc.err += tail
             break
 
 
 def _ff_rows_factory(
-    p: TimingPattern, shape: PulseShape, spec: NoiseSpectrum, m: int = 1
+    p: TimingPattern, shape: PulseShape, spec: NoiseSpectrum, kernel: Optional[RowsFn] = None
 ) -> RowsFn:
-    """Rows [S*F_total/w^2, S*F_ideal/w^2], with the m-repeat kernel folded in."""
+    """Rows [S*F_total/w^2, S*F_ideal/w^2], each times kernel(w) when one is given."""
 
     def rows(w: np.ndarray) -> np.ndarray:
         base, dz, ry = quadrature_components(p, shape, w)
@@ -347,22 +359,21 @@ def _ff_rows_factory(
         else:
             f_total = np.abs(base + dz) ** 2 + np.abs(ry) ** 2
         weight = evaluate(spec, w) / w**2
-        if m > 1:
-            weight = weight * dirichlet_factor(m, p.duration, w)
+        if kernel is not None:
+            weight = weight * kernel(w)
         return np.stack([f_total * weight, f_bb * weight])
 
     return rows
 
 
 def _assemble(
-    acc: _Accumulator,
+    low: np.ndarray,
+    high: np.ndarray,
+    err: float,
     m: Optional[int],
     growth: Optional[float] = None,
     comb_path: bool = False,
-    comb_agreement: Optional[float] = None,
 ) -> ErrorBudget:
-    low, high = acc.totals()
-    err = acc.err
     # finite-part cell corrections may dip a region slightly negative
     for region in (low, high):
         for i in range(2):
@@ -389,7 +400,6 @@ def _assemble(
         quad_error=err,
         growth_per_repeat=growth,
         comb_path=comb_path,
-        comb_agreement=comb_agreement,
     )
 
 
@@ -405,19 +415,16 @@ def integrate_rows(
     t_osc is the slowest coherent timescale of the rows (sets panel width),
     ff_bound a global upper bound of rows[0] * w^2 / S(w).  Returns (low,
     high, error) with low/high the per-row sums below/above the cutoff.
-    Building block for derived error measures; chi and chi_repeated are the
-    canonical users.
+    The band integrator behind chi, direct chi_repeated and chi_with_jitter.
     """
     cfg = config or DEFAULT_CONFIG
-    budget = _PanelBudget(cfg.max_panels)
     acc = _Accumulator(spec.omega_c)
     try:
-        _integrate_band(rows_fn, spec, t_osc, ff_bound, cfg, budget, acc)
-    except _BudgetExhausted:
-        low, high = acc.totals()
+        _integrate_band(rows_fn, spec, t_osc, ff_bound, cfg, _PanelBudget(cfg.max_panels), acc)
+    except _BudgetExhausted as exc:
         raise AccuracyError(
-            f"quadrature budget of {cfg.max_panels} panels exhausted",
-            estimate=float(low[0] + high[0]),
+            str(exc),
+            estimate=acc.total,
             error_bound=acc.err + _tail_envelope(spec, spec.omega_min, ff_bound),
         ) from None
     low, high = acc.totals()
@@ -431,22 +438,7 @@ def chi(
     config: Optional[QuadratureConfig] = None,
 ) -> ErrorBudget:
     """Decoupling error of a single run of the pattern over the noise band."""
-    shape = shape or bang_bang()
-    cfg = config or DEFAULT_CONFIG
-    budget = _PanelBudget(cfg.max_panels)
-    acc = _Accumulator(spec.omega_c)
-    rows = _ff_rows_factory(p, shape, spec)
-    ff_bound = 4.0 * (p.n_pulses + 1) ** 2
-    try:
-        _integrate_band(rows, spec, p.duration, ff_bound, cfg, budget, acc)
-    except _BudgetExhausted:
-        low, high = acc.totals()
-        raise AccuracyError(
-            f"quadrature budget of {cfg.max_panels} panels exhausted for {p.label!r}",
-            estimate=float(low[0] + high[0]),
-            error_bound=acc.err + _tail_envelope(spec, spec.omega_min, ff_bound),
-        ) from None
-    return _assemble(acc, m=1)
+    return _chi_direct(p, 1, spec, shape or bang_bang(), config or DEFAULT_CONFIG)
 
 
 def chi_during(
@@ -512,23 +504,19 @@ def _chi_direct(
     shape: PulseShape,
     cfg: QuadratureConfig,
 ) -> ErrorBudget:
-    budget = _PanelBudget(cfg.max_panels)
-    acc = _Accumulator(spec.omega_c)
-    rows = _ff_rows_factory(p, shape, spec, m=m)
+    kernel = None if m == 1 else lambda w: dirichlet_factor(m, p.duration, w)
+    rows = _ff_rows_factory(p, shape, spec, kernel)
     # the kernel integrates to 2 pi m / T_p per period, so an m-linear
     # envelope certifies the tail: F*D <= per-period mass * base bound
     ff_bound = 4.0 * (p.n_pulses + 1) ** 2 * m
     try:
-        _integrate_band(rows, spec, m * p.duration, ff_bound, cfg, budget, acc)
-    except _BudgetExhausted:
-        low, high = acc.totals()
+        low, high, err = integrate_rows(rows, spec, m * p.duration, ff_bound, cfg)
+    except AccuracyError as exc:
+        repeated = f" repeated {m} times" if m > 1 else ""
         raise AccuracyError(
-            f"quadrature budget of {cfg.max_panels} panels exhausted for "
-            f"{p.label!r} repeated {m} times",
-            estimate=float(low[0] + high[0]),
-            error_bound=acc.err + _tail_envelope(spec, spec.omega_min, ff_bound),
+            f"{exc} for {p.label!r}{repeated}", exc.estimate, exc.error_bound
         ) from None
-    return _assemble(acc, m=m)
+    return _assemble(low, high, err, m=m)
 
 
 @lru_cache(maxsize=64)
@@ -555,59 +543,71 @@ def _crossover_agreement(
 
 def _chi_comb(
     p: TimingPattern,
-    m: int,
+    m: Optional[int],
     spec: NoiseSpectrum,
     shape: PulseShape,
     cfg: QuadratureConfig,
 ) -> ErrorBudget:
-    """Resonance-comb evaluation of the m-repeat integral.
+    """Resonance-comb evaluation of the m-repeat integral, or its plateau part.
 
-    Decomposition over the band:
+    Decomposition over the band, with h = S F / w^2:
       (a) exact kernel panels for the first D-nodes above omega_min,
           where the envelope still varies steeply;
-      (b) the de-oscillated average S F/(2 w^2 sin^2(w T_p/2)) up to the
-          first resonance cell boundary;
+      (b) the de-oscillated average h/(2 sin^2(w T_p/2)) up to the first
+          resonance cell boundary pi/T_p;
       (c) per resonance cell k: the exact period mass m (2 pi/T_p) h(w_k)
-          plus the symmetrized finite-part of the remainder, where
-          h = S F / w^2.
+          plus the symmetrized finite part of the remainder.
     Parts (a)+(b)+finite parts are the plateau value; the cell masses grow
-    linearly in m (reported as growth_per_repeat).
+    linearly in m (reported as growth_per_repeat).  With m=None the result
+    is the m -> infinity plateau level: (b) starts at omega_min, and
+    neither (a), the cell masses nor the O(1/m) model error enter.
     """
+    acc = _Accumulator(spec.omega_c)
+    try:
+        growth = _walk_comb(p, m, spec, shape, cfg, acc)
+    except AccuracyError as exc:
+        # partial sum; the bound adds the walk's tail envelope over the whole band
+        tail_scale = (m + 1) if m is not None else 2
+        tail = tail_scale * _tail_envelope(spec, spec.omega_min, 4.0 * (p.n_pulses + 1) ** 2)
+        repeated = f" repeated {m} times" if m is not None else ""
+        raise AccuracyError(
+            f"{exc} for {p.label!r}{repeated}", acc.total, acc.err + tail
+        ) from None
+    return _assemble(*acc.totals(), acc.err, m=m, growth=growth, comb_path=True)
+
+
+def _walk_comb(
+    p: TimingPattern,
+    m: Optional[int],
+    spec: NoiseSpectrum,
+    shape: PulseShape,
+    cfg: QuadratureConfig,
+    acc: _Accumulator,
+) -> float:
+    """_chi_comb's band walk into acc; returns growth_per_repeat."""
     t_p = p.duration
     w_lo, w_hi = spec.omega_min, spec.omega_max
     if spec.rolloff == HARD:
         w_hi = min(w_hi, spec.omega_c)
-    budget = _PanelBudget(cfg.max_panels)
-    acc = _Accumulator(spec.omega_c)
     if not w_lo < w_hi:
-        return _assemble(acc, m=m, growth=0.0, comb_path=True)
-    h_rows_raw = _ff_rows_factory(p, shape, spec)
-    rows_with_kernel = _ff_rows_factory(p, shape, spec, m=m)
-    base_bound = 4.0 * (p.n_pulses + 1) ** 2
-
-    def h_rows(w: np.ndarray) -> np.ndarray:
-        # cells may poke past the band edges; the banded integrand is zero there
-        vals = h_rows_raw(w)
-        vals[:, (w < w_lo) | (w > w_hi)] = 0.0
-        return vals
-
-    node = 2.0 * math.pi / (m * t_p)
+        return 0.0
+    budget = _PanelBudget(cfg.max_panels)
+    h_rows = _ff_rows_factory(p, shape, spec)
     half_res = math.pi / t_p  # lower edge of the first resonance cell
-    k_exact = min(1024, max(8, int(0.45 * m)))
-    w_a = min(k_exact * node, w_hi, half_res)
 
     # (a) exact kernel region: log ladder low down, node-aligned panels above
-    if w_a > w_lo:
-        edges = _with_breakpoint(_ladder_and_lobes(w_lo, w_a, 0.5 * node), spec.omega_c)
-        acc.add_panels(*_adaptive_region(rows_with_kernel, edges, cfg, budget))
+    deosc_start = w_lo
+    if m is not None:
+        node = 2.0 * math.pi / (m * t_p)
+        w_a = min(min(1024, max(8, int(0.45 * m))) * node, w_hi, half_res)
+        if w_a > w_lo:
+            edges = _with_breakpoint(_ladder_and_lobes(w_lo, w_a, 0.5 * node), spec.omega_c)
+            kernel_rows = _ff_rows_factory(p, shape, spec, lambda w: dirichlet_factor(m, t_p, w))
+            acc.add(*_adaptive_region(kernel_rows, edges, cfg, budget))
+            deosc_start = w_a
 
     # (b) de-oscillated average up to the first cell
     w_b = min(half_res, w_hi)
-    deosc_start = max(w_a, w_lo)
-
-    def deosc_rows(w: np.ndarray) -> np.ndarray:
-        return h_rows(w) / (2.0 * np.sin(0.5 * t_p * w) ** 2)
-
     deosc_part = 0.0
     if w_b > deosc_start:
         n_geo = max(2, int(math.ceil(_LADDER_PER_DECADE * math.log10(w_b / deosc_start))))
@@ -620,53 +620,26 @@ def _chi_comb(
             )
         )
         edges = _with_breakpoint(edges, spec.omega_c)
+        deosc_rows = _ff_rows_factory(p, shape, spec, lambda w: 0.5 / np.sin(0.5 * t_p * w) ** 2)
         lefts, rows_i, err_i = _adaptive_region(deosc_rows, edges, cfg, budget)
-        acc.add_panels(lefts, rows_i, err_i)
+        acc.add(lefts, rows_i, err_i)
         deosc_part = float(np.sum(rows_i[0]))
 
-    # (c) resonance cells
-    growth_rows, pv_abs = _walk_cells(
-        p, spec, cfg, budget, acc, h_rows, t_p, w_lo, w_hi, base_bound, m_weight=m
-    )
-
-    # de-oscillation model error is O(1/m) of the averaged parts
-    acc.err += (4.0 / m) * (abs(deosc_part) + pv_abs)
-    return _assemble(acc, m=m, growth=float(growth_rows[0]), comb_path=True)
-
-
-def _walk_cells(
-    p: TimingPattern,
-    spec: NoiseSpectrum,
-    cfg: QuadratureConfig,
-    budget: _PanelBudget,
-    acc: _Accumulator,
-    h_rows: RowsFn,
-    t_p: float,
-    w_lo: float,
-    w_hi: float,
-    base_bound: float,
-    m_weight: Optional[int],
-) -> Tuple[np.ndarray, float]:
-    """Finite parts and resonance masses over the cells above pi/T_p.
-
-    Each cell contributes m * (2 pi/T_p) h(w_k) (added to acc only when
-    m_weight is given) plus the symmetrized finite part of the remainder.
-    Returns (per-repeat growth rows, absolute finite-part mass).
-    """
+    # (c) resonance cells above pi/T_p
+    base_bound = 4.0 * (p.n_pulses + 1) ** 2
+    w1 = 2.0 * math.pi / t_p
     growth_rows = np.zeros(2)
     pv_abs = 0.0
-    w1 = 2.0 * math.pi / t_p
     k = 1
     while k * w1 - 0.5 * w1 < w_hi:
         w_k = k * w1
         if w_k > w_hi + 0.5 * w1:
             break
-        h_k = h_rows(np.array([w_k]))[:, 0] if w_k <= w_hi else np.zeros(2)
-        if w_k <= w_hi:
-            growth_rows += (2.0 * math.pi / t_p) * h_k
-            if m_weight is not None:
-                mass = m_weight * (2.0 * math.pi / t_p)
-                acc.add_point(w_k, mass * h_k[0], mass * h_k[1])
+        # zero when the cell centre lies past the band
+        h_k = h_rows(np.array([w_k]))[:, 0]
+        growth_rows += w1 * h_k
+        if m is not None:
+            acc.add(w_k, m * w1 * h_k)
 
         def pv_rows(delta: np.ndarray, w_center=w_k, h_center=h_k) -> np.ndarray:
             upper = h_rows(w_center + delta)
@@ -686,28 +659,26 @@ def _walk_cells(
             if d_min < crossing < d_max:
                 edges = _with_breakpoint(edges, crossing)
         _, rows_i, err_i = _adaptive_region(pv_rows, edges, cfg, budget)
-        pv_vals = rows_i.sum(axis=1)
         patch = pv_rows(np.array([d_min]))[:, 0] * d_min
-        acc.add_point(
-            min(w_k, w_hi), float(pv_vals[0] + patch[0]), float(pv_vals[1] + patch[1])
-        )
-        acc.err += err_i
+        # a cell centred past the band draws only on its lower half
+        acc.add(w_k if w_k <= w_hi else w_k - 0.5 * w1, rows_i.sum(axis=1) + patch, err_i)
         pv_abs += float(np.abs(rows_i[0]).sum()) + abs(float(patch[0]))
 
         k += 1
         if k > 65536:
-            low, high = acc.totals()
             raise AccuracyError(
-                f"resonance-cell walk for {p.label!r} did not converge within 65536 cells",
-                estimate=float(low[0] + high[0]),
-                error_bound=acc.err,
+                "resonance-cell walk did not converge within 65536 cells", math.nan, math.inf
             )
-        tail_scale = (m_weight + 1) if m_weight is not None else 2
+        tail_scale = (m + 1) if m is not None else 2
         tail = tail_scale * _tail_envelope(spec, (k - 0.5) * w1, base_bound)
-        if tail <= max(cfg.abs_floor, _TAIL_SHARE * cfg.rel_tol * abs(acc.running_total())):
+        if tail <= max(cfg.abs_floor, _TAIL_SHARE * cfg.rel_tol * abs(acc.total)):
             acc.err += tail
             break
-    return growth_rows, pv_abs
+
+    if m is not None:
+        # de-oscillation model error is O(1/m) of the averaged parts
+        acc.err += (4.0 / m) * (abs(deosc_part) + pv_abs)
+    return float(growth_rows[0])
 
 
 def chi_plateau_limit(
@@ -720,47 +691,9 @@ def chi_plateau_limit(
 
     The infinite-repetition limit of chi_repeated minus the linear resonance
     growth: the de-oscillated average below the first resonance plus the
-    finite parts of every resonance cell.  For a hard cutoff meeting the
-    plateau conditions the growth vanishes and this is the exact limit.
-    growth_per_repeat reports the linear term's slope for callers that need
-    the full picture.
+    finite parts of every resonance cell, from the same comb walk as large-m
+    chi_repeated.  For a hard cutoff meeting the plateau conditions the
+    growth vanishes and this is the exact limit.  growth_per_repeat reports
+    the linear term's slope for callers that need the full picture.
     """
-    shape = shape or bang_bang()
-    cfg = config or DEFAULT_CONFIG
-    t_p = p.duration
-    w_lo, w_hi = spec.omega_min, spec.omega_max
-    if spec.rolloff == HARD:
-        w_hi = min(w_hi, spec.omega_c)
-    budget = _PanelBudget(cfg.max_panels)
-    acc = _Accumulator(spec.omega_c)
-    if not w_lo < w_hi:
-        return _assemble(acc, m=None, growth=0.0, comb_path=True)
-    h_rows_raw = _ff_rows_factory(p, shape, spec)
-    base_bound = 4.0 * (p.n_pulses + 1) ** 2
-
-    def h_rows(w: np.ndarray) -> np.ndarray:
-        vals = h_rows_raw(w)
-        vals[:, (w < w_lo) | (w > w_hi)] = 0.0
-        return vals
-
-    def deosc_rows(w: np.ndarray) -> np.ndarray:
-        return h_rows(w) / (2.0 * np.sin(0.5 * t_p * w) ** 2)
-
-    w_b = min(math.pi / t_p, w_hi)
-    if w_b > w_lo:
-        n_geo = max(2, int(math.ceil(_LADDER_PER_DECADE * math.log10(w_b / w_lo))))
-        edges = np.unique(
-            np.concatenate(
-                [
-                    np.geomspace(w_lo, w_b, n_geo + 1),
-                    np.linspace(max(w_lo, 0.5 * w_b), w_b, 17),
-                ]
-            )
-        )
-        edges = _with_breakpoint(edges, spec.omega_c)
-        acc.add_panels(*_adaptive_region(deosc_rows, edges, cfg, budget))
-
-    growth_rows, _ = _walk_cells(
-        p, spec, cfg, budget, acc, h_rows, t_p, w_lo, w_hi, base_bound, m_weight=None
-    )
-    return _assemble(acc, m=None, growth=float(growth_rows[0]), comb_path=True)
+    return _chi_comb(p, None, spec, shape or bang_bang(), config or DEFAULT_CONFIG)

@@ -15,6 +15,7 @@ import math
 import os
 from dataclasses import dataclass, replace
 from importlib import resources
+from pathlib import Path
 from typing import Union
 
 import numpy as np
@@ -34,8 +35,8 @@ class PowerLaw:
     r: float
 
     def __post_init__(self) -> None:
-        if not self.r > 0:
-            raise DomainError(f"power-law rolloff exponent must be > 0, got {self.r}")
+        if not (math.isfinite(self.r) and self.r > 0):
+            raise DomainError(f"power-law rolloff exponent r must be finite and > 0, got {self.r}")
 
 
 Rolloff = Union[str, PowerLaw]
@@ -58,6 +59,9 @@ class NoiseSpectrum:
     omega_max: float = TWO_PI * 1.0e8
 
     def __post_init__(self) -> None:
+        for name in ("s", "g", "omega_c", "omega_min", "omega_max"):
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.omega_c > 0:
             raise DomainError(f"omega_c must be positive, got {self.omega_c}")
         if self.g < 0:
@@ -166,17 +170,14 @@ def load_preset(name: str) -> NoiseSpectrum:
     """
     candidates = []
     if os.sep in name or name.endswith(".json"):
-        candidates.append(name)
+        candidates.append(Path(name))
     else:
         env_dir = os.environ.get(PRESET_DIR_ENV)
         if env_dir:
-            candidates.append(os.path.join(env_dir, name + ".json"))
-        packaged = resources.files("ddmemory").joinpath("presets", name + ".json")
-        if packaged.is_file():
-            with packaged.open("r") as fh:
-                return spectrum_from_json(json.load(fh))
+            candidates.append(Path(env_dir, name + ".json"))
+        candidates.append(resources.files("ddmemory").joinpath("presets", name + ".json"))
     for path in candidates:
-        if os.path.isfile(path):
-            with open(path) as fh:
+        if path.is_file():
+            with path.open("r") as fh:
                 return spectrum_from_json(json.load(fh))
     raise DomainError(f"unknown spectrum preset {name!r}")

@@ -12,7 +12,8 @@ When they hold, the asymptotic error is the de-oscillated integral
     chi_inf = integral up to omega_c of
               S(omega) F_p(omega) / (2 omega^2 sin^2(omega T_p/2)) domega,
 
-evaluated numerically (authoritative) and, for a hard cutoff, by the
+evaluated numerically as the plateau level chi_plateau_limit on the
+band clamped at omega_c (authoritative) and, for a hard cutoff, by the
 leading-order closed form per contribution 2 g |A|^2 omega_c^(2a-1) /
 (T_p^2 (s + 2a - 1)).
 
@@ -31,8 +32,14 @@ from typing import Dict, NamedTuple, Optional
 import numpy as np
 
 from .errors import DivergenceError, DomainError
-from .filters import passband_max, suppression_order
-from .integrals import ErrorBudget, QuadratureConfig, chi_plateau_limit, integrate_rows
+from .filters import dirichlet_ratio, passband_max, suppression_order
+from .integrals import (
+    ErrorBudget,
+    QuadratureConfig,
+    _assemble,
+    chi_plateau_limit,
+    integrate_rows,
+)
 from .noise import HARD, NoiseSpectrum, PowerLaw, evaluate
 from .pulses import BANG_BANG, PulseShape, bang_bang, pulse_order, quadrature_components
 from .sequences import TimingPattern
@@ -151,8 +158,9 @@ def chi_asymptotic(
 ) -> ErrorBudget:
     """Numerical asymptotic (infinite-repetition) error, integrated to the cutoff.
 
-    Authoritative evaluator for any rolloff; raises DivergenceError when a
-    plateau condition fails, naming the inequality.
+    The plateau level chi_plateau_limit on the band clamped at omega_c;
+    authoritative for any rolloff.  Raises DivergenceError when a plateau
+    condition fails, naming the inequality.
     """
     shape = shape or bang_bang()
     if spec.g == 0.0:
@@ -161,30 +169,8 @@ def chi_asymptotic(
     w_hi = min(spec.omega_c, spec.omega_max)
     if w_hi <= spec.omega_min:
         return _zero_budget()
-    clamped = replace(spec, omega_max=w_hi)
-    t_p = p.duration
-
-    def rows(w: np.ndarray) -> np.ndarray:
-        base, dz, ry = quadrature_components(p, shape, w)
-        f_bb = np.abs(base) ** 2
-        f_tot = f_bb if dz is None else np.abs(base + dz) ** 2 + np.abs(ry) ** 2
-        weight = evaluate(spec, w) / (2.0 * w**2 * np.sin(0.5 * t_p * w) ** 2)
-        return np.stack([f_tot * weight, f_bb * weight])
-
-    bound = 4.0 * (p.n_pulses + 1) ** 2 / (2.0 * math.sin(0.5 * t_p * spec.omega_min) ** 2)
-    low, high, err = integrate_rows(rows, clamped, t_p, bound, config)
-    chi_total = float(low[0] + high[0])
-    chi_bb = float(low[1] + high[1])
-    return ErrorBudget(
-        chi_total=chi_total,
-        chi_bb=min(chi_bb, chi_total),
-        chi_pul=max(chi_total - chi_bb, 0.0),
-        chi_low=float(low[0]),
-        chi_high=float(high[0]),
-        coherence=math.exp(-chi_total),
-        m=None,
-        quad_error=err,
-    )
+    limit = chi_plateau_limit(p, replace(spec, omega_max=w_hi), shape, config)
+    return replace(limit, growth_per_repeat=None, comb_path=False)
 
 
 def chi_infinity_leading_order(
@@ -287,17 +273,6 @@ def m_max_soft(
     return max(1, int(m_max_soft_detail(p, spec, shape, config).bound))
 
 
-def _dirichlet_ratio(m: int, theta: np.ndarray) -> np.ndarray:
-    """sin(m*theta)/sin(theta) with the correct +-m limit at theta = k*pi."""
-    s = np.sin(theta)
-    near = np.abs(s) < 1e-9
-    safe = np.where(near, 1.0, s)
-    ratio = np.sin(m * theta) / safe
-    if near.any():
-        ratio = np.where(near, m * np.cos(m * theta) / np.cos(theta), ratio)
-    return ratio
-
-
 def chi_with_jitter(
     p: TimingPattern,
     m: int,
@@ -330,7 +305,7 @@ def chi_with_jitter(
         base, dz, ry = quadrature_components(p, shape, w)
         rz = base if dz is None else base + dz
         theta = 0.5 * t_p * w
-        ratio = _dirichlet_ratio(m, theta)
+        ratio = dirichlet_ratio(m, theta)
         g_rep = np.exp(1j * (m - 1) * theta) * ratio
         jit = np.exp(1j * w * (m * t_p)) * (1.0 - np.exp(1j * w * delta_t))
         f_tot = np.abs(g_rep * rz + jit) ** 2
@@ -341,18 +316,7 @@ def chi_with_jitter(
 
     bound = 2.0 * (2.0 * (p.n_pulses + 1) * m + 2.0) ** 2
     low, high, err = integrate_rows(rows, spec, m * t_p + delta_t, bound, config)
-    chi_total = float(low[0] + high[0])
-    chi_bb = float(low[1] + high[1])
-    return ErrorBudget(
-        chi_total=chi_total,
-        chi_bb=min(chi_bb, chi_total),
-        chi_pul=max(chi_total - chi_bb, 0.0),
-        chi_low=float(low[0]),
-        chi_high=float(high[0]),
-        coherence=math.exp(-chi_total),
-        m=m,
-        quad_error=err,
-    )
+    return _assemble(low, high, err, m=m)
 
 
 def jitter_tolerance(

@@ -29,7 +29,7 @@ from typing import NamedTuple, Optional, Tuple, Union
 import numpy as np
 
 from .errors import DomainError
-from .filters import filter_fn, omega_y_tilde
+from .filters import filter_fn, omega_y_tilde, phasor_sum
 from .sequences import TimingPattern
 
 __all__ = [
@@ -53,9 +53,6 @@ PRIMITIVE = "primitive"
 DCG3 = "dcg3"
 
 _KINDS = (BANG_BANG, PRIMITIVE, DCG3)
-
-# chunk cap for the pulse-position phasor sum, entries per outer product
-_CHUNK_TERMS = 1 << 22
 
 # log-spaced fit window for pulse_order, in units of 1/T_p
 _FIT_LO = 1e-4
@@ -185,17 +182,6 @@ def pulse_quadratures(
     return rz, ry
 
 
-def _alternating_phasor_sum(times: np.ndarray, omega: np.ndarray) -> np.ndarray:
-    """u_p(omega) = sum_{l=1..n} (-1)^l exp(i omega t_l)."""
-    coeff = np.where(np.arange(1, len(times) + 1) % 2 == 1, -1.0, 1.0)
-    out = np.empty(omega.shape, dtype=complex)
-    step = max(1, _CHUNK_TERMS // max(1, len(times)))
-    for lo in range(0, len(omega), step):
-        hi = min(lo + step, len(omega))
-        out[lo:hi] = np.exp(1j * np.outer(omega[lo:hi], times)) @ coeff
-    return out
-
-
 def _check_footprint(p: TimingPattern, shape: PulseShape) -> None:
     fp = shape.footprint
     if fp == 0.0 or not p.pulse_times:
@@ -213,7 +199,9 @@ def _pulse_terms(
     p: TimingPattern, shape: PulseShape, omega: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Additive pulse-induced parts: (r_z - omega*y_tilde, r_y)."""
-    u_p = _alternating_phasor_sum(np.asarray(p.pulse_times, dtype=float), omega)
+    # u_p(omega) = sum_{l=1..n} (-1)^l exp(i omega t_l)
+    signs = np.where(np.arange(1, p.n_pulses + 1) % 2 == 1, -1.0, 1.0)
+    u_p = phasor_sum(np.asarray(p.pulse_times, dtype=float), signs, omega)
     rz_pul, ry_pul = pulse_quadratures(shape, omega)
     half = np.exp(-0.5j * shape.tau_pi * omega)
     # 2 cos(w tau/2) - 2 written as -4 sin^2(w tau/4) to keep the small-w

@@ -41,10 +41,12 @@ class TimingPattern:
     udd_order: Optional[int] = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
-        if not self.duration > 0:
-            raise DomainError(f"pattern duration must be positive, got {self.duration}")
+        if not (math.isfinite(self.duration) and self.duration > 0):
+            raise DomainError(f"pattern duration must be finite and positive, got {self.duration}")
         prev = 0.0
         for t in self.pulse_times:
+            if not math.isfinite(t):
+                raise DomainError(f"pulse times must be finite, got {t}")
             if not prev < t:
                 raise DomainError(f"pulse times must be strictly increasing, got {t} after {prev}")
             prev = t

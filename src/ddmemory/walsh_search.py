@@ -14,7 +14,6 @@ kernel; the relative gap between the two evaluations is recorded.
 
 from __future__ import annotations
 
-import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass

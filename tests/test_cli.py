@@ -92,6 +92,19 @@ class TestExitCodes:
         assert code == 3
         assert "nope" in err
 
+    def test_non_finite_spectrum_file_is_three(self, capsys, tmp_path):
+        from ddmemory import spectrum_to_json
+
+        doc = spectrum_to_json(load_preset("gaas"))
+        doc["g_over_omega_c"] = math.nan
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = _run(
+            capsys, ["error", "--sequence", "cdd:2", "--tau", "1e-6", "--spectrum", str(path)]
+        )
+        assert code == 3
+        assert "g must be finite" in err
+
     def test_domain_error_from_module_is_three(self, capsys):
         # odd pulse count with finite widths cannot use the kernel at large m
         code, _, err = _run(

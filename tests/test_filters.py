@@ -23,6 +23,7 @@ from ddmemory import (
     walsh,
     y_tilde,
 )
+from ddmemory.filters import dirichlet_ratio
 
 RNG = np.random.default_rng(20240817)
 
@@ -98,6 +99,17 @@ class TestDirichlet:
         for m in (2, 5, 9):
             at_node = dirichlet_factor(m, t_p, 2.0 * math.pi / t_p)
             assert at_node == pytest.approx(m * m, rel=1e-6)
+
+    @pytest.mark.parametrize("m", [2, 3, 7, 1000])
+    def test_ratio_is_signed_sine_quotient(self, m):
+        k = np.arange(7)
+        # off the nodes: theta = k*pi + delta with delta well inside (0, pi)
+        theta = (k[:, None] * math.pi + np.linspace(0.01, math.pi - 0.01, 97)[None, :]).ravel()
+        np.testing.assert_allclose(
+            dirichlet_ratio(m, theta), np.sin(m * theta) / np.sin(theta), rtol=1e-9, atol=1e-9 * m
+        )
+        at_nodes = dirichlet_ratio(m, k * math.pi)
+        np.testing.assert_allclose(at_nodes, (-1.0) ** (k * (m - 1)) * m, rtol=1e-12)
 
     def test_dirichlet_continuous_through_nodes(self):
         t_p, m = 1e-6, 7

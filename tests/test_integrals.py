@@ -185,6 +185,19 @@ class TestConfigAndFailure:
         assert err.value.estimate > 0.0
         assert err.value.error_bound > err.value.estimate
 
+    @pytest.mark.parametrize("m", [None, 10**6])
+    def test_exhausted_budget_on_comb_walk_reports_estimate(self, gaas, m):
+        cfg = replace(DEFAULT_CONFIG, max_panels=64, validate_crossover=False)
+        p = cdd(4, 1e-6)
+        with pytest.raises(AccuracyError, match="64 panels exhausted for 'CDD4'") as err:
+            if m is None:
+                chi_plateau_limit(p, gaas, bang_bang(), cfg)
+            else:
+                chi_repeated(p, m, gaas, bang_bang(), cfg)
+        assert math.isfinite(err.value.estimate) and err.value.estimate >= 0.0
+        assert math.isfinite(err.value.error_bound)
+        assert err.value.error_bound > err.value.estimate
+
     def test_tighter_tolerance_is_consistent(self, gaas):
         loose = chi(cdd(3, 1e-6), gaas, bang_bang(), replace(DEFAULT_CONFIG, rel_tol=1e-4))
         tight = chi(cdd(3, 1e-6), gaas, bang_bang(), replace(DEFAULT_CONFIG, rel_tol=1e-9))

@@ -6,6 +6,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from ddmemory import (
     DomainError,
     CalibrationError,
@@ -97,6 +100,18 @@ class TestValidation:
         with pytest.raises(DomainError):
             PowerLaw(0.0)
 
+    @given(
+        field=st.sampled_from(["s", "g", "omega_c", "omega_min", "omega_max", "r"]),
+        value=st.sampled_from([math.nan, math.inf, -math.inf]),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_non_finite_field_rejected_by_name(self, field, value):
+        with pytest.raises(DomainError, match=rf"\b{field}\b"):
+            if field == "r":
+                PowerLaw(value)
+            else:
+                _spec(**{field: value})
+
 
 class TestPresets:
     def test_gaas_fields(self, gaas):
@@ -120,6 +135,12 @@ class TestPresets:
         monkeypatch.setenv("DDMEMORY_PRESET_DIR", str(tmp_path))
         loaded = load_preset("custom")
         assert loaded.g == pytest.approx(2.0 * gaas.g, rel=1e-12)
+
+    def test_env_dir_shadows_packaged_preset(self, tmp_path, monkeypatch, gaas):
+        path = tmp_path / "gaas.json"
+        path.write_text(json.dumps(spectrum_to_json(replace(gaas, s=-1.0))))
+        monkeypatch.setenv("DDMEMORY_PRESET_DIR", str(tmp_path))
+        assert load_preset("gaas").s == -1.0
 
     def test_load_by_path(self, tmp_path, gaas):
         path = tmp_path / "spec.json"

@@ -71,6 +71,13 @@ class TestChiAsymptotic:
         lim = chi_plateau_limit(p, gaas_hard, bang_bang()).chi_total
         assert inf_val == pytest.approx(lim, rel=1e-9)
 
+    def test_gaussian_equals_plateau_limit_on_clamped_band(self, gaas):
+        p = cdd(4, 1e-6)
+        inf_val = chi_asymptotic(p, gaas).chi_total
+        clamped = replace(gaas, omega_max=gaas.omega_c)
+        lim = chi_plateau_limit(p, clamped, bang_bang()).chi_total
+        assert inf_val == pytest.approx(lim, rel=1e-9)
+
     def test_gaussian_value_counts_only_below_cutoff(self, gaas):
         # the gaussian tail above omega_c is excluded by convention, so
         # the saturated error exceeds this number

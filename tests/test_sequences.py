@@ -171,6 +171,23 @@ class TestIntervalsAndTruncate:
         with pytest.raises(DomainError):
             truncate(echo(1e-6), 2e-6)
 
+    @given(
+        where=st.sampled_from(["duration", "pulse"]),
+        value=st.sampled_from([math.nan, math.inf, -math.inf]),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_non_finite_times_rejected_by_name(self, where, value):
+        if where == "duration":
+            with pytest.raises(DomainError, match="duration must be finite"):
+                TimingPattern((0.5e-6,), value, "bad")
+        else:
+            with pytest.raises(DomainError, match="pulse times must be finite"):
+                TimingPattern((0.2e-6, value), 1e-6, "bad")
+
+    def test_cdd_with_infinite_slot_names_duration(self):
+        with pytest.raises(DomainError, match="duration must be finite"):
+            cdd(2, math.inf)
+
     @given(st.integers(1, 5))
     @settings(max_examples=10, deadline=None)
     def test_udd_times_are_symmetric(self, n):
