@@ -5,9 +5,11 @@ an earlier implementation, which built the integrand per flavour and
 maximised the passband with a library optimiser; the search entries
 (winner and its budget for N = 2 ... 256 slots, every candidate's chi at
 N = 64) with the per-pulse phasor sum, before Walsh patterns got their
-product-form transform.  The current code must reproduce each entry
-within 1e-9 relative, with the same repeat count, path flag, growth term
-and search winner on every budget.
+product-form transform; the finite-pulse entries on UDD, Walsh on `yb`,
+the truncated readouts, the DCG jitter tolerance and the pulse-order fits
+while the pulse phasor u_p was still summed pulse by pulse.  The current
+code must reproduce each entry within 1e-9 relative, with the same repeat
+count, path flag, growth term and search winner on every budget.
 """
 
 import json
@@ -27,13 +29,17 @@ from ddmemory import (
     cdd,
     chi,
     chi_asymptotic,
+    chi_during,
     chi_plateau_limit,
     chi_repeated,
     dcg3,
     jitter_tolerance,
     load_preset,
     passband_max,
+    PulseOrder,
     primitive,
+    pulse_order,
+    udd,
     udd_from_min_interval,
     walsh,
 )
@@ -42,8 +48,10 @@ REL = 1e-9
 TAU = 1e-6
 REFERENCE = json.loads((Path(__file__).with_name("reference_values.json")).read_text())
 SEARCH_SLOTS = tuple(2**q for q in range(1, 9))
-# budget parts, compared on the scale of chi_total
+# parts compared on the scale of a whole: budget parts on chi_total, the
+# components of a fitted amplitude on its modulus, a relative mismatch on 1
 _PARTS = ("chi_total", "chi_bb", "chi_pul", "chi_low", "chi_high", "quad_error")
+_AMPLITUDE = ("amplitude_fit_re", "amplitude_fit_im")
 
 _SHAPES = {"bb": bang_bang, "primitive_1ns": lambda: primitive(1e-9), "dcg_10ns": lambda: dcg3(1e-8)}
 
@@ -85,6 +93,20 @@ def cases():
     for k, n in ((37, 64), (555, 1024)):
         out[f"chi/walsh/w{k}_{n}"] = lambda k=k, n=n: chi(walsh(k, n * TAU, n), gaas, bang_bang())
     out["jitter_tolerance/cdd4/1000"] = lambda: jitter_tolerance(p, 1000, gaas)
+    out["jitter_tolerance/cdd4/1000/dcg_10ns"] = lambda: jitter_tolerance(p, 1000, gaas, dcg3(1e-8))
+    # finite pulses on patterns without a Walsh grid, on a second spectrum,
+    # and at readouts that cut the pattern short (odd pulse counts included)
+    u5 = udd(5, 16 * TAU)
+    out["chi/udd4/dcg_10ns"] = lambda: chi(udd(4, 16 * TAU), gaas, dcg3(1e-8))
+    out["chi/walsh/w37_64/yb/primitive_1ns"] = lambda: chi(
+        walsh(37, 64 * TAU, 64), load_preset("yb"), primitive(1e-9)
+    )
+    for frac in (0.3, 0.55, 1.0):
+        out[f"chi_during/udd5/dcg_10ns/{frac:g}"] = (
+            lambda frac=frac: chi_during(u5, frac * u5.duration, gaas, dcg3(1e-8))
+        )
+    for shape_name in ("primitive_1ns", "dcg_10ns"):
+        out[f"pulse_order/cdd4/{shape_name}"] = lambda make=_SHAPES[shape_name]: pulse_order(p, make())
     out["passband_max/cdd4"] = lambda: passband_max(p)
     out["passband_max/udd5"] = lambda: passband_max(udd_from_min_interval(5, TAU))
     out["passband_max/w37_64"] = lambda: passband_max(walsh(37, 64 * TAU, 64))
@@ -98,6 +120,13 @@ def record(value):
     """JSON-ready form of a case result."""
     if isinstance(value, (float, list)):
         return value
+    if isinstance(value, PulseOrder):
+        return {
+            "alpha_fit": value.alpha_fit,
+            "amplitude_fit_re": value.amplitude_fit.real,
+            "amplitude_fit_im": value.amplitude_fit.imag,
+            "mismatch": value.mismatch,
+        }
     if isinstance(value, SearchResult):
         det = value.detected_structure
         return {
@@ -138,10 +167,13 @@ def test_matches_reference(name):
     assert got.keys() == ref.keys()
     # parts are compared on the scale of the total, so a part that is a
     # difference of near-equal numbers is held to the same absolute accuracy
-    scale = REL * abs(ref["chi_total"])
+    scale = {key: REL * abs(ref["chi_total"]) for key in _PARTS if "chi_total" in ref}
+    if "amplitude_fit_re" in ref:
+        modulus = abs(complex(ref["amplitude_fit_re"], ref["amplitude_fit_im"]))
+        scale.update({key: REL * modulus for key in _AMPLITUDE}, mismatch=REL)
     for key, val in ref.items():
         if isinstance(val, float):
-            abs_tol = scale if key in _PARTS else 0.0
+            abs_tol = scale.get(key, 0.0)
             assert math.isclose(got[key], val, rel_tol=REL, abs_tol=abs_tol), key
         else:
             assert got[key] == val, key
