@@ -18,6 +18,13 @@ is 4*tau_pi.  The per-pulse quadratures contain removable singularities
 at omega = Omega (and Omega/2 for the DCG); they are evaluated here in an
 algebraically equivalent sinc form that is finite and smooth everywhere,
 so no pole windows or series switches are needed.
+
+The pulses enter the whole sequence through the signed phasor sum
+u_p = sum_l (-1)^l e^{i omega t_l} over the pulse centers.  It is read off
+the ideal transform, which the vertex form writes as
+omega*y = 1 + 2 u_p + (-1)^(n+1) e^{i omega T_p}, so it costs O(1) per
+frequency on top of omega*y and keeps that transform's accuracy: the
+Walsh product, or the Taylor series at small omega*T_p.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ from typing import NamedTuple, Optional, Tuple, Union
 import numpy as np
 
 from .errors import DomainError
-from .filters import filter_fn, omega_y_tilde, phasor_sum
+from .filters import filter_fn, omega_y_tilde
 from .sequences import TimingPattern
 
 __all__ = [
@@ -196,12 +203,14 @@ def _check_footprint(p: TimingPattern, shape: PulseShape) -> None:
 
 
 def _pulse_terms(
-    p: TimingPattern, shape: PulseShape, omega: np.ndarray
+    p: TimingPattern, shape: PulseShape, omega: np.ndarray, base: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Additive pulse-induced parts: (r_z - omega*y_tilde, r_y)."""
-    # u_p(omega) = sum_{l=1..n} (-1)^l exp(i omega t_l)
-    signs = np.where(np.arange(1, p.n_pulses + 1) % 2 == 1, -1.0, 1.0)
-    u_p = phasor_sum(np.asarray(p.pulse_times, dtype=float), signs, omega)
+    """Additive pulse-induced parts: (r_z - omega*y_tilde, r_y), given base = omega*y_tilde."""
+    # u_p = (base - 1 + (-1)^n e^{i w T_p}) / 2, with 1 -+ e^{i w T_p} written
+    # as e^{i w T_p/2} times a sine or cosine so nothing cancels at small w
+    half_t = 0.5 * p.duration * omega
+    edge = 1j * np.sin(half_t) if p.n_pulses % 2 == 0 else -np.cos(half_t)
+    u_p = 0.5 * base + np.exp(1j * half_t) * edge
     rz_pul, ry_pul = pulse_quadratures(shape, omega)
     half = np.exp(-0.5j * shape.tau_pi * omega)
     # 2 cos(w tau/2) - 2 written as -4 sin^2(w tau/4) to keep the small-w
@@ -223,7 +232,7 @@ def quadrature_components(
     base = np.asarray(omega_y_tilde(p, omega), dtype=complex)
     if shape.kind == BANG_BANG or not p.pulse_times:
         return base, None, None
-    dz, ry = _pulse_terms(p, shape, omega)
+    dz, ry = _pulse_terms(p, shape, omega, base)
     return base, dz, ry
 
 
@@ -237,8 +246,8 @@ def total_quadratures(
                     - e^{-i omega tau_pi/2} r_z_pul(omega)] u_p(omega)
     r_y(omega) = -e^{-i omega tau_pi/2} r_y_pul(omega) u_p(omega)
 
-    with u_p = sum_l (-1)^l e^{i omega t_l} over the pulse centers t_l.  The
-    bracket vanishes identically for bang-bang, so (r_z, r_y) reduces to
+    with u_p = sum_l (-1)^l e^{i omega t_l} over the pulse centers t_l, read
+    off omega*y_tilde by its vertex form (module docstring).  The bracket vanishes identically for bang-bang, so (r_z, r_y) reduces to
     (omega*y_tilde, 0) exactly for any switching parity.  Pulse footprints
     must fit strictly inside the free intervals around each center.
     """
@@ -314,9 +323,11 @@ def pulse_order(p: TimingPattern, shape: PulseShape) -> PulseOrder:
         amplitude = -2j * t_p * tau * tau / (1.0 + 1.0 / math.pi**2)
 
     grid = np.geomspace(_FIT_LO / t_p, _FIT_HI / t_p, _FIT_POINTS)
-    dz, ry = _pulse_terms(p, shape, grid)
+    # the last point, twice the first, serves the Richardson step below
+    pts = np.append(grid, 2.0 * grid[0])
+    dz, ry = _pulse_terms(p, shape, pts, omega_y_tilde(p, pts))
     dominant = ry if shape.kind == PRIMITIVE else dz
-    mags = np.abs(dominant)
+    mags = np.abs(dominant[:-1])
     if not np.all(mags > 0.0):
         raise DomainError("dominant pulse quadrature vanishes on the fit window")
     slope = float(np.polyfit(np.log(grid), np.log(mags), 1)[0])
@@ -324,9 +335,7 @@ def pulse_order(p: TimingPattern, shape: PulseShape) -> PulseOrder:
 
     # Richardson step kills the O(omega) correction in q(omega)/omega^(alpha+1)
     w1 = grid[0]
-    dz2, ry2 = _pulse_terms(p, shape, np.array([2.0 * w1]))
-    q1 = dominant[0]
-    q2 = (ry2 if shape.kind == PRIMITIVE else dz2)[0]
+    q1, q2 = dominant[0], dominant[-1]
     a1 = q1 / w1 ** (alpha + 1)
     a2 = q2 / (2 * w1) ** (alpha + 1)
     amplitude_fit = complex(2.0 * a1 - a2)
