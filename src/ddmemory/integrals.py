@@ -150,7 +150,9 @@ class ErrorBudget:
     """Decoupling error and its decomposition for one stored-state scenario.
 
     chi_total = chi_low + chi_high (split at the spectrum's cutoff) and
-    also chi_bb + chi_pul (ideal-pulse part vs finite-width excess).
+    also chi_bb + chi_pul (ideal-pulse part vs finite-width excess).  The
+    excess is signed: finite pulses can also lower the error, as 10 ns
+    DCG pulses do for UDD5 on gaas, and then chi_pul < 0.
     coherence = exp(-chi_total).  m is the repeat count of the evaluated
     pattern (None for asymptotic estimates).  quad_error bounds the
     numerical error of chi_total; growth_per_repeat, comb_path and
@@ -388,15 +390,10 @@ def _assemble(
     chi_high = float(high[0])
     chi_total = chi_low + chi_high
     chi_bb = float(low[1] + high[1])
-    chi_pul = chi_total - chi_bb
-    if chi_pul < 0:
-        # cross terms can undershoot by quadrature noise; fold it into the bound
-        err += abs(chi_pul)
-        chi_pul = 0.0
     return ErrorBudget(
         chi_total=chi_total,
-        chi_bb=min(chi_bb, chi_total),
-        chi_pul=chi_pul,
+        chi_bb=chi_bb,
+        chi_pul=chi_total - chi_bb,
         chi_low=chi_low,
         chi_high=chi_high,
         coherence=math.exp(-chi_total),

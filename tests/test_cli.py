@@ -68,6 +68,18 @@ class TestErrorCommand:
         _, _, rows = _parse_csv(out)
         assert float(rows[0][0]) == pytest.approx(1.2438e-9, rel=1e-3)
 
+    def test_pulse_excess_column_is_signed(self, capsys):
+        code, out, _ = _run(
+            capsys,
+            ["error", "--sequence", "udd:5", "--duration", "16e-6", "--spectrum", "gaas",
+             "--pulse", "dcg:1e-08"],
+        )
+        assert code == 0
+        _, columns, rows = _parse_csv(out)
+        row = dict(zip(columns, map(float, rows[0])))
+        assert row["chi_pulse"] < 0.0
+        assert row["chi_total"] == row["chi_ideal"] + row["chi_pulse"]
+
 
 class TestExitCodes:
     def test_usage_error_is_two(self, capsys):

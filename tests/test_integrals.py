@@ -19,11 +19,13 @@ from ddmemory import (
     chi_during,
     chi_plateau_limit,
     chi_repeated,
+    dcg3,
     echo,
     free_evolution,
     primitive,
     repeat_pattern,
     truncate,
+    udd,
     udd_from_min_interval,
 )
 
@@ -65,6 +67,17 @@ class TestBudgetFields:
         b = chi(cdd(4, 1e-6), gaas, primitive(1e-9))
         assert b.chi_pul >= 0.0
         assert b.chi_total == pytest.approx(b.chi_bb + b.chi_pul, rel=1e-9)
+
+    def test_negative_pulse_excess_is_reported_signed(self, gaas):
+        # 10 ns DCG pulses lower UDD5's chi by about 0.5 %, which is a real
+        # effect (the oracle agrees), not quadrature noise to fold into the bound
+        p = udd(5, 16e-6)
+        b = chi(p, gaas, dcg3(1e-8))
+        ideal = chi(p, gaas, bang_bang()).chi_total
+        assert b.chi_bb == pytest.approx(ideal, rel=1e-12)
+        assert b.chi_pul == b.chi_total - b.chi_bb
+        assert b.chi_pul == pytest.approx(-5.15e-3 * ideal, rel=0.01)
+        assert b.quad_error <= 1e-6 * b.chi_total
 
     def test_zero_strength_gives_zero_error(self, gaas):
         silent = replace(gaas, g=0.0)

@@ -10,6 +10,11 @@ the truncated readouts, the DCG jitter tolerance and the pulse-order fits
 while the pulse phasor u_p was still summed pulse by pulse.  The current
 code must reproduce each entry within 1e-9 relative, with the same repeat
 count, path flag, growth term and search winner on every budget.
+
+One entry was changed by hand since: the full UDD5 readout with DCG
+pulses, whose pulses lower chi by 0.5 %.  It was frozen with chi_pul
+clipped to 0 and chi_bb to chi_total; the excess is now reported signed,
+so it holds the bang-bang chi as chi_bb and the negative difference.
 """
 
 import json
