@@ -202,15 +202,20 @@ def _check_footprint(p: TimingPattern, shape: PulseShape) -> None:
             )
 
 
-def _pulse_terms(
-    p: TimingPattern, shape: PulseShape, omega: np.ndarray, base: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Additive pulse-induced parts: (r_z - omega*y_tilde, r_y), given base = omega*y_tilde."""
+def _pulse_phasor(p: TimingPattern, omega: np.ndarray, base: np.ndarray) -> np.ndarray:
+    """u_p = sum_l (-1)^l e^{i omega t_l}, read off base = omega*y_tilde."""
     # u_p = (base - 1 + (-1)^n e^{i w T_p}) / 2, with 1 -+ e^{i w T_p} written
     # as e^{i w T_p/2} times a sine or cosine so nothing cancels at small w
     half_t = 0.5 * p.duration * omega
     edge = 1j * np.sin(half_t) if p.n_pulses % 2 == 0 else -np.cos(half_t)
-    u_p = 0.5 * base + np.exp(1j * half_t) * edge
+    return 0.5 * base + np.exp(1j * half_t) * edge
+
+
+def _pulse_terms(
+    p: TimingPattern, shape: PulseShape, omega: np.ndarray, base: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Additive pulse-induced parts: (r_z - omega*y_tilde, r_y), given base = omega*y_tilde."""
+    u_p = _pulse_phasor(p, omega, base)
     rz_pul, ry_pul = pulse_quadratures(shape, omega)
     half = np.exp(-0.5j * shape.tau_pi * omega)
     # 2 cos(w tau/2) - 2 written as -4 sin^2(w tau/4) to keep the small-w

@@ -12,6 +12,7 @@ from ddmemory import (
     DomainError,
     NoiseSpectrum,
     QuadratureConfig,
+    TimingPattern,
     bang_bang,
     carr_purcell,
     cdd,
@@ -130,6 +131,20 @@ class TestRepetitionKernel:
         via_kernel = chi_repeated(base, 4, gaas, shape).chi_total
         via_explicit = chi(repeat_pattern(base, 4), gaas, shape).chi_total
         assert via_kernel == pytest.approx(via_explicit, rel=1e-8)
+
+    @given(
+        bounds=st.sets(st.integers(1, 15), min_size=2).map(sorted),
+        m=st.integers(2, 8),
+        shape=st.sampled_from((primitive(1e-9), dcg3(1e-8))),
+    )
+    @settings(max_examples=12, deadline=None)
+    def test_finite_width_kernel_equals_explicit_for_grid_patterns(self, gaas, bounds, m, shape):
+        # an even pulse count keeps the toggling frame periodic, so the kernel applies
+        bounds = tuple(bounds[: len(bounds) // 2 * 2])
+        base = TimingPattern(tuple(b * 1e-6 for b in bounds), 16e-6, "grid", grid=(16, bounds))
+        via_kernel = chi_repeated(base, m, gaas, shape).chi_total
+        via_explicit = chi(repeat_pattern(base, m), gaas, shape).chi_total
+        assert via_kernel == pytest.approx(via_explicit, rel=1e-6)
 
     def test_finite_width_odd_base_small_m_falls_back(self, gaas):
         base = echo(2e-6)

@@ -1,8 +1,12 @@
 import math
+import sys
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ddmemory import (
     DomainError,
@@ -10,16 +14,22 @@ from ddmemory import (
     TimingPattern,
     bang_bang,
     cdd,
+    chi_plateau_limit,
+    chi_repeated,
     dcg3,
     echo,
     filter_fn,
+    jitter_tolerance,
     omega_y_tilde,
     primitive,
     pulse_order,
     total_ff,
     total_quadratures,
+    truncate,
     udd,
+    walsh,
 )
+from ddmemory import filters, pulses
 
 RNG = np.random.default_rng(77)
 
@@ -131,3 +141,97 @@ class TestPulseOrder:
     def test_bang_bang_has_no_pulse_contribution(self):
         with pytest.raises(DomainError):
             pulse_order(cdd(2, 1e-6), bang_bang())
+
+
+# -- the pulse phasor u_p, read off omega*y ------------------------------------
+
+EPS = np.finfo(float).eps
+TAU = 1e-6
+
+
+def _exact_grid_times(p):
+    n_slots, bounds = p.grid
+    return [mp.mpf(p.duration) * b / n_slots for b in bounds]
+
+
+def _exact_udd_times(order, t_p):
+    return [mp.mpf(t_p) * mp.sin(mp.pi * j / (2 * order + 2)) ** 2 for j in range(1, order + 1)]
+
+
+@st.composite
+def _patterns(draw):
+    """(pattern, its exact pulse times at 40 digits, slot count N) for walsh, cdd, udd,
+    truncated udd and random grid patterns, each with at least one pulse."""
+    kind = draw(st.sampled_from(("walsh", "cdd", "udd", "truncated_udd", "grid")))
+    with mp.workdps(40):
+        if kind == "walsh":
+            q = draw(st.integers(1, 10))
+            n = 2**q
+            p = walsh(draw(st.integers(1, n - 1)), n * TAU, n)
+            return p, _exact_grid_times(p), n
+        if kind == "cdd":
+            p = cdd(draw(st.integers(1, 7)), TAU)
+            return p, _exact_grid_times(p), p.grid[0]
+        if kind == "grid":
+            n = draw(st.integers(2, 64))
+            bounds = tuple(sorted(draw(st.sets(st.integers(1, n - 1), min_size=1))))
+            p = TimingPattern(tuple(b * TAU for b in bounds), n * TAU, "grid", grid=(n, bounds))
+            return p, _exact_grid_times(p), n
+        order = draw(st.integers(1, 24))
+        full = udd(order, 16 * TAU)
+        exact = _exact_udd_times(order, full.duration)
+        if kind == "udd":
+            return full, exact, order + 1
+        p = truncate(full, draw(st.floats(0.05, 0.999)) * full.duration)
+        assume(p.n_pulses > 0)
+        return p, exact[: p.n_pulses], order + 1
+
+
+def _exact_phasor(times, omega):
+    with mp.workdps(40):
+        return np.array([
+            complex(mp.fsum((-1) ** l * mp.expj(mp.mpf(w) * t) for l, t in enumerate(times, 1)))
+            for w in omega
+        ])
+
+
+@given(_patterns())
+@settings(max_examples=40, deadline=None)
+def test_pulse_phasor_matches_exact_sum(case):
+    p, exact_times, n_slots = case
+    theta = np.geomspace(1e-4, 1e3 * n_slots, 24)
+    w = theta / p.duration
+    exact = _exact_phasor(exact_times, w)
+    got = pulses._pulse_phasor(p, w, filters.omega_y_tilde(p, w))
+    # the rounding bound of the vertex sum itself: each of its n + 2 phases
+    # is rounded by about eps * omega * t
+    bound = 4.0 * EPS * (1.0 + theta) * (p.n_pulses + 2)
+    assert np.all(np.abs(got - exact) <= bound)
+    # at small omega*T_p the sum loses digits to cancellation; u_p read off
+    # omega*y must lose none of its own
+    small = theta < 1e-2
+    signs = (-1.0) ** np.arange(1, p.n_pulses + 1)
+    summed = filters.phasor_sum(np.asarray(p.pulse_times), signs, w[small])
+    rel_got = np.max(np.abs(got[small] - exact[small]) / np.abs(exact[small]))
+    rel_sum = np.max(np.abs(summed - exact[small]) / np.abs(exact[small]))
+    assert rel_got <= max(rel_sum, 2.0 * EPS)
+
+
+def test_finite_pulses_run_no_phasor_sum(monkeypatch, gaas):
+    # every module that could call a phasor sum, under the name it imported it by
+    calls = []
+    original = filters.phasor_sum
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("ddmemory") and hasattr(module, "phasor_sum"):
+            monkeypatch.setattr(module, "phasor_sum", counted)
+    p = cdd(4, 1e-6)
+    shape = dcg3(1e-8)
+    chi_repeated(p, 1000, gaas, shape)
+    chi_plateau_limit(p, gaas, shape)
+    jitter_tolerance(p, 1000, gaas, shape)
+    assert calls == []
