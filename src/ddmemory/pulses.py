@@ -19,12 +19,10 @@ at omega = Omega (and Omega/2 for the DCG); they are evaluated here in an
 algebraically equivalent sinc form that is finite and smooth everywhere,
 so no pole windows or series switches are needed.
 
-The pulses enter the whole sequence through the signed phasor sum
-u_p = sum_l (-1)^l e^{i omega t_l} over the pulse centers.  It is read off
-the ideal transform, which the vertex form writes as
-omega*y = 1 + 2 u_p + (-1)^(n+1) e^{i omega T_p}, so it costs O(1) per
-frequency on top of omega*y and keeps that transform's accuracy: the
-Walsh product, or the Taylor series at small omega*T_p.
+The pulses enter the whole sequence through u_p = sum_l (-1)^l e^{i omega t_l}
+over the pulse centers, read off the ideal transform by its vertex form
+omega*y = 1 + 2 u_p + (-1)^(n+1) e^{i omega T_p}: O(1) per frequency on top
+of omega*y, with that transform's accuracy (Walsh product or Taylor series).
 """
 
 from __future__ import annotations
@@ -204,8 +202,7 @@ def _check_footprint(p: TimingPattern, shape: PulseShape) -> None:
 
 def _pulse_phasor(p: TimingPattern, omega: np.ndarray, base: np.ndarray) -> np.ndarray:
     """u_p = sum_l (-1)^l e^{i omega t_l}, read off base = omega*y_tilde."""
-    # u_p = (base - 1 + (-1)^n e^{i w T_p}) / 2, with 1 -+ e^{i w T_p} written
-    # as e^{i w T_p/2} times a sine or cosine so nothing cancels at small w
+    # (base - 1 + (-1)^n e^{i w T_p}) / 2, with 1 -+ e^{i w T_p} factored so nothing cancels
     half_t = 0.5 * p.duration * omega
     edge = 1j * np.sin(half_t) if p.n_pulses % 2 == 0 else -np.cos(half_t)
     return 0.5 * base + np.exp(1j * half_t) * edge
@@ -214,7 +211,7 @@ def _pulse_phasor(p: TimingPattern, omega: np.ndarray, base: np.ndarray) -> np.n
 def _pulse_terms(
     p: TimingPattern, shape: PulseShape, omega: np.ndarray, base: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Additive pulse-induced parts: (r_z - omega*y_tilde, r_y), given base = omega*y_tilde."""
+    """Additive pulse-induced parts (r_z - base, r_y), with base = omega*y_tilde."""
     u_p = _pulse_phasor(p, omega, base)
     rz_pul, ry_pul = pulse_quadratures(shape, omega)
     half = np.exp(-0.5j * shape.tau_pi * omega)
@@ -252,7 +249,8 @@ def total_quadratures(
     r_y(omega) = -e^{-i omega tau_pi/2} r_y_pul(omega) u_p(omega)
 
     with u_p = sum_l (-1)^l e^{i omega t_l} over the pulse centers t_l, read
-    off omega*y_tilde by its vertex form (module docstring).  The bracket vanishes identically for bang-bang, so (r_z, r_y) reduces to
+    off omega*y_tilde by its vertex form (module docstring).  The bracket
+    vanishes identically for bang-bang, so (r_z, r_y) reduces to
     (omega*y_tilde, 0) exactly for any switching parity.  Pulse footprints
     must fit strictly inside the free intervals around each center.
     """

@@ -28,6 +28,7 @@ import pytest
 from ddmemory import (
     HARD,
     PowerLaw,
+    PulseOrder,
     SearchResult,
     bang_bang,
     best_sequence,
@@ -41,7 +42,6 @@ from ddmemory import (
     jitter_tolerance,
     load_preset,
     passband_max,
-    PulseOrder,
     primitive,
     pulse_order,
     udd,
