@@ -22,21 +22,8 @@ import numpy as np
 
 from . import __version__
 from .errors import DDMemoryError
-from .integrals import (
-    DEFAULT_CONFIG,
-    ErrorBudget,
-    QuadratureConfig,
-    chi,
-    chi_during,
-    chi_repeated,
-)
-from .noise import (
-    NoiseSpectrum,
-    PowerLaw,
-    calibrate_strength,
-    load_preset,
-    spectrum_to_json,
-)
+from .integrals import DEFAULT_CONFIG, QuadratureConfig, chi, chi_during, chi_repeated
+from .noise import NoiseSpectrum, calibrate_strength, load_preset, spectrum_to_json
 from .plateau import plateau_report
 from .pulses import BANG_BANG, PulseShape, bang_bang, dcg3, primitive, total_quadratures
 from .filters import omega_y_tilde
@@ -52,7 +39,7 @@ from .sequences import (
     udd_from_min_interval,
     walsh,
 )
-from .walsh_search import search_series
+from .walsh_search import MAX_SLOTS, search_series
 
 FORMATS = ("csv", "json")
 
@@ -132,13 +119,14 @@ def _quad_config(rel_tol: Optional[float], crossover: Optional[int]) -> Quadratu
     return dataclasses.replace(DEFAULT_CONFIG, **kwargs)
 
 
+def _problem(sequence, tau, duration, pulse, spectrum, rel_tol, comb_crossover):
+    """(pattern, pulse shape, spectrum, quadrature config) from the shared options."""
+    p = build_sequence(sequence, tau, duration)
+    shape = build_pulse(pulse)
+    return p, shape, load_preset(spectrum), _quad_config(rel_tol, comb_crossover)
+
+
 # -- resolved-config echo ------------------------------------------------------
-
-
-def _rolloff_doc(spec: NoiseSpectrum):
-    if isinstance(spec.rolloff, PowerLaw):
-        return {"power_law": spec.rolloff.r}
-    return spec.rolloff
 
 
 def _resolved_doc(
@@ -168,7 +156,7 @@ def _resolved_doc(
             "s": spec.s,
             "g": spec.g,
             "omega_c": spec.omega_c,
-            "rolloff": _rolloff_doc(spec),
+            "rolloff": spectrum_to_json(spec)["rolloff"],
             "omega_min": spec.omega_min,
             "omega_max": spec.omega_max,
         }
@@ -184,10 +172,6 @@ def _resolved_doc(
     if extra:
         doc.update(extra)
     return doc
-
-
-def _budget_doc(budget: ErrorBudget) -> Dict[str, object]:
-    return dataclasses.asdict(budget)
 
 
 # -- output plumbing -----------------------------------------------------------
@@ -263,10 +247,12 @@ def _numeric_opts(f):
     return f
 
 
-def _out_opts(f):
-    f = click.option("--format", "fmt", type=click.Choice(list(FORMATS)), default="csv", show_default=True)(f)
-    f = click.option("--output", type=click.Path(dir_okay=False, writable=True), default=None)(f)
-    return f
+def _out_opts(fmt_default: str = "csv"):
+    def add(f):
+        f = click.option("--format", "fmt", type=click.Choice(list(FORMATS)), default=fmt_default, show_default=True)(f)
+        return click.option("--output", type=click.Path(dir_okay=False, writable=True), default=None)(f)
+
+    return add
 
 
 @click.group()
@@ -285,7 +271,7 @@ def cli() -> None:
 @click.option("--points", type=int, default=2048, show_default=True)
 @click.option("--omega-min", type=float, default=None, help="Grid start in rad/s.")
 @click.option("--omega-max", type=float, default=None, help="Grid end in rad/s.")
-@_out_opts
+@_out_opts()
 def ff_cmd(sequence, tau, duration, pulse, repeat, points, omega_min, omega_max, output, fmt):
     """Tabulate the filter function on a log frequency grid."""
     p = build_sequence(sequence, tau, duration)
@@ -304,26 +290,16 @@ def ff_cmd(sequence, tau, duration, pulse, repeat, points, omega_min, omega_max,
         extra={"grid": {"omega_min": w_lo, "omega_max": w_hi, "points": points}},
     )
     base = omega_y_tilde(p, grid)
-    if shape.kind == BANG_BANG:
-        ff_tot = np.abs(base) ** 2
-        columns = ["omega_rad_s", "ff_total", "ff_ideal", "re_omega_y", "im_omega_y"]
-        rows = [
-            (float(w), float(f), float(f), float(b.real), float(b.imag))
-            for w, f, b in zip(grid, ff_tot, base)
-        ]
-    else:
+    ff_ideal = np.abs(base) ** 2
+    columns = ["omega_rad_s", "ff_total", "ff_ideal", "re_omega_y", "im_omega_y"]
+    values = [grid, ff_ideal, ff_ideal, base.real, base.imag]
+    if shape.kind != BANG_BANG:
         rz, ry = total_quadratures(p, shape, grid)
-        ff_ideal = np.abs(base) ** 2
-        ff_tot = np.abs(rz) ** 2 + np.abs(ry) ** 2
-        columns = [
-            "omega_rad_s", "ff_total", "ff_ideal",
-            "re_omega_y", "im_omega_y", "rz_sq", "ry_sq",
-        ]
-        rows = [
-            (float(w), float(f), float(fi), float(b.real), float(b.imag),
-             float(abs(z) ** 2), float(abs(y) ** 2))
-            for w, f, fi, b, z, y in zip(grid, ff_tot, ff_ideal, base, rz, ry)
-        ]
+        values[1] = np.abs(rz) ** 2 + np.abs(ry) ** 2
+        columns += ["rz_sq", "ry_sq"]
+        # Python's complex abs, not numpy's: the columns keep their last bits
+        values += [[abs(z) ** 2 for z in rz], [abs(y) ** 2 for y in ry]]
+    rows = [tuple(float(v) for v in row) for row in zip(*values)]
     emit_table(doc, columns, rows, fmt, output)
 
 
@@ -334,13 +310,10 @@ def ff_cmd(sequence, tau, duration, pulse, repeat, points, omega_min, omega_max,
 @click.option("--repeat", type=int, default=1, show_default=True,
               help="Evaluate the pattern repeated m times (kernel route).")
 @_numeric_opts
-@_out_opts
+@_out_opts()
 def error_cmd(sequence, tau, duration, pulse, spectrum, repeat, rel_tol, comb_crossover, output, fmt):
     """Decoupling error chi and coherence for one pattern."""
-    p = build_sequence(sequence, tau, duration)
-    shape = build_pulse(pulse)
-    spec = load_preset(spectrum)
-    config = _quad_config(rel_tol, comb_crossover)
+    p, shape, spec, config = _problem(sequence, tau, duration, pulse, spectrum, rel_tol, comb_crossover)
     if repeat < 1:
         raise _usage("--repeat", f"must be >= 1, got {repeat}")
     budget = chi_repeated(p, repeat, spec, shape, config) if repeat > 1 else chi(p, spec, shape, config)
@@ -362,14 +335,11 @@ def error_cmd(sequence, tau, duration, pulse, spectrum, repeat, rel_tol, comb_cr
 @click.option("--points", type=int, default=25, show_default=True,
               help="Log-spaced repeat counts from 1 to --m-max.")
 @_numeric_opts
-@_out_opts
+@_out_opts()
 def sweep_m_cmd(sequence, tau, duration, pulse, spectrum, m_values, m_max, points,
                 rel_tol, comb_crossover, output, fmt):
     """chi versus repeat count m for a repeated base pattern."""
-    p = build_sequence(sequence, tau, duration)
-    shape = build_pulse(pulse)
-    spec = load_preset(spectrum)
-    config = _quad_config(rel_tol, comb_crossover)
+    p, shape, spec, config = _problem(sequence, tau, duration, pulse, spectrum, rel_tol, comb_crossover)
     if m_values:
         ms = sorted(set(m_values))
         if ms[0] < 1:
@@ -377,16 +347,14 @@ def sweep_m_cmd(sequence, tau, duration, pulse, spectrum, m_values, m_max, point
     else:
         if m_max < 1:
             raise _usage("--m-max", f"must be >= 1, got {m_max}")
+        if points < 1:
+            raise _usage("--points", f"need at least 1, got {points}")
         grid = np.unique(np.rint(np.geomspace(1, m_max, points)).astype(int))
         ms = [int(m) for m in grid]
     doc = _resolved_doc("sweep-m", p, spec, shape, config, extra={"m_values": ms})
-    rows = []
-    worst = 0.0
-    for m in ms:
-        budget = chi_repeated(p, m, spec, shape, config)
-        rows.append((m, m * p.duration, budget.chi_total, budget.coherence))
-        worst = max(worst, budget.quad_error)
-    doc["achieved"] = {"quad_error_max": worst}
+    budgets = [chi_repeated(p, m, spec, shape, config) for m in ms]
+    rows = [(m, m * p.duration, b.chi_total, b.coherence) for m, b in zip(ms, budgets)]
+    doc["achieved"] = {"quad_error_max": max(b.quad_error for b in budgets)}
     emit_table(doc, ["m", "t_s", "chi", "coherence"], rows, fmt, output)
 
 
@@ -396,24 +364,17 @@ def sweep_m_cmd(sequence, tau, duration, pulse, spectrum, m_values, m_max, point
 @_spectrum_opt
 @click.option("--points", type=int, default=400, show_default=True)
 @_numeric_opts
-@_out_opts
+@_out_opts()
 def trace_cmd(sequence, tau, duration, pulse, spectrum, points, rel_tol, comb_crossover, output, fmt):
     """Mid-sequence error chi(t) for t in (0, T_p]."""
-    p = build_sequence(sequence, tau, duration)
-    shape = build_pulse(pulse)
-    spec = load_preset(spectrum)
-    config = _quad_config(rel_tol, comb_crossover)
+    p, shape, spec, config = _problem(sequence, tau, duration, pulse, spectrum, rel_tol, comb_crossover)
     if points < 2:
         raise _usage("--points", f"need at least 2, got {points}")
     doc = _resolved_doc("trace", p, spec, shape, config, extra={"points": points})
     ts = np.linspace(p.duration / points, p.duration, points)
-    rows = []
-    worst = 0.0
-    for t in ts:
-        budget = chi_during(p, float(t), spec, shape, config)
-        rows.append((float(t), budget.chi_total, budget.coherence))
-        worst = max(worst, budget.quad_error)
-    doc["achieved"] = {"quad_error_max": worst}
+    budgets = [chi_during(p, float(t), spec, shape, config) for t in ts]
+    rows = [(float(t), b.chi_total, b.coherence) for t, b in zip(ts, budgets)]
+    doc["achieved"] = {"quad_error_max": max(b.quad_error for b in budgets)}
     emit_table(doc, ["t", "chi", "coherence"], rows, fmt, output)
 
 
@@ -427,15 +388,11 @@ def trace_cmd(sequence, tau, duration, pulse, spectrum, points, rel_tol, comb_cr
               help="Allowed chi growth factor; adds the jitter tolerance.")
 @click.option("--jitter-m", type=int, default=1000, show_default=True)
 @_numeric_opts
-@click.option("--output", type=click.Path(dir_okay=False, writable=True), default=None)
-@click.option("--format", "fmt", type=click.Choice(list(FORMATS)), default="json", show_default=True)
+@_out_opts("json")
 def plateau_cmd(sequence, tau, duration, pulse, spectrum, t_markov, jitter_budget_factor,
                 jitter_m, rel_tol, comb_crossover, output, fmt):
     """Coherence-plateau report: conditions, chi_infinity, lifetime bounds."""
-    p = build_sequence(sequence, tau, duration)
-    shape = build_pulse(pulse)
-    spec = load_preset(spectrum)
-    config = _quad_config(rel_tol, comb_crossover)
+    p, shape, spec, config = _problem(sequence, tau, duration, pulse, spectrum, rel_tol, comb_crossover)
     report = plateau_report(
         p, spec, shape,
         t_markov=t_markov,
@@ -458,7 +415,7 @@ def plateau_cmd(sequence, tau, duration, pulse, spectrum, t_markov, jitter_budge
                           "x": report.condition_resonance.x},
             "all_met": report.all_conditions_met,
         },
-        "chi_infinity": None if report.chi_infinity is None else _budget_doc(report.chi_infinity),
+        "chi_infinity": None if report.chi_infinity is None else dataclasses.asdict(report.chi_infinity),
         "chi_infinity_closed": report.chi_infinity_closed,
         "m_max_bound": report.m_max_bound,
         "t_max_s": report.t_max,
@@ -474,10 +431,10 @@ def plateau_cmd(sequence, tau, duration, pulse, spectrum, t_markov, jitter_budge
 @_pulse_opt
 @_spectrum_opt
 @click.option("--threads", type=int, default=None, help="Worker process cap.")
-@click.option("--limit", type=int, default=4096, show_default=True,
+@click.option("--limit", type=int, default=MAX_SLOTS, show_default=True,
               help="Largest admissible slot count N.")
 @_numeric_opts
-@_out_opts
+@_out_opts()
 def search_cmd(tau, t_s_values, pulse, spectrum, threads, limit, rel_tol, comb_crossover, output, fmt):
     """Exhaustive Walsh-family minimum-chi search per storage time."""
     shape = build_pulse(pulse)
@@ -513,8 +470,7 @@ def search_cmd(tau, t_s_values, pulse, spectrum, threads, limit, rel_tol, comb_c
 @cli.command("calibrate")
 @_spectrum_opt
 @click.option("--t2", type=float, required=True, help="Target free-evolution 1/e time in s.")
-@click.option("--output", type=click.Path(dir_okay=False, writable=True), default=None)
-@click.option("--format", "fmt", type=click.Choice(list(FORMATS)), default="json", show_default=True)
+@_out_opts("json")
 def calibrate_cmd(spectrum, t2, output, fmt):
     """Rescale a spectrum's strength so free evolution has chi(T2) = 1."""
     template = load_preset(spectrum)

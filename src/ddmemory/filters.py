@@ -22,15 +22,18 @@ keeps the zero at omega = 0 at every frequency, with no series branch.
 Other patterns are summed vertex by vertex. Direct summation destroys
 the high-order zero at omega = 0 through cancellation, so below
 |omega * T_p| <= 2 the sum is evaluated from its Taylor coefficients
-instead. Those coefficients are exact rationals for patterns on a
-uniform slot grid, 60-digit values for UDD timings, and compensated
-float sums otherwise; in all three cases the multiplicity of the zero
-survives in double precision.
+mu_k = sum_j c_j (t_j/T_p)^k / k! instead. One recurrence computes them
+for every pattern; only the vertex times and the arithmetic differ:
+integer slot indices with an exact integer sum and one correctly rounded
+division for patterns on a uniform slot grid, 60-digit values for UDD
+timings, and compensated float sums otherwise. In all three cases the
+multiplicity of the zero survives in double precision.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
@@ -65,63 +68,42 @@ def _vertex_coefficients(p: TimingPattern) -> tuple[np.ndarray, np.ndarray]:
     return times, coeff
 
 
-def _grid_moments(n_slots: int, bounds: tuple[int, ...], n_terms: int) -> tuple[float, ...]:
-    # exact rational vertex sums; the t = 0 vertex drops out for k >= 1
-    verts = [(-2 if i % 2 == 0 else 2, b) for i, b in enumerate(bounds)]
-    verts.append((1 if len(bounds) % 2 else -1, n_slots))
-    powers = [b for _, b in verts]
+def _moment_recurrence(coeffs, taus, total, divide, unit) -> tuple[float, ...]:
+    """divide(total(c_j * tau_j**k), unit**k * k!) for k = 1 .. N_MOMENTS."""
     out = []
-    kfac = 1
-    for k in range(1, n_terms + 1):
-        kfac *= k
-        s_k = sum(c * pw for (c, _), pw in zip(verts, powers))
-        out.append(float(Fraction(s_k, n_slots**k * kfac)))
-        powers = [pw * b for (_, b), pw in zip(verts, powers)]
-    return tuple(out)
-
-
-def _udd_moments(order: int, n_terms: int) -> tuple[float, ...]:
-    import mpmath as mp
-
-    with mp.workdps(60):
-        taus = [mp.sin(mp.pi * j / (2 * order + 2)) ** 2 for j in range(1, order + 1)]
-        coeffs = [mp.mpf(2 * (-1) ** l) for l in range(1, order + 1)]
-        taus.append(mp.mpf(1))
-        coeffs.append(mp.mpf((-1) ** (order + 1)))
-        out = []
-        kfac = mp.mpf(1)
-        powers = list(taus)
-        for k in range(1, n_terms + 1):
-            kfac *= k
-            s_k = mp.fsum(c * pw for c, pw in zip(coeffs, powers))
-            out.append(float(s_k / kfac))
-            powers = [pw * t for pw, t in zip(powers, taus)]
-    return tuple(out)
-
-
-def _float_moments(p: TimingPattern, n_terms: int) -> tuple[float, ...]:
-    times, coeff = _vertex_coefficients(p)
-    taus = times[1:] / p.duration
-    cs = coeff[1:]
-    out = []
-    powers = taus.copy()
-    kfac = 1.0
-    for k in range(1, n_terms + 1):
-        kfac *= k
-        s_k = math.fsum(c * pw for c, pw in zip(cs, powers))
-        out.append(s_k / kfac)
-        powers = powers * taus
+    powers, scale = list(taus), 1
+    for k in range(1, N_MOMENTS + 1):
+        scale *= k * unit
+        out.append(divide(total(c * pw for c, pw in zip(coeffs, powers)), scale))
+        powers = [pw * t for pw, t in zip(powers, taus)]
     return tuple(out)
 
 
 @lru_cache(maxsize=4096)
 def _moments(p: TimingPattern) -> tuple[float, ...]:
-    """Taylor coefficients mu_k of omega*y = sum_k mu_k (i*omega*T_p)^k."""
+    """Taylor coefficients mu_k of omega*y = sum_k mu_k (i*omega*T_p)^k.
+
+    mu_k = sum_j c_j tau_j^k / k! over the vertices tau_j = t_j / T_p; the
+    t = 0 vertex drops out for k >= 1.
+    """
+    coeffs = [int(c) for c in _vertex_coefficients(p)[1][1:]]
     if p.grid is not None:
-        return _grid_moments(p.grid[0], p.grid[1], N_MOMENTS)
+        # integer slot indices: an exact sum and one correctly rounded division
+        n_slots, bounds = p.grid
+        return _moment_recurrence(
+            coeffs, [*bounds, n_slots], sum, lambda s, d: float(Fraction(s, d)), n_slots
+        )
     if p.udd_order is not None and p.udd_order >= 1:
-        return _udd_moments(p.udd_order, N_MOMENTS)
-    return _float_moments(p, N_MOMENTS)
+        import mpmath as mp
+
+        n = p.udd_order
+        with mp.workdps(60):
+            taus = [mp.sin(mp.pi * j / (2 * n + 2)) ** 2 for j in range(1, n + 1)]
+            return _moment_recurrence(
+                coeffs, [*taus, mp.mpf(1)], mp.fsum, lambda s, d: float(s / d), 1
+            )
+    taus = [t / p.duration for t in p.pulse_times] + [1.0]
+    return _moment_recurrence(coeffs, taus, math.fsum, operator.truediv, 1.0)
 
 
 def _series_eval(p: TimingPattern, theta: np.ndarray) -> np.ndarray:

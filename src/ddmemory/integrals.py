@@ -275,6 +275,21 @@ def _with_breakpoint(edges: np.ndarray, x: float) -> np.ndarray:
     return np.insert(edges, i, x)
 
 
+def _band_top(spec: NoiseSpectrum) -> float:
+    """Upper edge of the integrated band: omega_max, clamped at omega_c for a hard cutoff."""
+    return min(spec.omega_max, spec.omega_c) if spec.rolloff == HARD else spec.omega_max
+
+
+def _filter_bound(p: TimingPattern) -> float:
+    """4 (n+1)^2, an upper bound of the bang-bang filter |omega*y|^2 of n pulses.
+
+    omega*y sums n + 2 unit phasors with weights 1, 2, ..., 2, 1, so its
+    modulus is at most 2 (n+1).  It does not bound the finite-pulse filter
+    F_total: 10 ns DCG pulses on UDD5 exceed it 6.8 times near 2.3e8 rad/s.
+    """
+    return 4.0 * (p.n_pulses + 1) ** 2
+
+
 def _tail_envelope(spec: NoiseSpectrum, w_from: float, ff_bound: float) -> float:
     """Upper estimate of ff_bound * integral of S/w^2 over [w_from, omega_max]."""
     if w_from >= spec.omega_max:
@@ -329,9 +344,7 @@ def _integrate_band(
     repetition kernel counted through its exact period integral (an extra
     factor m); the tail estimate uses it to certify early termination.
     """
-    w_lo, w_hi = spec.omega_min, spec.omega_max
-    if spec.rolloff == HARD:
-        w_hi = min(w_hi, spec.omega_c)
+    w_lo, w_hi = spec.omega_min, _band_top(spec)
     if not w_lo < w_hi:
         return
     lobe = math.pi / t_osc
@@ -509,15 +522,23 @@ def _chi_direct(
     rows = _ff_rows_factory(p, shape, spec, kernel)
     # the kernel integrates to 2 pi m / T_p per period, so an m-linear
     # envelope certifies the tail: F*D <= per-period mass * base bound
-    ff_bound = 4.0 * (p.n_pulses + 1) ** 2 * m
+    ff_bound = _filter_bound(p) * m
     try:
         low, high, err = integrate_rows(rows, spec, m * p.duration, ff_bound, cfg)
     except AccuracyError as exc:
-        repeated = f" repeated {m} times" if m > 1 else ""
-        raise AccuracyError(
-            f"{exc} for {p.label!r}{repeated}", exc.estimate, exc.error_bound
-        ) from None
+        raise _named(exc, p, m, exc.estimate, exc.error_bound) from None
     return _assemble(low, high, err, m=m)
+
+
+def _named(exc: AccuracyError, p: TimingPattern, m: Optional[int], estimate, error_bound):
+    """exc, relabelled with the pattern and repeat count it was raised for."""
+    repeated = f" repeated {m} times" if m not in (None, 1) else ""
+    return AccuracyError(f"{exc} for {p.label!r}{repeated}", estimate, error_bound)
+
+
+def _comb_tail(spec: NoiseSpectrum, w_from: float, p: TimingPattern, m: Optional[int]) -> float:
+    """Comb-walk tail envelope above w_from: m + 1 times the base one, twice it for m = None."""
+    return ((m + 1) if m is not None else 2) * _tail_envelope(spec, w_from, _filter_bound(p))
 
 
 @lru_cache(maxsize=64)
@@ -568,12 +589,8 @@ def _chi_comb(
         growth = _walk_comb(p, m, spec, shape, cfg, acc)
     except AccuracyError as exc:
         # partial sum; the bound adds the walk's tail envelope over the whole band
-        tail_scale = (m + 1) if m is not None else 2
-        tail = tail_scale * _tail_envelope(spec, spec.omega_min, 4.0 * (p.n_pulses + 1) ** 2)
-        repeated = f" repeated {m} times" if m is not None else ""
-        raise AccuracyError(
-            f"{exc} for {p.label!r}{repeated}", acc.total, acc.err + tail
-        ) from None
+        tail = _comb_tail(spec, spec.omega_min, p, m)
+        raise _named(exc, p, m, acc.total, acc.err + tail) from None
     return _assemble(*acc.totals(), acc.err, m=m, growth=growth, comb_path=True)
 
 
@@ -587,9 +604,7 @@ def _walk_comb(
 ) -> float:
     """_chi_comb's band walk into acc; returns growth_per_repeat."""
     t_p = p.duration
-    w_lo, w_hi = spec.omega_min, spec.omega_max
-    if spec.rolloff == HARD:
-        w_hi = min(w_hi, spec.omega_c)
+    w_lo, w_hi = spec.omega_min, _band_top(spec)
     if not w_lo < w_hi:
         return 0.0
     budget = _PanelBudget(cfg.max_panels)
@@ -627,7 +642,6 @@ def _walk_comb(
         deosc_part = float(np.sum(rows_i[0]))
 
     # (c) resonance cells above pi/T_p
-    base_bound = 4.0 * (p.n_pulses + 1) ** 2
     w1 = 2.0 * math.pi / t_p
     growth_rows = np.zeros(2)
     pv_abs = 0.0
@@ -670,8 +684,7 @@ def _walk_comb(
             raise AccuracyError(
                 "resonance-cell walk did not converge within 65536 cells", math.nan, math.inf
             )
-        tail_scale = (m + 1) if m is not None else 2
-        tail = tail_scale * _tail_envelope(spec, (k - 0.5) * w1, base_bound)
+        tail = _comb_tail(spec, (k - 0.5) * w1, p, m)
         if tail <= max(cfg.abs_floor, _TAIL_SHARE * cfg.rel_tol * abs(acc.total)):
             acc.err += tail
             break

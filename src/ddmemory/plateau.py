@@ -125,29 +125,24 @@ def check_conditions(
     )
 
 
-def _raise_if_divergent(report: PlateauReport, spec: NoiseSpectrum) -> None:
-    if not report.condition_lowfreq_bb.passed:
-        raise DivergenceError(
-            "asymptotic error diverges: s + 2*alpha_p > 1 fails "
-            f"(s={spec.s}, margin={report.condition_lowfreq_bb.margin:+g})"
-        )
-    if report.condition_lowfreq_pul is not None and not report.condition_lowfreq_pul.passed:
-        raise DivergenceError(
-            "asymptotic error diverges: s + 2*alpha_pul > 1 fails "
-            f"(s={spec.s}, margin={report.condition_lowfreq_pul.margin:+g})"
-        )
+def _has_plateau(p: TimingPattern, spec: NoiseSpectrum, shape: PulseShape) -> bool:
+    """False for a noiseless spectrum; raises DivergenceError naming a failed condition."""
+    if spec.g == 0.0:
+        return False
+    report = check_conditions(p, spec, shape)
+    lowfreq = (("alpha_p", report.condition_lowfreq_bb), ("alpha_pul", report.condition_lowfreq_pul))
+    for alpha, cond in lowfreq:
+        if cond is not None and not cond.passed:
+            raise DivergenceError(
+                "asymptotic error diverges: "
+                f"s + 2*{alpha} > 1 fails (s={spec.s}, margin={cond.margin:+g})"
+            )
     if not report.condition_resonance.passed:
         raise DivergenceError(
             "no plateau: T_p*omega_c < 2*pi fails "
             f"(x = T_p*omega_c/(2*pi) = {report.condition_resonance.x:g} >= 1)"
         )
-
-
-def _zero_budget() -> ErrorBudget:
-    return ErrorBudget(
-        chi_total=0.0, chi_bb=0.0, chi_pul=0.0, chi_low=0.0, chi_high=0.0,
-        coherence=1.0, m=None,
-    )
+    return True
 
 
 def chi_asymptotic(
@@ -163,12 +158,9 @@ def chi_asymptotic(
     condition fails, naming the inequality.
     """
     shape = shape or bang_bang()
-    if spec.g == 0.0:
-        return _zero_budget()
-    _raise_if_divergent(check_conditions(p, spec, shape), spec)
     w_hi = min(spec.omega_c, spec.omega_max)
-    if w_hi <= spec.omega_min:
-        return _zero_budget()
+    if not _has_plateau(p, spec, shape) or w_hi <= spec.omega_min:
+        return _assemble(np.zeros(2), np.zeros(2), 0.0, m=None)
     limit = chi_plateau_limit(p, replace(spec, omega_max=w_hi), shape, config)
     return replace(limit, growth_per_repeat=None, comb_path=False)
 
@@ -183,10 +175,8 @@ def chi_infinity_leading_order(
     chi_asymptotic is authoritative.
     """
     shape = shape or bang_bang()
-    if spec.g == 0.0:
+    if not _has_plateau(p, spec, shape):
         return 0.0
-    report = check_conditions(p, spec, shape)
-    _raise_if_divergent(report, spec)
     t_p = p.duration
 
     def term(alpha: int, amplitude: complex) -> float:

@@ -88,6 +88,12 @@ class TimingPattern:
         }
 
 
+def _check_size(count: int, what: str) -> None:
+    """Refuse a pattern of more than MAX_REPEAT_PULSES pulses or slots before building it."""
+    if count > MAX_REPEAT_PULSES:
+        raise ResourceLimitError(f"pattern would have {count} {what} (limit {MAX_REPEAT_PULSES})")
+
+
 def free_evolution(duration: float, label: str = "free") -> TimingPattern:
     return TimingPattern((), duration, label, grid=(1, ()))
 
@@ -109,6 +115,7 @@ def udd(n: int, t_p: float) -> TimingPattern:
         raise DomainError(f"duration must be positive, got {t_p}")
     if n == 0:
         return free_evolution(t_p)
+    _check_size(n, "pulses")
     times = [0.0] * n
     for j in range(1, n // 2 + 1):
         tj = t_p * math.sin(math.pi * j / (2 * n + 2)) ** 2
@@ -141,7 +148,8 @@ def cdd(level: int, tau: float) -> TimingPattern:
     if not tau > 0:
         raise DomainError(f"slot width must be positive, got {tau}")
     n_slots = 2**level
-    bounds = _walsh_bounds(n_slots - 1, n_slots)
+    _check_size(n_slots, "slots")
+    bounds = _sign_bounds(walsh_signs(n_slots - 1, n_slots))
     times = tuple(b * tau for b in bounds)
     return TimingPattern(times, n_slots * tau, f"CDD{level}", grid=(n_slots, bounds))
 
@@ -167,10 +175,18 @@ def walsh_signs(k: int, n_slots: int) -> list[int]:
     return [-1 if (rev_k & j).bit_count() & 1 else 1 for j in range(n_slots)]
 
 
-def _walsh_bounds(k: int, n_slots: int) -> tuple[int, ...]:
-    # a pulse sits wherever the slot sign flips
-    signs = walsh_signs(k, n_slots)
-    return tuple(j for j in range(1, n_slots) if signs[j] != signs[j - 1])
+def _sign_bounds(signs: list[int]) -> tuple[int, ...]:
+    """Flip boundaries of per-slot signs: a pulse sits wherever the sign changes."""
+    return tuple(j for j in range(1, len(signs)) if signs[j] != signs[j - 1])
+
+
+def _grid_signs(p: TimingPattern) -> Optional[list[int]]:
+    """Per-slot signs of a grid pattern, +1 first; None off the grid."""
+    if p.grid is None:
+        return None
+    n_slots, bounds = p.grid
+    # slot j's sign is the parity of the flips at or before it
+    return [-1 if bisect_right(bounds, j) & 1 else 1 for j in range(n_slots)]
 
 
 def _on_grid(times: tuple[float, ...], duration: float, grid: tuple[int, tuple[int, ...]]) -> bool:
@@ -186,14 +202,15 @@ def _paley_index(grid: Optional[tuple[int, tuple[int, ...]]]) -> Optional[int]:
     q = n_slots.bit_length() - 1
     # the sign of slot 2**b, the parity of the flips up to it, is bit (q-1-b) of the only candidate
     k = sum(1 << (q - 1 - b) for b in range(q) if bisect_right(bounds, 1 << b) & 1)
-    return k if _walsh_bounds(k, n_slots) == bounds else None
+    return k if _sign_bounds(walsh_signs(k, n_slots)) == bounds else None
 
 
 def walsh(k: int, t_s: float, n_slots: int) -> TimingPattern:
     """Pattern whose switching function is Walsh w_k on n_slots slots."""
     if not t_s > 0:
         raise DomainError(f"duration must be positive, got {t_s}")
-    bounds = _walsh_bounds(k, n_slots)
+    _check_size(n_slots, "slots")
+    bounds = _sign_bounds(walsh_signs(k, n_slots))
     slot = t_s / n_slots
     times = tuple(b * slot for b in bounds)
     return TimingPattern(times, t_s, f"W{k}@{n_slots}", grid=(n_slots, bounds))
@@ -236,11 +253,7 @@ def repeat_pattern(p: TimingPattern, m: int) -> TimingPattern:
     if m == 1:
         return p
     junction = 1 if p.end_sign < 0 else 0
-    total_pulses = m * p.n_pulses + (m - 1) * junction
-    if total_pulses > MAX_REPEAT_PULSES:
-        raise ResourceLimitError(
-            f"repeat would produce {total_pulses} pulses (limit {MAX_REPEAT_PULSES})"
-        )
+    _check_size(m * p.n_pulses + (m - 1) * junction, "pulses")
     times: list[float] = []
     for j in range(m):
         base = j * p.duration

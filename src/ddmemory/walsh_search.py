@@ -6,7 +6,9 @@ index k >= N/2 have minimal pulse interval exactly tau.  Each candidate
 is a complete pattern of duration T_s and is scored by its band error
 chi; the winner is the deterministic argmin.
 
-Generic Walsh patterns are not periodic, so candidates are always
+Candidates are scored by index: each worker builds w_k from k, so no
+candidate list is held, and the tie-break reads the pulse count of w_k
+off k.  Generic Walsh patterns are not periodic, so candidates are always
 integrated at full length.  A winner that does tile as base^m is
 reported with its base block and cross-checked against the repetition
 kernel; the relative gap between the two evaluations is recorded.
@@ -15,15 +17,15 @@ kernel; the relative gap between the two evaluations is recorded.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import AccuracyError, DomainError
 from .integrals import ErrorBudget, QuadratureConfig, chi, chi_repeated
 from .noise import NoiseSpectrum
 from .pulses import PulseShape, bang_bang
-from .sequences import TimingPattern, walsh
+from .sequences import TimingPattern, _grid_signs, _sign_bounds, walsh
 
 __all__ = [
     "CandidateResult",
@@ -104,23 +106,9 @@ def enumerate_walsh(t_s: float, tau: float, limit: int = MAX_SLOTS) -> List[Timi
     return [walsh(k, t_s, n) for k in range(n)]
 
 
-def _grid_signs(p: TimingPattern) -> Optional[List[int]]:
-    if p.grid is None:
-        return None
-    n_slots, bounds = p.grid
-    signs = []
-    sign = 1
-    flips = set(bounds)
-    for j in range(n_slots):
-        if j in flips:
-            sign = -sign
-        signs.append(sign)
-    return signs
-
-
 def _base_from_signs(signs: Sequence[int], duration: float) -> TimingPattern:
     q = len(signs)
-    bounds = tuple(j for j in range(1, q) if signs[j] != signs[j - 1])
+    bounds = _sign_bounds(signs)
     times = tuple(b * duration / q for b in bounds)
     base = TimingPattern(times, duration, f"block{q}", grid=(q, bounds))
     k = base.walsh_index
@@ -151,12 +139,25 @@ def detect_structure(p: TimingPattern) -> Optional[Tuple[TimingPattern, int]]:
     return None
 
 
-def _evaluate_one(
-    payload: Tuple[int, TimingPattern, NoiseSpectrum, PulseShape, Optional[QuadratureConfig]],
+def _walsh_pulses(k: int) -> int:
+    """Pulse count of Paley w_k on any grid: the inverse Gray code of k."""
+    n = 0
+    while k:
+        n ^= k
+        k >>= 1
+    return n
+
+
+def _score(
+    k: int,
+    t_s: float,
+    n_slots: int,
+    spec: NoiseSpectrum,
+    shape: PulseShape,
+    config: Optional[QuadratureConfig],
 ) -> Tuple[CandidateResult, Optional[ErrorBudget]]:
-    k, p, spec, shape, config = payload
     try:
-        budget = chi(p, spec, shape, config)
+        budget = chi(walsh(k, t_s, n_slots), spec, shape, config)
     except AccuracyError as exc:
         return CandidateResult(k, None, skipped=True, note=f"accuracy: {exc}"), None
     except DomainError as exc:
@@ -175,41 +176,33 @@ def best_sequence(
 ) -> SearchResult:
     """Minimum-chi Walsh pattern at (T_s, tau), deterministically tie-broken.
 
-    Candidates are scored independently (in parallel when workers > 1) and
-    reduced in index order; ties fall to the fewest pulses, then the lowest
-    Walsh index.  Failed candidates are skipped and recorded.  A periodic
-    winner carries its detected base block and the repetition-kernel
-    cross-check.
+    Candidates are scored independently by index (in parallel when
+    workers > 1) and reduced in index order; ties fall to the fewest
+    pulses, then the lowest Walsh index.  Failed candidates are skipped
+    and recorded.  A periodic winner carries its detected base block and
+    the repetition-kernel cross-check.
     """
     shape = shape or bang_bang()
-    candidates = enumerate_walsh(t_s, tau, limit)
+    n = _slot_count(t_s, tau, limit)
     if workers is None:
         workers = os.cpu_count() or 1
-    payloads = [(k, p, spec, shape, config) for k, p in enumerate(candidates)]
-    if workers > 1 and len(candidates) >= 16:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunk = max(1, len(payloads) // (8 * workers))
-            scored = list(pool.map(_evaluate_one, payloads, chunksize=chunk))
-    else:
-        scored = [_evaluate_one(pl) for pl in payloads]
-    rows = [row for row, _ in scored]
-    budgets = [b for _, b in scored]
+    score = partial(_score, t_s=t_s, n_slots=n, spec=spec, shape=shape, config=config)
+    if workers > 1 and n >= 16:
+        from concurrent.futures import ProcessPoolExecutor
 
-    best_key: Optional[Tuple[float, int, int]] = None
-    for p, row in zip(candidates, rows):
-        if row.skipped:
-            continue
-        key = (row.chi_total, p.n_pulses, row.index)
-        if best_key is None or key < best_key:
-            best_key = key
-    if best_key is None:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            scored = list(pool.map(score, range(n), chunksize=max(1, n // (8 * workers))))
+    else:
+        scored = list(map(score, range(n)))
+    rows = [row for row, _ in scored]
+    ranked = [row for row in rows if not row.skipped]
+    if not ranked:
         raise DomainError(
-            f"no evaluable candidates at T_s={t_s:g}, tau={tau:g}; "
-            f"all {len(candidates)} were skipped"
+            f"no evaluable candidates at T_s={t_s:g}, tau={tau:g}; all {n} were skipped"
         )
-    winner_index = best_key[2]
-    winner = candidates[winner_index]
-    budget = budgets[winner_index]
+    winner_index = min(ranked, key=lambda r: (r.chi_total, _walsh_pulses(r.index), r.index)).index
+    winner = walsh(winner_index, t_s, n)
+    budget = scored[winner_index][1]
     assert budget is not None
 
     structure: Optional[DetectedStructure] = None

@@ -97,6 +97,13 @@ class TestExitCodes:
         )
         assert code == 2
 
+    def test_oversized_sequence_is_resource_limit(self, capsys):
+        code, _, err = _run(
+            capsys, ["error", "--sequence", "cdd:40", "--tau", "1e-6", "--spectrum", "gaas"]
+        )
+        assert code == 5
+        assert "limit" in err
+
     def test_unknown_preset_is_domain_error(self, capsys):
         code, _, err = _run(
             capsys, ["error", "--sequence", "free", "--duration", "1e-6", "--spectrum", "nope"]
@@ -222,6 +229,17 @@ class TestPlateauCommand:
 
 
 class TestSweepAndTrace:
+    @pytest.mark.parametrize("points", ["0", "-1"])
+    def test_sweep_needs_a_point(self, capsys, points):
+        code, out, err = _run(
+            capsys,
+            ["sweep-m", "--sequence", "cdd:4", "--tau", "1e-6", "--spectrum", "gaas",
+             "--points", points],
+        )
+        assert code == 2
+        assert "--points" in err
+        assert out == ""
+
     def test_sweep_rows_scale_storage_time(self, capsys):
         code, out, _ = _run(
             capsys,

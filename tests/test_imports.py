@@ -6,10 +6,21 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def test_import_loads_no_scipy():
-    code = "import sys, ddmemory; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+def _loaded(select: str) -> str:
+    """Sorted names of the modules m, `select` true, that a fresh `import ddmemory` loads."""
+    code = f"import sys, ddmemory; print(sorted(m for m in sys.modules if {select}))"
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+def test_import_loads_no_scipy():
+    assert _loaded("m.split('.')[0] == 'scipy'") == "[]"
+
+
+def test_import_loads_no_process_pool():
+    # the search's process pool is imported only when it runs with workers > 1
+    select = "m == 'concurrent.futures.process' or m.split('.')[0] == 'multiprocessing'"
+    assert _loaded(select) == "[]"

@@ -28,7 +28,10 @@ from ddmemory import (
     truncate,
     udd,
     udd_from_min_interval,
+    walsh,
 )
+from ddmemory import integrals
+from ddmemory.filters import filter_fn
 
 TWO_PI = 2.0 * math.pi
 
@@ -239,3 +242,32 @@ class TestConfigAndFailure:
         loose = chi(cdd(3, 1e-6), gaas, bang_bang(), replace(DEFAULT_CONFIG, rel_tol=1e-4))
         tight = chi(cdd(3, 1e-6), gaas, bang_bang(), replace(DEFAULT_CONFIG, rel_tol=1e-9))
         assert loose.chi_total == pytest.approx(tight.chi_total, rel=1e-4)
+
+
+class TestFilterBound:
+    """The tail certificate's 4 (n+1)^2 bounds every bang-bang filter.
+
+    It does not bound finite-pulse filters (10 ns DCG pulses on UDD5 exceed
+    it 6.8 times); only the bang-bang statement is held here.
+    """
+
+    @staticmethod
+    def _assert_bounded(p):
+        w = np.geomspace(1e-3, 4.0 * math.pi * (p.n_pulses + 2), 20001) / p.duration
+        # rounding of a maximal |omega*y| may land an ulp above the bound
+        assert filter_fn(p, w).max() <= integrals._filter_bound(p) * (1.0 + 1e-12)
+
+    @given(st.integers(0, 10).flatmap(lambda q: st.tuples(st.integers(0, 2**q - 1), st.just(2**q))))
+    @settings(max_examples=40, deadline=None)
+    def test_walsh(self, kn):
+        k, n = kn
+        self._assert_bounded(walsh(k, n * 1e-6, n))
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_udd(self, n):
+        self._assert_bounded(udd(n, 16e-6))
+
+    @pytest.mark.parametrize("frac", (0.1, 0.3, 0.55, 0.8, 0.95))
+    def test_truncated_udd(self, frac):
+        p = udd(5, 16e-6)
+        self._assert_bounded(truncate(p, frac * p.duration))

@@ -1,4 +1,5 @@
 import math
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -155,6 +156,23 @@ class TestCompose:
     def test_repeat_resource_cap(self):
         with pytest.raises(ResourceLimitError):
             repeat_pattern(cdd(4, 1e-6), 10**7)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: cdd(40, 1e-6),
+            lambda: walsh(3, 1.0, 2**40),
+            lambda: udd(2**40, 1.0),
+            lambda: udd_from_min_interval(2**40, 1e-6),
+        ],
+        ids=["cdd", "walsh", "udd", "udd_from_min_interval"],
+    )
+    def test_oversized_pattern_fails_before_building(self, build):
+        # a list of 2**40 signs or times would take the memory first
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError):
+            build()
+        assert time.perf_counter() - start < 0.1
 
     @given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3))
     @settings(max_examples=20, deadline=None)

@@ -19,6 +19,7 @@ from ddmemory import (
     walsh,
 )
 from ddmemory import filters
+from ddmemory.walsh_search import _walsh_pulses
 
 TAU = 1e-6
 
@@ -138,3 +139,10 @@ class TestSeries:
         solo = best_sequence(4 * TAU, TAU, gaas)
         assert results[1].winner_index == solo.winner_index
         assert results[1].chi.chi_total == solo.chi.chi_total
+
+
+@pytest.mark.parametrize("q", range(9))
+def test_pulse_count_read_off_the_index(q):
+    # the search tie-breaks on this count without building the candidates
+    n = 2**q
+    assert [_walsh_pulses(k) for k in range(n)] == [walsh(k, n * TAU, n).n_pulses for k in range(n)]
