@@ -1,0 +1,108 @@
+#!/usr/bin/env python3
+"""Dump the repr of every reference output, for bit-identity checks between commits.
+
+Writes one line per case to stdout: every entry of the frozen reference
+table (tests/test_reference.py), the plateau and jitter calls, the
+AccuracyError (message, estimate, bound) of each panel-budget exhaustion,
+and the exit code and output of a fixed set of CLI runs. Two checkouts
+agree bit for bit when their dumps do:
+
+    PYTHONPATH=src python3 scripts/dump_outputs.py > a.txt   # in each checkout
+    cmp a.txt b.txt
+
+A run takes about 10 s on a 2-CPU machine.
+"""
+
+import contextlib
+import io
+import sys
+from dataclasses import replace
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+
+from test_reference import cases  # noqa: E402
+
+from ddmemory import (  # noqa: E402
+    DEFAULT_CONFIG,
+    AccuracyError,
+    PowerLaw,
+    bang_bang,
+    cdd,
+    chi,
+    chi_plateau_limit,
+    chi_repeated,
+    chi_with_jitter,
+    dcg3,
+    load_preset,
+    m_max_soft_detail,
+    plateau_report,
+    walsh,
+)
+from ddmemory.cli import main as cli_main  # noqa: E402
+
+_CDD4 = ["--sequence", "cdd:4", "--tau", "1e-6"]
+CLI_RUNS = [
+    ["error", *_CDD4, "--spectrum", "gaas"],
+    ["error", *_CDD4, "--spectrum", "gaas", "--pulse", "dcg:1e-08", "--repeat", "1000"],
+    ["error", "--sequence", "udd:5", "--tau", "1e-6", "--spectrum", "yb", "--format", "json"],
+    ["sweep-m", *_CDD4, "--spectrum", "gaas", "--m-max", "100000", "--points", "6"],
+    ["sweep-m", "--sequence", "cdd:2", "--tau", "1e-6", "--spectrum", "gaas",
+     "--m", "3", "--m", "20000"],
+    ["trace", "--sequence", "udd:5", "--tau", "1e-6", "--spectrum", "gaas", "--points", "12"],
+    ["plateau", *_CDD4, "--spectrum", "gaas", "--pulse", "dcg:1e-08", "--t-markov", "1",
+     "--jitter-budget-factor", "2"],
+    ["ff", *_CDD4, "--points", "64"],
+    ["ff", *_CDD4, "--points", "64", "--pulse", "dcg:1e-08"],
+    ["ff", "--sequence", "udd:3", "--tau", "1e-6", "--points", "64", "--pulse", "primitive:1e-09"],
+    ["search", "--tau", "1e-6", "--t-s", "8e-6", "--t-s", "64e-6", "--spectrum", "gaas",
+     "--threads", "1"],
+    ["calibrate", "--spectrum", "gaas", "--t2", "35e-9"],
+    ["calibrate", "--spectrum", "yb", "--t2", "1e-3"],
+    ["ff", *_CDD4, "--points", "8", "--repeat", "-3"],
+    ["ff", *_CDD4, "--points", "8", "--repeat", "0"],
+]
+
+
+def _calls():
+    yield from sorted(cases().items())
+    gaas = load_preset("gaas")
+    p = cdd(4, 1e-6)
+    yield "plateau_report/dcg_10ns", lambda: plateau_report(
+        p, gaas, dcg3(1e-8), t_markov=1.0, jitter_budget_factor=2.0
+    )
+    yield "chi_with_jitter/bb", lambda: chi_with_jitter(p, 1000, 1e-7, gaas)
+    yield "chi_with_jitter/dcg_10ns", lambda: chi_with_jitter(p, 1000, 1e-7, gaas, dcg3(1e-8))
+    r18 = replace(gaas, rolloff=PowerLaw(18.0))
+    yield "m_max_soft_detail/r18", lambda: m_max_soft_detail(p, r18)
+    small = replace(DEFAULT_CONFIG, max_panels=64, validate_crossover=False)
+    tight = replace(small, rel_tol=1e-12)
+    bb = bang_bang()
+    yield "exhausted/chi", lambda: chi(p, gaas, bb, tight)
+    yield "exhausted/chi_repeated_direct", lambda: chi_repeated(p, 1000, gaas, bb, small)
+    yield "exhausted/chi_repeated_comb", lambda: chi_repeated(p, 10**6, gaas, bb, small)
+    yield "exhausted/chi_plateau_limit", lambda: chi_plateau_limit(p, gaas, bb, small)
+    yield "exhausted/chi_with_jitter", lambda: chi_with_jitter(p, 1000, 1e-7, gaas, bb, small)
+    yield "exhausted/w555_1024/1000", lambda: chi_repeated(walsh(555, 1024e-6, 1024), 1000, gaas)
+
+
+def _cli(args):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli_main(list(args))
+    return f"exit {code}\n{out.getvalue()}{err.getvalue()}"
+
+
+def main() -> None:
+    for name, call in _calls():
+        try:
+            text = repr(call())
+        except AccuracyError as exc:
+            text = f"{type(exc).__name__}({str(exc)!r}, {exc.estimate!r}, {exc.error_bound!r})"
+        print(f"{name}: {text}")
+    for args in CLI_RUNS:
+        print(f"$ ddmemory {' '.join(args)}\n{_cli(args)}")
+
+
+if __name__ == "__main__":
+    main()

@@ -275,6 +275,8 @@ def cli() -> None:
 def ff_cmd(sequence, tau, duration, pulse, repeat, points, omega_min, omega_max, output, fmt):
     """Tabulate the filter function on a log frequency grid."""
     p = build_sequence(sequence, tau, duration)
+    if repeat < 1:
+        raise _usage("--repeat", f"must be >= 1, got {repeat}")
     if repeat > 1:
         p = repeat_pattern(p, repeat)
     shape = build_pulse(pulse)

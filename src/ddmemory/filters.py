@@ -260,23 +260,12 @@ def suppression_order(p: TimingPattern, fit_residual_limit: float = 0.2) -> Supp
     return SuppressionOrder(alpha, amplitude, float(slope), residual)
 
 
-def passband_max(p: TimingPattern, search_band: tuple[float, float] | None = None) -> float:
-    """Global maximum of F over the band, by dense log sampling plus refinement.
+def passband_max(p: TimingPattern) -> float:
+    """Global maximum of F over [0.1/T_p, 2*pi/min_interval], by dense log sampling plus refinement.
 
-    Default band [0.1/T_p, 2*pi/min_interval]; the peak of any pattern
-    saturates before the inverse minimum interval.
+    The peak of any pattern saturates before the inverse minimum interval.
     """
-    tau = min_interval(p)
-    if search_band is None:
-        lo, hi = 0.1 / p.duration, 2.0 * math.pi / tau
-    else:
-        lo, hi = search_band
-    if not (0.0 < lo < hi):
-        raise DomainError(f"search band must satisfy 0 < lo < hi, got ({lo}, {hi})")
-    if hi > 4.0 * math.pi / tau * (1.0 + 1e-12):
-        raise DomainError(
-            f"search band upper edge {hi} exceeds 4*pi/min_interval = {4 * math.pi / tau}"
-        )
+    lo, hi = 0.1 / p.duration, 2.0 * math.pi / min_interval(p)
     decades = math.log10(hi / lo)
     n_pts = max(256, int(math.ceil(decades * 16384)))
     grid = np.logspace(math.log10(lo), math.log10(hi), n_pts)

@@ -25,20 +25,21 @@ the masses that grow with m, is the plateau level chi_plateau_limit.
 
 Every flavour builds its integrand with one rows factory: the ideal and
 total filter rows S F / omega^2, times an optional kernel (the Dirichlet
-factor or the de-oscillated 1/(2 sin^2(omega T_p/2))).  Direct
-integrals run through integrate_rows, and one assembler turns the
-per-region totals into an ErrorBudget.  Panel integrals use a 7-point
-Gauss / 15-point Kronrod pair evaluated in batches, and every region
-total is a correctly rounded math.fsum, so results do not depend on
-summation order or thread count.
+factor or the de-oscillated 1/(2 sin^2(omega T_p/2))).  Every integral,
+direct or comb, is one walk up the band, whose panel budget,
+contributions, error, tail stop and failure live in one _Walk, and one
+assembler turns the per-region totals into an ErrorBudget.  Panel
+integrals use a 7-point Gauss / 15-point Kronrod pair evaluated in
+batches, and every region total is a correctly rounded math.fsum, so
+results do not depend on summation order or thread count.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, NoReturn, Optional, Tuple
 
 import numpy as np
 
@@ -172,26 +173,6 @@ class ErrorBudget:
     comb_agreement: Optional[float] = None
 
 
-class _PanelBudget:
-    def __init__(self, limit: int) -> None:
-        self.limit = limit
-        self.used = 0
-
-    def spend(self, count: int) -> None:
-        self.used += count
-        if self.used > self.limit:
-            raise _BudgetExhausted(self.limit)
-
-
-class _BudgetExhausted(AccuracyError):
-    """Panel budget spent; integrate_rows and _chi_comb re-raise it with the partial estimate."""
-
-    def __init__(self, limit: int) -> None:
-        super().__init__(
-            f"quadrature budget of {limit} panels exhausted", estimate=math.nan, error_bound=math.inf
-        )
-
-
 def _eval_panels(rows_fn: RowsFn, a: np.ndarray, b: np.ndarray):
     """Batched G7/K15 on panels [a_i, b_i]: (integrals (R, P), error (P,))."""
     mid = 0.5 * (a + b)
@@ -205,9 +186,7 @@ def _eval_panels(rows_fn: RowsFn, a: np.ndarray, b: np.ndarray):
     return integrals, err
 
 
-def _adaptive_region(
-    rows_fn: RowsFn, edges: np.ndarray, cfg: QuadratureConfig, budget: _PanelBudget
-):
+def _adaptive_region(rows_fn: RowsFn, edges: np.ndarray, walk: _Walk):
     """Refine panels between fixed edges until the K15-G7 gap is within tolerance.
 
     Returns (left_edges, row_integrals (R, P), total_error), panels sorted by
@@ -219,18 +198,18 @@ def _adaptive_region(
     a, b = a[keep], b[keep]
     if a.size == 0:
         return a, np.zeros((2, 0)), 0.0
-    budget.spend(a.size)
+    walk.spend(a.size)
     integrals, err = _eval_panels(rows_fn, a, b)
     for _ in range(_MAX_REFINE_ROUNDS):
         total = float(np.sum(integrals[0]))
         err_total = float(np.sum(err))
-        tol = max(cfg.rel_tol * abs(total), cfg.abs_floor)
+        tol = max(walk.cfg.rel_tol * abs(total), walk.cfg.abs_floor)
         if err_total <= tol:
             break
         split = err > max(err_total / (4 * len(a)), 1e-3 * float(err.max()))
         if not split.any():
             split[int(np.argmax(err))] = True
-        budget.spend(int(split.sum()))
+        walk.spend(int(split.sum()))
         mids = 0.5 * (a[split] + b[split])
         new_a = np.concatenate([a[split], mids])
         new_b = np.concatenate([mids, b[split]])
@@ -240,7 +219,7 @@ def _adaptive_region(
         integrals = np.concatenate([integrals[:, ~split], new_integrals], axis=1)
         err = np.concatenate([err[~split], new_err])
     else:
-        raise _BudgetExhausted(budget.limit)
+        walk.fail(f"quadrature budget of {walk.cfg.max_panels} panels exhausted")
     order = np.argsort(a, kind="stable")
     return a[order], integrals[:, order], float(np.sum(err))
 
@@ -299,34 +278,70 @@ def _tail_envelope(spec: NoiseSpectrum, w_from: float, ff_bound: float) -> float
     return 2.0 * ff_bound * float(np.trapezoid(s / grid**2, grid))
 
 
-class _Accumulator:
-    """Contributions (2, P) at frequencies (P,), split at the cutoff.
+@dataclass
+class _Walk:
+    """State of one band walk: panel budget, contributions, running error and tail stop.
 
-    The totals are math.fsum over each region, which is correctly rounded,
-    so they depend neither on the order contributions arrive in nor on
-    how the work was divided.
+    Contributions (2, P) arrive at frequencies (P,) and are split at the
+    cutoff.  The totals are math.fsum over each region, which is correctly
+    rounded, so they depend neither on the order contributions arrive in
+    nor on how the work was divided.
     """
 
-    def __init__(self, omega_c: float) -> None:
-        self.omega_c = omega_c
-        self.at: List[np.ndarray] = [np.zeros(0)]
-        self.rows: List[np.ndarray] = [np.zeros((2, 0))]
-        self.total = 0.0  # running sum of row 0, for tail checks
-        self.err = 0.0
+    spec: NoiseSpectrum
+    cfg: QuadratureConfig
+    tail: Callable[[float], float]  # bound of what the walk would still add above w
+    label: str = ""  # names the pattern in failure messages
+    panels: int = 0
+    total: float = 0.0  # running sum of row 0, for tail checks
+    err: float = 0.0
+    at: List[np.ndarray] = field(default_factory=lambda: [np.zeros(0)])
+    rows: List[np.ndarray] = field(default_factory=lambda: [np.zeros((2, 0))])
 
-    def add(self, at, rows: np.ndarray, err: float = 0.0) -> None:
+    def spend(self, count: int) -> None:
+        self.panels += count
+        if self.panels > self.cfg.max_panels:
+            self.fail(f"quadrature budget of {self.cfg.max_panels} panels exhausted")
+
+    def fail(self, msg: str) -> NoReturn:
+        """Raise AccuracyError with the partial sum; the bound adds the tail over the whole band."""
+        bound = self.err + self.tail(self.spec.omega_min)
+        raise AccuracyError(msg + self.label, self.total, bound)
+
+    def add(self, at, rows: np.ndarray, err: float = 0.0) -> float:
+        """Add contributions at frequencies at; returns their row-0 sum."""
         self.at.append(np.atleast_1d(at))
         self.rows.append(np.reshape(rows, (2, -1)))
-        self.total += float(np.sum(self.rows[-1][0]))
+        part = float(np.sum(self.rows[-1][0]))
+        self.total += part
         self.err += err
+        return part
+
+    def region(self, rows_fn: RowsFn, edges: np.ndarray) -> float:
+        """Integrate rows_fn between edges, with the cutoff as an extra edge, and add it."""
+        edges = _with_breakpoint(edges, self.spec.omega_c)
+        return self.add(*_adaptive_region(rows_fn, edges, self))
+
+    def stop(self, w: float) -> bool:
+        """Whether the tail above w is negligible; if it is, it joins the error."""
+        tail = self.tail(w)
+        if tail <= max(self.cfg.abs_floor, _TAIL_SHARE * self.cfg.rel_tol * abs(self.total)):
+            self.err += tail
+            return True
+        return False
 
     def totals(self) -> Tuple[np.ndarray, np.ndarray]:
-        low = np.concatenate(self.at) < self.omega_c
+        low = np.concatenate(self.at) < self.spec.omega_c
         rows = np.concatenate(self.rows, axis=1)
         return (
             np.array([math.fsum(r[low]) for r in rows]),
             np.array([math.fsum(r[~low]) for r in rows]),
         )
+
+
+def _label(p: TimingPattern, m: Optional[int]) -> str:
+    """Failure-message suffix naming the pattern and, when repeated, the repeat count."""
+    return f" for {p.label!r}" + (f" repeated {m} times" if m not in (None, 1) else "")
 
 
 def _integrate_band(
@@ -335,34 +350,28 @@ def _integrate_band(
     t_osc: float,
     ff_bound: float,
     cfg: QuadratureConfig,
-    budget: _PanelBudget,
-    acc: _Accumulator,
-) -> None:
+    label: str = "",
+) -> _Walk:
     """Walk the band from omega_min upward; stop once the remaining tail is negligible.
 
     ff_bound must upper-bound the filter rows divided by S/w^2, with any
     repetition kernel counted through its exact period integral (an extra
     factor m); the tail estimate uses it to certify early termination.
     """
+    walk = _Walk(spec, cfg, lambda w: _tail_envelope(spec, w, ff_bound), label)
     w_lo, w_hi = spec.omega_min, _band_top(spec)
     if not w_lo < w_hi:
-        return
+        return walk
     lobe = math.pi / t_osc
-    core_hi = min(w_hi, max(1.25 * spec.omega_c, w_lo * 10.0, 6.0 * lobe))
-    edges = _with_breakpoint(_ladder_and_lobes(w_lo, core_hi, lobe), spec.omega_c)
-    acc.add(*_adaptive_region(rows_fn, edges, cfg, budget))
-    w = core_hi
+    w = min(w_hi, max(1.25 * spec.omega_c, w_lo * 10.0, 6.0 * lobe))
+    walk.region(rows_fn, _ladder_and_lobes(w_lo, w, lobe))
     while w < w_hi:
         w_next = min(w_hi, w + _WALK_BLOCK_LOBES * lobe)
-        edges = _with_breakpoint(_ladder_and_lobes(w, w_next, lobe), spec.omega_c)
-        acc.add(*_adaptive_region(rows_fn, edges, cfg, budget))
+        walk.region(rows_fn, _ladder_and_lobes(w, w_next, lobe))
         w = w_next
-        if w >= w_hi:
+        if w >= w_hi or walk.stop(w):
             break
-        tail = _tail_envelope(spec, w, ff_bound)
-        if tail <= max(cfg.abs_floor, _TAIL_SHARE * cfg.rel_tol * acc.total):
-            acc.err += tail
-            break
+    return walk
 
 
 def _ff_rows_factory(
@@ -429,20 +438,12 @@ def integrate_rows(
     t_osc is the slowest coherent timescale of the rows (sets panel width),
     ff_bound a global upper bound of rows[0] * w^2 / S(w).  Returns (low,
     high, error) with low/high the per-row sums below/above the cutoff.
-    The band integrator behind chi, direct chi_repeated and chi_with_jitter.
+    chi_with_jitter integrates through it; chi and direct chi_repeated walk
+    the band the same way, with the pattern named in a failure message.
     """
-    cfg = config or DEFAULT_CONFIG
-    acc = _Accumulator(spec.omega_c)
-    try:
-        _integrate_band(rows_fn, spec, t_osc, ff_bound, cfg, _PanelBudget(cfg.max_panels), acc)
-    except _BudgetExhausted as exc:
-        raise AccuracyError(
-            str(exc),
-            estimate=acc.total,
-            error_bound=acc.err + _tail_envelope(spec, spec.omega_min, ff_bound),
-        ) from None
-    low, high = acc.totals()
-    return low, high, acc.err
+    walk = _integrate_band(rows_fn, spec, t_osc, ff_bound, config or DEFAULT_CONFIG)
+    low, high = walk.totals()
+    return low, high, walk.err
 
 
 def chi(
@@ -522,23 +523,8 @@ def _chi_direct(
     rows = _ff_rows_factory(p, shape, spec, kernel)
     # the kernel integrates to 2 pi m / T_p per period, so an m-linear
     # envelope certifies the tail: F*D <= per-period mass * base bound
-    ff_bound = _filter_bound(p) * m
-    try:
-        low, high, err = integrate_rows(rows, spec, m * p.duration, ff_bound, cfg)
-    except AccuracyError as exc:
-        raise _named(exc, p, m, exc.estimate, exc.error_bound) from None
-    return _assemble(low, high, err, m=m)
-
-
-def _named(exc: AccuracyError, p: TimingPattern, m: Optional[int], estimate, error_bound):
-    """exc, relabelled with the pattern and repeat count it was raised for."""
-    repeated = f" repeated {m} times" if m not in (None, 1) else ""
-    return AccuracyError(f"{exc} for {p.label!r}{repeated}", estimate, error_bound)
-
-
-def _comb_tail(spec: NoiseSpectrum, w_from: float, p: TimingPattern, m: Optional[int]) -> float:
-    """Comb-walk tail envelope above w_from: m + 1 times the base one, twice it for m = None."""
-    return ((m + 1) if m is not None else 2) * _tail_envelope(spec, w_from, _filter_bound(p))
+    walk = _integrate_band(rows, spec, m * p.duration, _filter_bound(p) * m, cfg, _label(p, m))
+    return _assemble(*walk.totals(), walk.err, m=m)
 
 
 @lru_cache(maxsize=64)
@@ -584,14 +570,11 @@ def _chi_comb(
     is the m -> infinity plateau level: (b) starts at omega_min, and
     neither (a), the cell masses nor the O(1/m) model error enter.
     """
-    acc = _Accumulator(spec.omega_c)
-    try:
-        growth = _walk_comb(p, m, spec, shape, cfg, acc)
-    except AccuracyError as exc:
-        # partial sum; the bound adds the walk's tail envelope over the whole band
-        tail = _comb_tail(spec, spec.omega_min, p, m)
-        raise _named(exc, p, m, acc.total, acc.err + tail) from None
-    return _assemble(*acc.totals(), acc.err, m=m, growth=growth, comb_path=True)
+    # the comb walk's tail envelope is m + 1 times the base one, twice it for m = None
+    scale, base = (m + 1) if m is not None else 2, _filter_bound(p)
+    walk = _Walk(spec, cfg, lambda w: scale * _tail_envelope(spec, w, base), _label(p, m))
+    growth = _walk_comb(p, m, spec, shape, walk)
+    return _assemble(*walk.totals(), walk.err, m=m, growth=growth, comb_path=True)
 
 
 def _walk_comb(
@@ -599,15 +582,13 @@ def _walk_comb(
     m: Optional[int],
     spec: NoiseSpectrum,
     shape: PulseShape,
-    cfg: QuadratureConfig,
-    acc: _Accumulator,
+    walk: _Walk,
 ) -> float:
-    """_chi_comb's band walk into acc; returns growth_per_repeat."""
+    """_chi_comb's band walk; returns growth_per_repeat."""
     t_p = p.duration
     w_lo, w_hi = spec.omega_min, _band_top(spec)
     if not w_lo < w_hi:
         return 0.0
-    budget = _PanelBudget(cfg.max_panels)
     h_rows = _ff_rows_factory(p, shape, spec)
     half_res = math.pi / t_p  # lower edge of the first resonance cell
 
@@ -617,9 +598,8 @@ def _walk_comb(
         node = 2.0 * math.pi / (m * t_p)
         w_a = min(min(1024, max(8, int(0.45 * m))) * node, w_hi, half_res)
         if w_a > w_lo:
-            edges = _with_breakpoint(_ladder_and_lobes(w_lo, w_a, 0.5 * node), spec.omega_c)
             kernel_rows = _ff_rows_factory(p, shape, spec, lambda w: dirichlet_factor(m, t_p, w))
-            acc.add(*_adaptive_region(kernel_rows, edges, cfg, budget))
+            walk.region(kernel_rows, _ladder_and_lobes(w_lo, w_a, 0.5 * node))
             deosc_start = w_a
 
     # (b) de-oscillated average up to the first cell
@@ -627,19 +607,10 @@ def _walk_comb(
     deosc_part = 0.0
     if w_b > deosc_start:
         n_geo = max(2, int(math.ceil(_LADDER_PER_DECADE * math.log10(w_b / deosc_start))))
-        edges = np.unique(
-            np.concatenate(
-                [
-                    np.geomspace(deosc_start, w_b, n_geo + 1),
-                    np.linspace(max(deosc_start, 0.5 * w_b), w_b, 17),
-                ]
-            )
-        )
-        edges = _with_breakpoint(edges, spec.omega_c)
+        geo = np.geomspace(deosc_start, w_b, n_geo + 1)
+        edges = np.unique(np.concatenate([geo, np.linspace(max(deosc_start, 0.5 * w_b), w_b, 17)]))
         deosc_rows = _ff_rows_factory(p, shape, spec, lambda w: 0.5 / np.sin(0.5 * t_p * w) ** 2)
-        lefts, rows_i, err_i = _adaptive_region(deosc_rows, edges, cfg, budget)
-        acc.add(lefts, rows_i, err_i)
-        deosc_part = float(np.sum(rows_i[0]))
+        deosc_part = walk.region(deosc_rows, edges)
 
     # (c) resonance cells above pi/T_p
     w1 = 2.0 * math.pi / t_p
@@ -654,7 +625,7 @@ def _walk_comb(
         h_k = h_rows(np.array([w_k]))[:, 0]
         growth_rows += w1 * h_k
         if m is not None:
-            acc.add(w_k, m * w1 * h_k)
+            walk.add(w_k, m * w1 * h_k)
 
         def pv_rows(delta: np.ndarray, w_center=w_k, h_center=h_k) -> np.ndarray:
             upper = h_rows(w_center + delta)
@@ -673,25 +644,21 @@ def _walk_comb(
         for crossing in (w_k - spec.omega_c, spec.omega_c - w_k, w_hi - w_k, w_k - w_lo):
             if d_min < crossing < d_max:
                 edges = _with_breakpoint(edges, crossing)
-        _, rows_i, err_i = _adaptive_region(pv_rows, edges, cfg, budget)
+        _, rows_i, err_i = _adaptive_region(pv_rows, edges, walk)
         patch = pv_rows(np.array([d_min]))[:, 0] * d_min
         # a cell centred past the band draws only on its lower half
-        acc.add(w_k if w_k <= w_hi else w_k - 0.5 * w1, rows_i.sum(axis=1) + patch, err_i)
+        walk.add(w_k if w_k <= w_hi else w_k - 0.5 * w1, rows_i.sum(axis=1) + patch, err_i)
         pv_abs += float(np.abs(rows_i[0]).sum()) + abs(float(patch[0]))
 
         k += 1
         if k > 65536:
-            raise AccuracyError(
-                "resonance-cell walk did not converge within 65536 cells", math.nan, math.inf
-            )
-        tail = _comb_tail(spec, (k - 0.5) * w1, p, m)
-        if tail <= max(cfg.abs_floor, _TAIL_SHARE * cfg.rel_tol * abs(acc.total)):
-            acc.err += tail
+            walk.fail("resonance-cell walk did not converge within 65536 cells")
+        if walk.stop((k - 0.5) * w1):
             break
 
     if m is not None:
         # de-oscillation model error is O(1/m) of the averaged parts
-        acc.err += (4.0 / m) * (abs(deosc_part) + pv_abs)
+        walk.err += (4.0 / m) * (abs(deosc_part) + pv_abs)
     return float(growth_rows[0])
 
 

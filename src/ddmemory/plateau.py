@@ -37,6 +37,7 @@ from .integrals import (
     ErrorBudget,
     QuadratureConfig,
     _assemble,
+    _filter_bound,
     chi_plateau_limit,
     integrate_rows,
 )
@@ -304,7 +305,8 @@ def chi_with_jitter(
         weight = evaluate(spec, w) / w**2
         return np.stack([f_tot * weight, ratio**2 * np.abs(base) ** 2 * weight])
 
-    bound = 2.0 * (2.0 * (p.n_pulses + 1) * m + 2.0) ** 2
+    # the bang-bang bound 2 (n+1) per repeat plus 2 for the delay phasor, squared and doubled
+    bound = 2 * (math.sqrt(_filter_bound(p)) * m + 2) ** 2
     low, high, err = integrate_rows(rows, spec, m * t_p + delta_t, bound, config)
     return _assemble(low, high, err, m=m)
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import numbers
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .errors import DomainError, ResourceLimitError
@@ -79,13 +79,6 @@ class TimingPattern:
     def end_sign(self) -> int:
         """Sign of the switching function just before the block ends."""
         return -1 if self.n_pulses % 2 else 1
-
-    def to_json(self) -> dict:
-        return {
-            "label": self.label,
-            "duration_s": self.duration,
-            "pulse_times_s": list(self.pulse_times),
-        }
 
 
 def _check_size(count: int, what: str) -> None:
@@ -147,11 +140,9 @@ def cdd(level: int, tau: float) -> TimingPattern:
         raise DomainError(f"level must be >= 1, got {level}")
     if not tau > 0:
         raise DomainError(f"slot width must be positive, got {tau}")
+    # slot width n_slots * tau / n_slots is tau exactly: n_slots is a power of two
     n_slots = 2**level
-    _check_size(n_slots, "slots")
-    bounds = _sign_bounds(walsh_signs(n_slots - 1, n_slots))
-    times = tuple(b * tau for b in bounds)
-    return TimingPattern(times, n_slots * tau, f"CDD{level}", grid=(n_slots, bounds))
+    return replace(walsh(n_slots - 1, n_slots * tau, n_slots), label=f"CDD{level}")
 
 
 def carr_purcell(tau: float) -> TimingPattern:

@@ -168,6 +168,15 @@ class TestFfCommand:
         assert columns[-2:] == ["rz_sq", "ry_sq"]
         assert len(rows) == 16
 
+    @pytest.mark.parametrize("repeat", ["-3", "0"])
+    def test_repeat_below_one_is_a_usage_error(self, capsys, repeat):
+        code, out, err = _run(
+            capsys, ["ff", "--sequence", "cdd:4", "--tau", "1e-6", "--repeat", repeat]
+        )
+        assert code == 2
+        assert out == ""
+        assert "--repeat" in err
+
     def test_ideal_total_equals_ideal_column(self, capsys):
         code, out, _ = _run(
             capsys,

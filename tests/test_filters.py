@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from ddmemory import (
     SuppressionFitError,
+    TimingPattern,
     carr_purcell,
     cdd,
     combine,
@@ -19,11 +20,12 @@ from ddmemory import (
     passband_max,
     repeat_pattern,
     suppression_order,
+    truncate,
     udd,
     walsh,
     y_tilde,
 )
-from ddmemory.filters import dirichlet_ratio
+from ddmemory.filters import THETA_SWITCH, dirichlet_ratio
 
 RNG = np.random.default_rng(20240817)
 
@@ -69,6 +71,53 @@ class TestEnvelopeBound:
         w = np.geomspace(1e-2 / p.duration, 1e3 / p.duration, 400)
         bound = 4.0 * (p.n_pulses + 1) ** 2
         assert np.all(filter_fn(p, w) <= bound * (1.0 + 1e-12))
+
+
+def _reversed(p):
+    """The pattern run backwards: pulse times T_p - t_j, grid boundaries N - b_j."""
+    grid = None
+    if p.grid is not None:
+        n_slots, bounds = p.grid
+        grid = (n_slots, tuple(n_slots - b for b in reversed(bounds)))
+    times = tuple(p.duration - t for t in reversed(p.pulse_times))
+    return TimingPattern(times, p.duration, f"{p.label}~", grid=grid)
+
+
+class TestTimeReversal:
+    """F is invariant when the pattern runs backwards.
+
+    y(T_p - t) transforms to exp(i omega T_p) times the conjugate of y(omega),
+    so |omega y|^2 is unchanged, on the series branch (omega T_p <= 2) and
+    on the phasor sum above it.
+    """
+
+    @staticmethod
+    def _assert_invariant(p):
+        q = _reversed(p)
+        lo = np.geomspace(1e-3, THETA_SWITCH, 60) / p.duration
+        np.testing.assert_allclose(filter_fn(q, lo), filter_fn(p, lo), rtol=1e-10, atol=0.0)
+        # the phasor sum rounds on the scale of its bound 4 (n+1)^2, not of F
+        hi = np.geomspace(THETA_SWITCH * (1 + 1e-9), 8 * math.pi * (p.n_pulses + 2), 300)
+        hi /= p.duration
+        bound = 4.0 * (p.n_pulses + 1) ** 2
+        np.testing.assert_allclose(filter_fn(q, hi), filter_fn(p, hi), rtol=0.0, atol=1e-12 * bound)
+
+    @given(
+        st.integers(2, 256).flatmap(
+            lambda n: st.tuples(st.just(n), st.sets(st.integers(1, n - 1), max_size=40))
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_random_grid(self, grid):
+        n_slots, bounds = grid[0], tuple(sorted(grid[1]))
+        times = tuple(b * 1e-5 / n_slots for b in bounds)
+        self._assert_invariant(TimingPattern(times, 1e-5, "grid", grid=(n_slots, bounds)))
+
+    @given(st.integers(1, 12), st.floats(0.03, 0.99))
+    @settings(max_examples=60, deadline=None)
+    def test_truncated_udd(self, n, frac):
+        p = udd(n, 16e-6)
+        self._assert_invariant(truncate(p, frac * p.duration))
 
 
 class TestCombine:

@@ -10,7 +10,9 @@ from ddmemory import (
     AccuracyError,
     DEFAULT_CONFIG,
     DomainError,
+    HARD,
     NoiseSpectrum,
+    PowerLaw,
     QuadratureConfig,
     TimingPattern,
     bang_bang,
@@ -242,6 +244,43 @@ class TestConfigAndFailure:
         loose = chi(cdd(3, 1e-6), gaas, bang_bang(), replace(DEFAULT_CONFIG, rel_tol=1e-4))
         tight = chi(cdd(3, 1e-6), gaas, bang_bang(), replace(DEFAULT_CONFIG, rel_tol=1e-9))
         assert loose.chi_total == pytest.approx(tight.chi_total, rel=1e-4)
+
+
+class TestLinearInStrength:
+    """chi is linear in the strength g, bit for bit for power-of-two factors.
+
+    With abs_floor = 0 every tolerance and tail test compares quantities
+    that all carry g, so a factor 2^k takes each walk through the same
+    panels and scales every additive budget field exactly.
+    """
+
+    ROUTES = {
+        "direct": lambda p, spec, shape, cfg: chi(p, spec, shape, cfg),
+        "kernel": lambda p, spec, shape, cfg: chi_repeated(p, 1000, spec, shape, cfg),
+        "comb": lambda p, spec, shape, cfg: chi_repeated(p, 10**6, spec, shape, cfg),
+        "plateau_limit": chi_plateau_limit,
+    }
+    ADDITIVE = (
+        "chi_total", "chi_bb", "chi_pul", "chi_low", "chi_high", "quad_error", "growth_per_repeat"
+    )
+
+    @pytest.mark.parametrize("rolloff", ["gaussian", "hard", "power_law_18"])
+    @pytest.mark.parametrize("shape", [bang_bang, lambda: dcg3(1e-8)], ids=["bb", "dcg_10ns"])
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    def test_power_of_two_factors_scale_exactly(self, gaas, route, shape, rolloff):
+        rolloffs = {"gaussian": gaas.rolloff, "hard": HARD, "power_law_18": PowerLaw(18.0)}
+        spec = replace(gaas, rolloff=rolloffs[rolloff])
+        cfg = replace(DEFAULT_CONFIG, abs_floor=0.0, validate_crossover=False)
+        run = self.ROUTES[route]
+        p, pulse = cdd(4, 1e-6), shape()
+        base = run(p, spec, pulse, cfg)
+        assert base.chi_total > 0.0
+        for factor in (2.0**-20, 0.125, 2.0, 1024.0):
+            scaled = run(p, replace(spec, g=spec.g * factor), pulse, cfg)
+            assert (scaled.m, scaled.comb_path) == (base.m, base.comb_path)
+            for name in self.ADDITIVE:
+                value = getattr(base, name)
+                assert getattr(scaled, name) == (None if value is None else factor * value), name
 
 
 class TestFilterBound:
