@@ -25,8 +25,7 @@ from .errors import DDMemoryError
 from .integrals import DEFAULT_CONFIG, QuadratureConfig, chi, chi_during, chi_repeated
 from .noise import NoiseSpectrum, calibrate_strength, load_preset, spectrum_to_json
 from .plateau import plateau_report
-from .pulses import BANG_BANG, PulseShape, bang_bang, dcg3, primitive, total_quadratures
-from .filters import omega_y_tilde
+from .pulses import BANG_BANG, PulseShape, bang_bang, dcg3, primitive, quadrature_components
 from .sequences import (
     TimingPattern,
     carr_purcell,
@@ -291,12 +290,12 @@ def ff_cmd(sequence, tau, duration, pulse, repeat, points, omega_min, omega_max,
         "ff", p, shape=shape,
         extra={"grid": {"omega_min": w_lo, "omega_max": w_hi, "points": points}},
     )
-    base = omega_y_tilde(p, grid)
+    base, dz, ry = quadrature_components(p, shape, grid)
     ff_ideal = np.abs(base) ** 2
     columns = ["omega_rad_s", "ff_total", "ff_ideal", "re_omega_y", "im_omega_y"]
     values = [grid, ff_ideal, ff_ideal, base.real, base.imag]
     if shape.kind != BANG_BANG:
-        rz, ry = total_quadratures(p, shape, grid)
+        rz, ry = (base, np.zeros_like(base)) if dz is None else (base + dz, ry)
         values[1] = np.abs(rz) ** 2 + np.abs(ry) ** 2
         columns += ["rz_sq", "ry_sq"]
         # Python's complex abs, not numpy's: the columns keep their last bits

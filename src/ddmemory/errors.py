@@ -1,11 +1,16 @@
-"""Exception hierarchy shared across the toolkit.
+"""Exception hierarchy shared across the toolkit, and its argument checks.
 
 Each class maps to a distinct CLI exit code so scripted callers can
 tell misuse, domain violations, convergence trouble and resource
-exhaustion apart.
+exhaustion apart. require_positive and require_count are the one
+spelling of the two common argument rules; both raise DomainError
+naming the argument.
 """
 
 from __future__ import annotations
+
+import math
+import numbers
 
 
 class DDMemoryError(Exception):
@@ -67,3 +72,15 @@ class SuppressionFitError(DomainError):
         super().__init__(message)
         self.raw_slope = raw_slope
         self.residual = residual
+
+
+def require_positive(name: str, x: float) -> None:
+    """Raise DomainError naming `name` unless x is finite and > 0."""
+    if not (math.isfinite(x) and x > 0):
+        raise DomainError(f"{name} must be finite and positive, got {x}")
+
+
+def require_count(name: str, m: int, least: int = 1) -> None:
+    """Raise DomainError naming `name` unless m is an integer >= least."""
+    if not (isinstance(m, numbers.Integral) and m >= least):
+        raise DomainError(f"{name} must be an integer >= {least}, got {m!r}")

@@ -40,7 +40,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, SuppressionFitError
+from .errors import DomainError, SuppressionFitError, require_count
 from .sequences import TimingPattern, min_interval
 
 THETA_SWITCH = 2.0
@@ -48,6 +48,19 @@ N_MOMENTS = 36
 
 # vectorized evaluation proceeds in chunks of at most this many complex terms
 _CHUNK_TERMS = 1 << 22
+
+
+def _omega_array(omega) -> np.ndarray:
+    """omega as a float array of at least one dimension; DomainError unless every entry is >= 0."""
+    w = np.atleast_1d(np.asarray(omega, dtype=float))
+    if not np.all(w >= 0.0):
+        raise DomainError("angular frequency omega must be >= 0")
+    return w
+
+
+def _scalar_like(omega, out):
+    """out as a Python scalar when omega is a number (0-d); out unchanged otherwise."""
+    return out.item() if np.ndim(omega) == 0 else out
 
 
 def _vertex_coefficients(p: TimingPattern) -> tuple[np.ndarray, np.ndarray]:
@@ -142,8 +155,8 @@ def _walsh_product(p: TimingPattern, w: np.ndarray) -> np.ndarray:
 
 
 def omega_y_tilde(p: TimingPattern, omega) -> np.ndarray:
-    """The dimensionless phasor sum omega * y(omega), vectorized."""
-    w = np.atleast_1d(np.asarray(omega, dtype=float))
+    """The dimensionless phasor sum omega * y(omega), vectorized over omega >= 0."""
+    w = _omega_array(omega)
     if p.walsh_index is not None:
         out = _walsh_product(p, w)
     else:
@@ -155,9 +168,7 @@ def omega_y_tilde(p: TimingPattern, omega) -> np.ndarray:
         big = ~small
         if big.any():
             out[big] = phasor_sum(*_vertex_coefficients(p), w[big])
-    if np.isscalar(omega):
-        return complex(out[0])
-    return out
+    return _scalar_like(omega, out)
 
 
 def y_tilde(p: TimingPattern, omega):
@@ -165,32 +176,23 @@ def y_tilde(p: TimingPattern, omega):
 
     The omega -> 0 limit i * T_p * mu_1 is returned at omega = 0.
     """
-    w = np.atleast_1d(np.asarray(omega, dtype=float))
-    if np.any(w < 0):
-        raise DomainError("y_tilde is defined for omega >= 0")
-    num = np.atleast_1d(omega_y_tilde(p, w))
+    w = _omega_array(omega)
     with np.errstate(invalid="ignore", divide="ignore"):
-        out = num / w
+        out = omega_y_tilde(p, w) / w
     zero = w == 0.0
     if zero.any():
         out[zero] = 1j * p.duration * _moments(p)[0]
-    if np.isscalar(omega):
-        return complex(out[0])
-    return out
+    return _scalar_like(omega, out)
 
 
 def filter_fn(p: TimingPattern, omega):
-    """F(omega) = omega^2 |y(omega)|^2 >= 0, vectorized."""
-    val = omega_y_tilde(p, omega)
-    out = np.abs(val) ** 2
-    if np.isscalar(omega):
-        return float(out)
-    return out
+    """F(omega) = omega^2 |y(omega)|^2 >= 0, vectorized over omega >= 0."""
+    return _scalar_like(omega, np.abs(omega_y_tilde(p, omega)) ** 2)
 
 
 def combine(y1, y2, t_p1: float, omega):
     """Transfer function of two joined blocks: y1 + exp(i*omega*T_1)*y2."""
-    return y1 + np.exp(1j * np.asarray(omega, dtype=float) * t_p1) * y2
+    return _scalar_like(omega, y1 + np.exp(1j * _omega_array(omega) * t_p1) * y2)
 
 
 def dirichlet_ratio(m: int, theta):
@@ -207,8 +209,7 @@ def dirichlet_ratio(m: int, theta):
         ratio = np.sin(m * delta) / np.sin(delta)
     series = m * (1.0 - (m * m - 1.0) / 6.0 * delta * delta)
     sign = 1.0 - 2.0 * ((m - 1) % 2) * (k % 2)
-    out = sign * np.where(np.abs(m * delta) < 1e-3, series, ratio)
-    return float(out) if np.isscalar(theta) else out
+    return _scalar_like(theta, sign * np.where(np.abs(m * delta) < 1e-3, series, ratio))
 
 
 def dirichlet_factor(m: int, t_p: float, omega):
@@ -217,9 +218,8 @@ def dirichlet_factor(m: int, t_p: float, omega):
     The square of dirichlet_ratio at theta = omega*T_p/2, so the removable
     singularities at omega = 2*pi*k/T_p take the value m^2.
     """
-    if m < 1:
-        raise DomainError(f"repeat count must be >= 1, got {m}")
-    return dirichlet_ratio(m, np.multiply(omega, t_p / 2.0)) ** 2
+    require_count("repeat count", m)
+    return _scalar_like(omega, dirichlet_ratio(m, _omega_array(omega) * (t_p / 2.0)) ** 2)
 
 
 class SuppressionOrder(NamedTuple):

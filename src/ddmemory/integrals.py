@@ -43,7 +43,7 @@ from typing import Callable, List, NoReturn, Optional, Tuple
 
 import numpy as np
 
-from .errors import AccuracyError, ConsistencyError, DomainError
+from .errors import AccuracyError, ConsistencyError, DomainError, require_count
 from .filters import dirichlet_factor
 from .noise import HARD, NoiseSpectrum, evaluate
 from .pulses import BANG_BANG, PulseShape, bang_bang, quadrature_components
@@ -129,18 +129,12 @@ class QuadratureConfig:
     validate_crossover: bool = True
 
     def __post_init__(self) -> None:
-        for name in ("rel_tol", "abs_floor", "max_panels", "comb_crossover"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise DomainError(f"{name} must be finite, got {value}")
         if not 0 < self.rel_tol < 1:
             raise DomainError(f"rel_tol must lie in (0, 1), got {self.rel_tol}")
-        if self.abs_floor < 0:
-            raise DomainError("abs_floor must be nonnegative")
-        if self.max_panels < 64:
-            raise DomainError("max_panels must be at least 64")
-        if self.comb_crossover < 16:
-            raise DomainError("comb_crossover must be at least 16")
+        if not (math.isfinite(self.abs_floor) and self.abs_floor >= 0):
+            raise DomainError(f"abs_floor must be finite and nonnegative, got {self.abs_floor}")
+        require_count("max_panels", self.max_panels, least=64)
+        require_count("comb_crossover", self.comb_crossover, least=16)
 
 
 DEFAULT_CONFIG = QuadratureConfig()
@@ -487,8 +481,7 @@ def chi_repeated(
     such cases are evaluated by explicit construction for small m and
     rejected beyond that.
     """
-    if m < 1:
-        raise DomainError(f"repeat count must be at least 1, got {m}")
+    require_count("repeat count", m)
     shape = shape or bang_bang()
     cfg = config or DEFAULT_CONFIG
     if m == 1:

@@ -20,7 +20,8 @@ from typing import Union
 
 import numpy as np
 
-from .errors import CalibrationError, DomainError
+from .errors import CalibrationError, DomainError, require_positive
+from .filters import _scalar_like
 
 TWO_PI = 2.0 * math.pi
 
@@ -35,8 +36,7 @@ class PowerLaw:
     r: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.r) and self.r > 0):
-            raise DomainError(f"power-law rolloff exponent r must be finite and > 0, got {self.r}")
+        require_positive("power-law rolloff exponent r", self.r)
 
 
 Rolloff = Union[str, PowerLaw]
@@ -59,11 +59,10 @@ class NoiseSpectrum:
     omega_max: float = TWO_PI * 1.0e8
 
     def __post_init__(self) -> None:
-        for name in ("s", "g", "omega_c", "omega_min", "omega_max"):
+        for name in ("s", "g", "omega_min", "omega_max"):
             if not math.isfinite(getattr(self, name)):
                 raise DomainError(f"{name} must be finite, got {getattr(self, name)}")
-        if not self.omega_c > 0:
-            raise DomainError(f"omega_c must be positive, got {self.omega_c}")
+        require_positive("omega_c", self.omega_c)
         if self.g < 0:
             raise DomainError(f"spectral strength g must be >= 0, got {self.g}")
         if not (0 < self.omega_min < self.omega_max):
@@ -77,7 +76,8 @@ class NoiseSpectrum:
 def evaluate(spec: NoiseSpectrum, omega):
     """Spectral density S(omega) in rad/s, vectorized over omega.
 
-    Zero outside [omega_min, omega_max]. omega must be strictly positive.
+    Zero outside [omega_min, omega_max]. omega must be strictly positive;
+    a number omega gives a Python float.
     """
     w = np.asarray(omega, dtype=float)
     if np.any(w <= 0.0):
@@ -93,9 +93,7 @@ def evaluate(spec: NoiseSpectrum, omega):
             hi = spec.g * np.power(x, -spec.rolloff.r)
             vals = np.where(w > spec.omega_c, hi, vals)
     vals = np.where((w < spec.omega_min) | (w > spec.omega_max), 0.0, vals)
-    if np.isscalar(omega):
-        return float(vals)
-    return vals
+    return _scalar_like(omega, vals)
 
 
 def calibrate_strength(spec_template: NoiseSpectrum, target_t2: float) -> NoiseSpectrum:
@@ -104,8 +102,7 @@ def calibrate_strength(spec_template: NoiseSpectrum, target_t2: float) -> NoiseS
     chi is exactly linear in g, so a single baseline evaluation fixes the
     scale. The template's g only needs to be positive.
     """
-    if not target_t2 > 0:
-        raise DomainError(f"target T2 must be positive, got {target_t2}")
+    require_positive("target T2", target_t2)
     from .integrals import chi
     from .pulses import bang_bang
     from .sequences import free_evolution

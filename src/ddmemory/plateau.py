@@ -31,7 +31,7 @@ from typing import Dict, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import DivergenceError, DomainError
+from .errors import DivergenceError, DomainError, require_count, require_positive
 from .filters import dirichlet_ratio, passband_max, suppression_order
 from .integrals import (
     ErrorBudget,
@@ -280,10 +280,9 @@ def chi_with_jitter(
     ideal-pulse value, so chi_pul carries pulse width and jitter excess
     together.
     """
-    if m < 1:
-        raise DomainError(f"repeat count must be at least 1, got {m}")
-    if delta_t < 0.0:
-        raise DomainError(f"read delay must be nonnegative, got {delta_t}")
+    require_count("repeat count", m)
+    if not (math.isfinite(delta_t) and delta_t >= 0.0):
+        raise DomainError(f"read delay delta_t must be finite and nonnegative, got {delta_t}")
     shape = shape or bang_bang()
     if p.n_pulses % 2 == 1 and shape.kind != BANG_BANG:
         raise DomainError(
@@ -311,11 +310,6 @@ def chi_with_jitter(
     return _assemble(low, high, err, m=m)
 
 
-def _require_positive(name: str, value: float) -> None:
-    if not (math.isfinite(value) and value > 0.0):
-        raise DomainError(f"{name} must be finite and positive, got {value}")
-
-
 def jitter_tolerance(
     p: TimingPattern,
     m: int,
@@ -334,7 +328,7 @@ def jitter_tolerance(
     for soft rolloffs.  Raises DomainError when the error already exceeds
     the budget at delta_t = 0.
     """
-    _require_positive("budget_factor", budget_factor)
+    require_positive("budget_factor", budget_factor)
     if not 0.0 < rel_tol < 1.0:
         raise DomainError(f"rel_tol must lie in (0, 1), got {rel_tol}")
     shape = shape or bang_bang()
@@ -371,7 +365,7 @@ def markovian_limit(t_markov: float, chi_inf: float) -> float:
     Uncorrelated background decay at rate 1/t_markov accumulates linearly
     and crosses the plateau level chi_inf at t_markov * chi_inf, exactly.
     """
-    _require_positive("t_markov", t_markov)
+    require_positive("t_markov", t_markov)
     if not (math.isfinite(chi_inf) and chi_inf >= 0.0):
         raise DomainError(f"plateau error chi_inf must be finite and nonnegative, got {chi_inf}")
     return t_markov * chi_inf
@@ -388,9 +382,10 @@ def plateau_report(
 ) -> PlateauReport:
     """Full plateau assessment: conditions, error level, lifetime bounds."""
     if t_markov is not None:
-        _require_positive("t_markov", t_markov)
+        require_positive("t_markov", t_markov)
     if jitter_budget_factor is not None:
-        _require_positive("jitter_budget_factor", jitter_budget_factor)
+        require_positive("jitter_budget_factor", jitter_budget_factor)
+        require_count("jitter_m", jitter_m)
     shape = shape or bang_bang()
     base = check_conditions(p, spec, shape)
     if not base.all_conditions_met:

@@ -33,8 +33,8 @@ from typing import NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
-from .errors import DomainError
-from .filters import filter_fn, omega_y_tilde
+from .errors import DomainError, require_positive
+from .filters import _omega_array, _scalar_like, filter_fn, omega_y_tilde
 from .sequences import TimingPattern
 
 __all__ = [
@@ -84,8 +84,7 @@ class PulseShape:
             if self.tau_pi != 0.0:
                 raise DomainError("bang-bang pulses have zero width")
         else:
-            if not (math.isfinite(self.tau_pi) and self.tau_pi > 0.0):
-                raise DomainError(f"pulse width must be positive and finite, got {self.tau_pi}")
+            require_positive("pulse width tau_pi", self.tau_pi)
 
     @property
     def rabi_frequency(self) -> float:
@@ -123,13 +122,6 @@ def _sinc(x: np.ndarray) -> np.ndarray:
     return np.sinc(x / np.pi)
 
 
-def _as_omega_array(omega: Union[float, np.ndarray]) -> Tuple[np.ndarray, bool]:
-    arr = np.atleast_1d(np.asarray(omega, dtype=float))
-    if np.any(arr < 0.0):
-        raise DomainError("angular frequencies must be non-negative")
-    return arr, np.ndim(omega) == 0
-
-
 def pulse_quadratures(
     shape: PulseShape, omega: Union[float, np.ndarray]
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -146,7 +138,7 @@ def pulse_quadratures(
     combines two such terms with resonances at Omega and Omega/2.
     Bang-bang returns (0, 0).
     """
-    w, scalar = _as_omega_array(omega)
+    w = _omega_array(omega)
     if shape.kind == BANG_BANG:
         rz = np.zeros_like(w, dtype=complex)
         ry = np.zeros_like(w, dtype=complex)
@@ -182,9 +174,7 @@ def pulse_quadratures(
         )
         rz = (w**2) * (2.0 * term2 - term1)
         ry = 1j * w * big_omega * (term2 - term1)
-    if scalar:
-        return complex(rz[0]), complex(ry[0])
-    return rz, ry
+    return _scalar_like(omega, rz), _scalar_like(omega, ry)
 
 
 def _check_footprint(p: TimingPattern, shape: PulseShape) -> None:
@@ -228,13 +218,15 @@ def quadrature_components(
 
     Splitting the ideal part from the pulse-induced parts lets callers form
     both the ideal and the total filter from one evaluation, and keeps the
-    near-cancelling pulse terms out of the ideal ones.
+    near-cancelling pulse terms out of the ideal ones.  Returns arrays, also
+    for a number omega.
     """
     _check_footprint(p, shape)
-    base = np.asarray(omega_y_tilde(p, omega), dtype=complex)
+    w = _omega_array(omega)
+    base = omega_y_tilde(p, w)
     if shape.kind == BANG_BANG or not p.pulse_times:
         return base, None, None
-    dz, ry = _pulse_terms(p, shape, omega, base)
+    dz, ry = _pulse_terms(p, shape, w, base)
     return base, dz, ry
 
 
@@ -254,16 +246,9 @@ def total_quadratures(
     (omega*y_tilde, 0) exactly for any switching parity.  Pulse footprints
     must fit strictly inside the free intervals around each center.
     """
-    w, scalar = _as_omega_array(omega)
-    base, dz, ry = quadrature_components(p, shape, w)
-    if dz is None:
-        rz = base
-        ry = np.zeros_like(w, dtype=complex)
-    else:
-        rz = base + dz
-    if scalar:
-        return complex(rz[0]), complex(ry[0])
-    return rz, ry
+    base, dz, ry = quadrature_components(p, shape, omega)
+    rz, ry = (base, np.zeros_like(base)) if dz is None else (base + dz, ry)
+    return _scalar_like(omega, rz), _scalar_like(omega, ry)
 
 
 def total_ff(
@@ -273,10 +258,7 @@ def total_ff(
     if shape.kind == BANG_BANG:
         return filter_fn(p, omega)
     rz, ry = total_quadratures(p, shape, omega)
-    out = np.abs(rz) ** 2 + np.abs(ry) ** 2
-    if np.ndim(omega) == 0:
-        return float(out)
-    return out
+    return _scalar_like(omega, np.abs(rz) ** 2 + np.abs(ry) ** 2)
 
 
 class PulseOrder(NamedTuple):

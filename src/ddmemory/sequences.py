@@ -22,10 +22,10 @@ from __future__ import annotations
 import math
 import numbers
 from bisect import bisect_right
-from dataclasses import dataclass, field, replace
-from typing import Optional
+from dataclasses import dataclass, field
+from typing import Optional, Sequence
 
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError, ResourceLimitError, require_count, require_positive
 
 MAX_REPEAT_PULSES = 10**7
 
@@ -48,8 +48,7 @@ class TimingPattern:
     walsh_index: Optional[int] = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.duration) and self.duration > 0):
-            raise DomainError(f"pattern duration must be finite and positive, got {self.duration}")
+        require_positive("pattern duration", self.duration)
         prev = 0.0
         for t in self.pulse_times:
             if not math.isfinite(t):
@@ -102,10 +101,8 @@ def udd(n: int, t_p: float) -> TimingPattern:
     n = 0 returns free evolution. Times are mirrored around T_p/2 so the
     symmetry t_j + t_{n+1-j} = T_p holds exactly.
     """
-    if n < 0:
-        raise DomainError(f"pulse count must be >= 0, got {n}")
-    if not t_p > 0:
-        raise DomainError(f"duration must be positive, got {t_p}")
+    require_count("pulse count", n, least=0)
+    require_positive("duration", t_p)
     if n == 0:
         return free_evolution(t_p)
     _check_size(n, "pulses")
@@ -121,10 +118,8 @@ def udd(n: int, t_p: float) -> TimingPattern:
 
 def udd_from_min_interval(n: int, tau: float) -> TimingPattern:
     """Uhrig pattern scaled so its shortest interval (t_1) equals tau."""
-    if n < 1:
-        raise DomainError(f"need at least one pulse, got n={n}")
-    if not tau > 0:
-        raise DomainError(f"minimum interval must be positive, got {tau}")
+    require_count("pulse count", n)
+    require_positive("minimum interval", tau)
     return udd(n, tau / math.sin(math.pi / (2 * n + 2)) ** 2)
 
 
@@ -136,13 +131,10 @@ def cdd(level: int, tau: float) -> TimingPattern:
     Level 1 is spin echo, level 2 is Carr-Purcell (intervals tau, 2*tau,
     tau).
     """
-    if level < 1:
-        raise DomainError(f"level must be >= 1, got {level}")
-    if not tau > 0:
-        raise DomainError(f"slot width must be positive, got {tau}")
+    require_count("level", level)
     # slot width n_slots * tau / n_slots is tau exactly: n_slots is a power of two
     n_slots = 2**level
-    return replace(walsh(n_slots - 1, n_slots * tau, n_slots), label=f"CDD{level}")
+    return _walsh(n_slots - 1, n_slots * tau, n_slots, f"CDD{level}")
 
 
 def carr_purcell(tau: float) -> TimingPattern:
@@ -157,7 +149,8 @@ def walsh_signs(k: int, n_slots: int) -> list[int]:
     is the parity of k & reverse(j), or equally of reverse(k) & j.
     k = 2**q - 1 gives the Thue-Morse pattern.
     """
-    if n_slots < 1 or n_slots & (n_slots - 1):
+    require_count("slot count", n_slots)
+    if n_slots & (n_slots - 1):
         raise DomainError(f"slot count must be a power of two, got {n_slots}")
     if not (isinstance(k, numbers.Integral) and 0 <= k < n_slots):
         raise DomainError(f"Walsh index must be an integer in [0, {n_slots}), got {k!r}")
@@ -198,13 +191,44 @@ def _paley_index(grid: Optional[tuple[int, tuple[int, ...]]]) -> Optional[int]:
 
 def walsh(k: int, t_s: float, n_slots: int) -> TimingPattern:
     """Pattern whose switching function is Walsh w_k on n_slots slots."""
-    if not t_s > 0:
-        raise DomainError(f"duration must be positive, got {t_s}")
+    return _walsh(k, t_s, n_slots, f"W{k}@{n_slots}")
+
+
+def _walsh(k: int, t_s: float, n_slots: int, label: str) -> TimingPattern:
+    """walsh(k, t_s, n_slots) under the given label, built and indexed once."""
+    require_positive("duration", t_s)
     _check_size(n_slots, "slots")
     bounds = _sign_bounds(walsh_signs(k, n_slots))
     slot = t_s / n_slots
     times = tuple(b * slot for b in bounds)
-    return TimingPattern(times, t_s, f"W{k}@{n_slots}", grid=(n_slots, bounds))
+    return TimingPattern(times, t_s, label, grid=(n_slots, bounds))
+
+
+def _join(
+    blocks: Sequence[TimingPattern], starts: Sequence[float], duration: float, label: str
+) -> TimingPattern:
+    """Blocks placed at their start times, each restarting its switching at +1.
+
+    A block that follows one ending on -1 gets a junction pulse at its
+    start time and, on the joined grid, at its first slot boundary.
+    """
+    times: list[float] = []
+    bounds: list[int] = []
+    n_slots = 0
+    gridded = all(b.grid is not None for b in blocks)
+    for j, (block, start) in enumerate(zip(blocks, starts)):
+        if j and blocks[j - 1].end_sign < 0:
+            times.append(start)
+            bounds.append(n_slots)
+        times.extend(start + t for t in block.pulse_times)
+        if gridded:
+            bounds.extend(n_slots + b for b in block.grid[1])
+            n_slots += block.grid[0]
+    grid = None
+    # the joined grid holds only where the joined times sit on it (equal slot widths)
+    if gridded and _on_grid(times, duration, (n_slots, bounds)):
+        grid = (n_slots, tuple(bounds))
+    return TimingPattern(tuple(times), duration, label, grid=grid)
 
 
 def concat(p1: TimingPattern, p2: TimingPattern) -> TimingPattern:
@@ -214,23 +238,7 @@ def concat(p1: TimingPattern, p2: TimingPattern) -> TimingPattern:
     joined switching function is y_1 followed by a fresh copy of y_2.
     """
     t1 = p1.duration
-    times = list(p1.pulse_times)
-    if p1.end_sign < 0:
-        times.append(t1)
-    times.extend(t1 + t for t in p2.pulse_times)
-    duration = t1 + p2.duration
-    grid = None
-    if p1.grid is not None and p2.grid is not None:
-        n1, b1 = p1.grid
-        n2, b2 = p2.grid
-        bounds = list(b1)
-        if p1.end_sign < 0:
-            bounds.append(n1)
-        bounds.extend(n1 + b for b in b2)
-        # the joined grid holds only where the joined times sit on it (equal slot widths)
-        if _on_grid(times, duration, (n1 + n2, bounds)):
-            grid = (n1 + n2, tuple(bounds))
-    return TimingPattern(tuple(times), duration, f"{p1.label}+{p2.label}", grid=grid)
+    return _join((p1, p2), (0.0, t1), t1 + p2.duration, f"{p1.label}+{p2.label}")
 
 
 def repeat_pattern(p: TimingPattern, m: int) -> TimingPattern:
@@ -239,28 +247,13 @@ def repeat_pattern(p: TimingPattern, m: int) -> TimingPattern:
     Each copy restarts at +1, so an odd-ending base acquires a junction
     pulse at every block boundary.
     """
-    if m < 1:
-        raise DomainError(f"repeat count must be >= 1, got {m}")
+    require_count("repeat count", m)
     if m == 1:
         return p
     junction = 1 if p.end_sign < 0 else 0
     _check_size(m * p.n_pulses + (m - 1) * junction, "pulses")
-    times: list[float] = []
-    for j in range(m):
-        base = j * p.duration
-        if j and junction:
-            times.append(base)
-        times.extend(base + t for t in p.pulse_times)
-    grid = None
-    if p.grid is not None:
-        n1, b1 = p.grid
-        bounds: list[int] = []
-        for j in range(m):
-            if j and junction:
-                bounds.append(j * n1)
-            bounds.extend(j * n1 + b for b in b1)
-        grid = (m * n1, tuple(bounds))
-    return TimingPattern(tuple(times), m * p.duration, f"{p.label}^{m}", grid=grid)
+    starts = [j * p.duration for j in range(m)]
+    return _join([p] * m, starts, m * p.duration, f"{p.label}^{m}")
 
 
 def min_interval(p: TimingPattern) -> float:

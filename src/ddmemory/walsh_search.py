@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 from functools import partial
 from typing import List, Optional, Sequence, Tuple
 
-from .errors import AccuracyError, DomainError
+from .errors import AccuracyError, DomainError, require_count, require_positive
 from .integrals import ErrorBudget, QuadratureConfig, chi, chi_repeated
 from .noise import NoiseSpectrum
 from .pulses import PulseShape, bang_bang
@@ -80,10 +80,8 @@ class SearchResult:
 
 
 def _slot_count(t_s: float, tau: float, limit: int) -> int:
-    if not tau > 0:
-        raise DomainError(f"slot width must be positive, got {tau}")
-    if not t_s > 0:
-        raise DomainError(f"storage time must be positive, got {t_s}")
+    require_positive("slot width", tau)
+    require_positive("storage time", t_s)
     n_float = t_s / tau
     n = int(round(n_float))
     if n < 1 or abs(n_float - n) > 1e-9 * n_float or n & (n - 1):
@@ -186,6 +184,7 @@ def best_sequence(
     n = _slot_count(t_s, tau, limit)
     if workers is None:
         workers = os.cpu_count() or 1
+    require_count("workers", workers)
     score = partial(_score, t_s=t_s, n_slots=n, spec=spec, shape=shape, config=config)
     if workers > 1 and n >= 16:
         from concurrent.futures import ProcessPoolExecutor

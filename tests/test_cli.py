@@ -291,6 +291,16 @@ class TestSearchCommand:
         assert second[7] == "2"
 
 
+    def test_infinite_storage_time_is_three(self, capsys):
+        code, out, err = _run(
+            capsys,
+            ["search", "--tau", "1e-6", "--t-s", "inf", "--spectrum", "gaas", "--threads", "1"],
+        )
+        assert code == 3
+        assert out == ""
+        assert "storage time" in err
+
+
 class TestCalibrateCommand:
     def test_matches_library_calibration(self, capsys, gaas):
         code, out, _ = _run(capsys, ["calibrate", "--spectrum", "gaas", "--t2", "35e-9"])

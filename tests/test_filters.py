@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ddmemory import (
+    DomainError,
     SuppressionFitError,
     TimingPattern,
     carr_purcell,
@@ -132,7 +133,49 @@ class TestCombine:
             np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-16)
 
 
+class TestOmegaArguments:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda w: omega_y_tilde(udd(5, 1e-5), w),
+            lambda w: omega_y_tilde(cdd(4, 1e-6), w),
+            lambda w: y_tilde(cdd(4, 1e-6), w),
+            lambda w: filter_fn(cdd(4, 1e-6), w),
+            lambda w: combine(1.0, 1.0, 1e-6, w),
+            lambda w: dirichlet_factor(3, 1e-6, w),
+        ],
+        ids=["omega_y_tilde_series", "omega_y_tilde_product", "y_tilde", "filter_fn", "combine",
+             "dirichlet_factor"],
+    )
+    @pytest.mark.parametrize("omega", [-1.0, np.array([1e5, -1e5]), math.nan])
+    def test_negative_or_nan_omega_rejected(self, call, omega):
+        with pytest.raises(DomainError, match="omega"):
+            call(omega)
+
+    @pytest.mark.parametrize(
+        "call, kind",
+        [
+            (lambda w: omega_y_tilde(cdd(4, 1e-6), w), complex),
+            (lambda w: omega_y_tilde(udd(5, 1e-5), w), complex),
+            (lambda w: y_tilde(cdd(4, 1e-6), w), complex),
+            (lambda w: filter_fn(cdd(4, 1e-6), w), float),
+            (lambda w: dirichlet_ratio(3, w), float),
+        ],
+        ids=["omega_y_tilde_product", "omega_y_tilde_series", "y_tilde", "filter_fn",
+             "dirichlet_ratio"],
+    )
+    def test_zero_d_omega_gives_python_scalar(self, call, kind):
+        got = call(np.array(1e5))
+        assert type(got) is kind
+        assert got == call(1e5)
+
+
 class TestDirichlet:
+    @pytest.mark.parametrize("m", [0, 2.5, math.nan])
+    def test_non_count_repeat_rejected(self, m):
+        with pytest.raises(DomainError, match="repeat count"):
+            dirichlet_factor(m, 1e-6, 1e5)
+
     @pytest.mark.parametrize("m", [2, 3, 5, 8])
     @pytest.mark.parametrize("maker", [echo, carr_purcell, lambda tau: cdd(3, tau)])
     def test_repeat_transform_is_dirichlet_times_base(self, m, maker):

@@ -120,6 +120,11 @@ class TestRepetitionKernel:
         with pytest.raises(DomainError):
             chi_repeated(echo(1e-6), 0, gaas, bang_bang())
 
+    @pytest.mark.parametrize("m", [2.5, math.nan, math.inf])
+    def test_non_integer_m_is_named(self, gaas, m):
+        with pytest.raises(DomainError, match="repeat count"):
+            chi_repeated(cdd(4, 1e-6), m, gaas)
+
     def test_quadratic_growth_far_below_saturation(self):
         # x = T_p*omega_c/2pi = 0.01: every repeat is still coherent, so
         # the error must scale as m^2 until the comb resolves the cutoff
@@ -219,6 +224,11 @@ class TestConfigAndFailure:
     def test_non_finite_config_field_is_named(self, name, value):
         with pytest.raises(DomainError, match=name):
             QuadratureConfig(**{name: value})
+
+    @pytest.mark.parametrize("name", ["max_panels", "comb_crossover"])
+    def test_fractional_count_field_is_named(self, name):
+        with pytest.raises(DomainError, match=name):
+            QuadratureConfig(**{name: 1000.5})
 
     def test_exhausted_panel_budget_reports_estimate(self, gaas):
         cfg = replace(DEFAULT_CONFIG, max_panels=64, rel_tol=1e-12)

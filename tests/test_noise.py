@@ -69,6 +69,11 @@ class TestEvaluate:
         for w, v in zip(grid, vec):
             assert evaluate(spec, float(w)) == v
 
+    def test_zero_d_omega_gives_python_float(self):
+        got = evaluate(_spec(), np.array(2e3))
+        assert type(got) is float
+        assert got == evaluate(_spec(), 2e3)
+
     def test_nonpositive_omega_rejected(self):
         with pytest.raises(DomainError):
             evaluate(_spec(), 0.0)

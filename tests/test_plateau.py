@@ -185,6 +185,14 @@ class TestJitter:
         with pytest.raises(DomainError):
             chi_with_jitter(cdd(4, 1e-6), 10, -1e-12, gaas)
 
+    @pytest.mark.parametrize(
+        "m, delta_t, name",
+        [(10, math.nan, "delta_t"), (10, math.inf, "delta_t"), (2.5, 1e-12, "repeat count")],
+    )
+    def test_bad_jitter_argument_is_named(self, gaas, m, delta_t, name):
+        with pytest.raises(DomainError, match=name):
+            chi_with_jitter(cdd(4, 1e-6), m, delta_t, gaas)
+
 
 class TestMarkovian:
     def test_exact_product(self):
@@ -235,3 +243,9 @@ class TestReport:
     def test_non_finite_inputs_rejected_before_short_circuit(self, gaas, name):
         with pytest.raises(DomainError, match=name):
             plateau_report(cdd(4, 1e-6), gaas, primitive(1e-9), **{name: math.nan})
+
+    def test_bad_jitter_m_rejected_before_short_circuit(self, gaas):
+        with pytest.raises(DomainError, match="jitter_m"):
+            plateau_report(
+                cdd(4, 1e-6), gaas, primitive(1e-9), jitter_budget_factor=2.0, jitter_m=0
+            )

@@ -103,6 +103,30 @@ class TestTotalFilter:
         val = total_ff(echo(1e-6), primitive(1e-9), 1e5)
         assert isinstance(val, float) and val >= 0.0
 
+    @pytest.mark.parametrize("shape", [bang_bang(), dcg3(1e-8)], ids=["bb", "dcg"])
+    def test_zero_d_omega_gives_python_float(self, shape):
+        got = total_ff(cdd(4, 1e-6), shape, np.array(1e5))
+        assert type(got) is float
+        assert got == total_ff(cdd(4, 1e-6), shape, 1e5)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda w: pulses.pulse_quadratures(dcg3(1e-8), w),
+            lambda w: pulses.quadrature_components(cdd(4, 1e-6), bang_bang(), w),
+            lambda w: pulses.quadrature_components(cdd(4, 1e-6), dcg3(1e-8), w),
+            lambda w: total_quadratures(cdd(4, 1e-6), bang_bang(), w),
+            lambda w: total_ff(cdd(4, 1e-6), bang_bang(), w),
+            lambda w: total_ff(udd(3, 1e-5), primitive(1e-9), w),
+        ],
+        ids=["pulse_quadratures", "quadrature_components_bb", "quadrature_components_dcg",
+             "total_quadratures_bb", "total_ff_bb", "total_ff_primitive"],
+    )
+    @pytest.mark.parametrize("omega", [-1.0, np.array([1e5, -1e5])])
+    def test_negative_omega_rejected(self, call, omega):
+        with pytest.raises(DomainError, match="omega"):
+            call(omega)
+
 
 class TestFootprintValidation:
     def test_pulse_wider_than_interval_rejected(self):

@@ -153,6 +153,21 @@ class TestCompose:
         with pytest.raises(DomainError):
             repeat_pattern(echo(1e-6), 0)
 
+    @pytest.mark.parametrize(
+        "call, name",
+        [
+            (lambda: repeat_pattern(echo(1e-6), 2.0), "repeat count"),
+            (lambda: udd(2.5, 1e-6), "pulse count"),
+            (lambda: udd_from_min_interval(2.5, 1e-6), "pulse count"),
+            (lambda: cdd(2.5, 1e-6), "level"),
+            (lambda: walsh(1, 4e-6, 4.0), "slot count"),
+        ],
+        ids=["repeat_pattern", "udd", "udd_from_min_interval", "cdd", "walsh"],
+    )
+    def test_non_integer_count_is_named(self, call, name):
+        with pytest.raises(DomainError, match=name):
+            call()
+
     def test_repeat_resource_cap(self):
         with pytest.raises(ResourceLimitError):
             repeat_pattern(cdd(4, 1e-6), 10**7)
@@ -221,6 +236,23 @@ class TestIntervalsAndTruncate:
         else:
             with pytest.raises(DomainError, match="pulse times must be finite"):
                 TimingPattern((0.2e-6, value), 1e-6, "bad")
+
+    def test_cdd_is_built_and_indexed_once(self, monkeypatch):
+        from ddmemory import sequences
+
+        calls = []
+        paley = sequences._paley_index
+
+        def counted(grid):
+            calls.append(grid)
+            return paley(grid)
+
+        monkeypatch.setattr(sequences, "_paley_index", counted)
+        p = cdd(4, 1e-6)
+        assert len(calls) == 1
+        w = walsh(15, 16e-6, 16)
+        assert (p.label, p.walsh_index) == ("CDD4", w.walsh_index)
+        assert (p.pulse_times, p.duration, p.grid) == (w.pulse_times, w.duration, w.grid)
 
     def test_cdd_with_infinite_slot_names_duration(self):
         with pytest.raises(DomainError, match="duration must be finite"):

@@ -44,6 +44,19 @@ class TestEnumerate:
         with pytest.raises(DomainError):
             enumerate_walsh(8 * TAU, TAU, limit=4)
 
+    @pytest.mark.parametrize(
+        "t_s, tau, name",
+        [(math.inf, TAU, "storage time"), (4 * TAU, math.inf, "slot width")],
+    )
+    def test_non_finite_time_is_named(self, gaas, t_s, tau, name):
+        with pytest.raises(DomainError, match=name):
+            best_sequence(t_s, tau, gaas, workers=1)
+
+    @pytest.mark.parametrize("workers", [0, 2.5])
+    def test_worker_count_is_named(self, gaas, workers):
+        with pytest.raises(DomainError, match="workers"):
+            best_sequence(4 * TAU, TAU, gaas, workers=workers)
+
 
 class TestDetectStructure:
     @pytest.mark.parametrize("m", [2, 3, 7])
