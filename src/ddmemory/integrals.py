@@ -20,8 +20,11 @@ exact period integral (weight 2 pi m/T_p at each resonance) plus the
 de-oscillated local average 1/(2 sin^2(w T_p/2)) and a symmetrized
 finite-part correction per resonance cell; the two evaluation paths
 are cross-checked at the crossover the first time the fast path is
-used for a given problem.  With m -> infinity the same comb walk, minus
-the masses that grow with m, is the plateau level chi_plateau_limit.
+used for a given problem.  When chi_repeated has already evaluated the
+direct path at the crossover for that problem, the check reuses that
+result instead of integrating it again.  With m -> infinity the same
+comb walk, minus the masses that grow with m, is the plateau level
+chi_plateau_limit.
 
 Every flavour builds its integrand with one rows factory: the ideal and
 total filter rows S F / omega^2, times an optional kernel (the Dirichlet
@@ -37,6 +40,7 @@ results do not depend on summation order or thread count.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Callable, List, NoReturn, Optional, Tuple
@@ -474,7 +478,10 @@ def chi_repeated(
     sin^2(w T_p/2); panels are aligned to its nodes.  Beyond the configured
     crossover the resonance-comb path evaluates the same integral from its
     m -> infinity structure (see chi's module notes), after a one-time
-    agreement check between the two paths at the crossover.
+    agreement check between the two paths at the crossover.  A direct
+    result at m = comb_crossover, from an earlier call with the same
+    arguments, serves that check once, so stepping up in m through the
+    crossover integrates the direct path there only once.
 
     A base pattern with odd pulse count restarts each repeat with a junction
     pulse, which breaks the kernel factorization for finite-width pulses;
@@ -497,7 +504,12 @@ def chi_repeated(
             f"explicit-construction limit {_EXPLICIT_REPEAT_LIMIT}"
         )
     if m <= cfg.comb_crossover:
-        return _chi_direct(p, m, spec, shape, cfg)
+        budget = _chi_direct(p, m, spec, shape, cfg)
+        if m == cfg.comb_crossover and cfg.validate_crossover:
+            _direct_at_crossover[(p, spec, shape, cfg)] = budget
+            if len(_direct_at_crossover) > _CROSSOVER_STORE:
+                _direct_at_crossover.popitem(last=False)
+        return budget
     agreement: Optional[float] = None
     if cfg.validate_crossover:
         agreement = _crossover_agreement(p, spec, shape, cfg)
@@ -520,12 +532,21 @@ def _chi_direct(
     return _assemble(*walk.totals(), walk.err, m=m)
 
 
-@lru_cache(maxsize=64)
+# direct budgets at m = comb_crossover from chi_repeated, oldest first, each
+# taken out by the first crossover check of its key; _chi_direct is
+# deterministic, so a stored budget is the one the check would compute
+_CROSSOVER_STORE = 64
+_direct_at_crossover: OrderedDict[tuple, ErrorBudget] = OrderedDict()
+
+
+@lru_cache(maxsize=_CROSSOVER_STORE)
 def _crossover_agreement(
     p: TimingPattern, spec: NoiseSpectrum, shape: PulseShape, cfg: QuadratureConfig
 ) -> float:
     m0 = cfg.comb_crossover
-    direct = _chi_direct(p, m0, spec, shape, cfg)
+    direct = _direct_at_crossover.pop((p, spec, shape, cfg), None)
+    if direct is None:
+        direct = _chi_direct(p, m0, spec, shape, cfg)
     comb = _chi_comb(p, m0, spec, shape, cfg)
     scale = max(direct.chi_total, cfg.abs_floor)
     agreement = abs(comb.chi_total - direct.chi_total) / scale

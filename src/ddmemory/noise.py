@@ -80,7 +80,7 @@ def evaluate(spec: NoiseSpectrum, omega):
     a number omega gives a Python float.
     """
     w = np.asarray(omega, dtype=float)
-    if np.any(w <= 0.0):
+    if not np.all(w > 0.0):
         raise DomainError("spectral density is defined for omega > 0 only")
     x = w / spec.omega_c
     with np.errstate(divide="ignore", over="ignore", under="ignore"):

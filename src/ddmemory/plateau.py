@@ -343,13 +343,14 @@ def jitter_tolerance(
     grid = np.geomspace(spec.omega_min, spec.omega_max, 4097)
     power = float(np.trapezoid(evaluate(spec, grid), grid))
     hi = math.sqrt((budget - chi0) / power) if power > 0 else p.duration
-    for _ in range(80):
+    for doublings in range(80):
         if chi_with_jitter(p, m, hi, spec, shape, config).chi_total > budget:
             break
         hi *= 2.0
     else:
         raise DomainError("read-delay error never reaches the budget; nothing to bisect")
-    lo = 0.0
+    # hi / 2, the first midpoint from 0, was already found within budget
+    lo = 0.5 * hi if doublings else 0.0
     while hi - lo > rel_tol * hi:
         mid = 0.5 * (lo + hi)
         if chi_with_jitter(p, m, mid, spec, shape, config).chi_total > budget:

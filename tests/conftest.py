@@ -2,9 +2,21 @@ import math
 
 import pytest
 
-from ddmemory import HARD, NoiseSpectrum, load_preset
+from ddmemory import HARD, NoiseSpectrum, integrals, load_preset
 
 TWO_PI = 2.0 * math.pi
+
+
+@pytest.fixture(autouse=True)
+def cold_crossover_check():
+    """Start and leave every test with no crossover agreement or stored
+    direct crossover budget, so a patched evaluation cannot leak into
+    another test's check."""
+    integrals._crossover_agreement.cache_clear()
+    integrals._direct_at_crossover.clear()
+    yield
+    integrals._crossover_agreement.cache_clear()
+    integrals._direct_at_crossover.clear()
 
 
 @pytest.fixture(scope="session")

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from dataclasses import replace
 
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from ddmemory import (
     AccuracyError,
+    ConsistencyError,
     DEFAULT_CONFIG,
     DomainError,
     HARD,
@@ -184,6 +186,86 @@ class TestCombPath:
         plateau = chi_plateau_limit(base, gaas, bang_bang()).chi_total
         at_62500 = chi_repeated(base, 62500, gaas, bang_bang()).chi_total
         assert at_62500 == pytest.approx(plateau, rel=1e-3)
+
+
+class TestCrossoverReuse:
+    """The comb path's first crossover check takes the direct m0 budget that
+    chi_repeated has just computed, instead of integrating it again."""
+
+    M0 = DEFAULT_CONFIG.comb_crossover
+
+    @staticmethod
+    def _count_direct(monkeypatch):
+        calls = []
+        direct = integrals._chi_direct
+
+        def counting(*args):
+            calls.append(args[1])
+            return direct(*args)
+
+        monkeypatch.setattr(integrals, "_chi_direct", counting)
+        return calls
+
+    def test_direct_m0_then_comb_integrates_direct_once(self, gaas, monkeypatch):
+        calls = self._count_direct(monkeypatch)
+        chi_repeated(cdd(4, 1e-6), self.M0, gaas)
+        comb = chi_repeated(cdd(4, 1e-6), 62_500, gaas)
+        assert comb.comb_path and comb.comb_agreement is not None
+        assert calls == [self.M0]
+        assert not integrals._direct_at_crossover
+
+    def test_reused_check_gives_the_cold_budget(self, gaas):
+        p = cdd(4, 1e-6)
+        chi_repeated(p, self.M0, gaas)
+        reused = chi_repeated(p, 62_500, gaas)
+        integrals._crossover_agreement.cache_clear()
+        cold = chi_repeated(p, 62_500, gaas)
+        assert reused.comb_agreement == cold.comb_agreement
+        assert dataclasses.astuple(reused) == dataclasses.astuple(cold)
+
+    def test_direct_calls_always_integrate(self, gaas, monkeypatch):
+        calls = self._count_direct(monkeypatch)
+        first = chi_repeated(cdd(4, 1e-6), self.M0, gaas)
+        again = chi_repeated(cdd(4, 1e-6), self.M0, gaas)
+        assert calls == [self.M0, self.M0]
+        assert again == first
+
+    def test_without_validation_nothing_is_stored(self, gaas):
+        cfg = replace(DEFAULT_CONFIG, validate_crossover=False)
+        chi_repeated(cdd(4, 1e-6), self.M0, gaas, bang_bang(), cfg)
+        assert not integrals._direct_at_crossover
+
+    def test_store_keeps_the_newest_64(self, gaas, monkeypatch):
+        monkeypatch.setattr(integrals, "_chi_direct", lambda p, m, *rest: p.duration)
+        cfg = replace(DEFAULT_CONFIG, comb_crossover=16)
+        patterns = [echo((1 + k) * 1e-6) for k in range(80)]
+        for p in patterns:
+            chi_repeated(p, 16, gaas, bang_bang(), cfg)
+            assert len(integrals._direct_at_crossover) <= 64
+        kept = [key[0] for key in integrals._direct_at_crossover]
+        assert kept == patterns[-64:]
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "reused"])
+    def test_disagreement_still_raises(self, gaas, monkeypatch, warm):
+        comb = integrals._chi_comb
+
+        def off_by_a_fifth(*args):
+            budget = comb(*args)
+            return replace(budget, chi_total=1.2 * budget.chi_total)
+
+        p = cdd(4, 1e-6)
+        if warm:
+            direct = chi_repeated(p, self.M0, gaas).chi_total
+        else:
+            direct = integrals._chi_direct(p, self.M0, gaas, bang_bang(), DEFAULT_CONFIG).chi_total
+        calls = self._count_direct(monkeypatch)
+        monkeypatch.setattr(integrals, "_chi_comb", off_by_a_fifth)
+        with pytest.raises(ConsistencyError, match=r"disagree by 2\d\.\d% at the crossover m=10000") as info:
+            chi_repeated(p, 62_500, gaas)
+        assert calls == ([] if warm else [self.M0])
+        shifted = 1.2 * comb(p, self.M0, gaas, bang_bang(), DEFAULT_CONFIG).chi_total
+        assert info.value.estimate == shifted
+        assert info.value.error_bound == abs(shifted - direct)
 
 
 class TestDuring:

@@ -78,6 +78,11 @@ class TestEvaluate:
         with pytest.raises(DomainError):
             evaluate(_spec(), 0.0)
 
+    @pytest.mark.parametrize("omega", [math.nan, np.array([1e3, math.nan])], ids=["number", "array"])
+    def test_nan_omega_rejected(self, omega):
+        with pytest.raises(DomainError, match="omega > 0"):
+            evaluate(_spec(), omega)
+
     def test_extreme_gaussian_underflow_is_zero_not_nan(self):
         spec = _spec(rolloff=GAUSSIAN)
         val = evaluate(spec, spec.omega_c * 1e3)

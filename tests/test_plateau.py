@@ -26,6 +26,7 @@ from ddmemory import (
     plateau_report,
     primitive,
 )
+from ddmemory import plateau
 
 CDD4_COEFF = 3.0 * math.pi**6 / (5.0 * 2.0**25)
 
@@ -167,6 +168,17 @@ class TestJitter:
         dt = jitter_tolerance(p, 1000, gaas, budget_factor=2.0, rel_tol=1e-3)
         at_dt = chi_with_jitter(p, 1000, dt, gaas).chi_total
         assert at_dt == pytest.approx(budget, rel=5e-3)
+
+    def test_bisection_evaluates_each_delay_once(self, gaas, monkeypatch):
+        delays = []
+
+        def counting(p, m, delta_t, *args):
+            delays.append(delta_t)
+            return chi_with_jitter(p, m, delta_t, *args)
+
+        monkeypatch.setattr(plateau, "chi_with_jitter", counting)
+        jitter_tolerance(cdd(4, 1e-6), 1000, gaas, budget_factor=2.0)
+        assert len(delays) == len(set(delays))
 
     def test_infeasible_budget_rejected(self, gaas):
         with pytest.raises(DomainError):
