@@ -241,7 +241,10 @@ def _spectrum_opt(f):
 
 
 def _numeric_opts(f):
-    f = click.option("--comb-crossover", type=int, default=None, help="Repeat count where the comb path takes over.")(f)
+    f = click.option(
+        "--comb-crossover", type=int, default=None,
+        help=f"Repeat count above which the comb path takes over (default {DEFAULT_CONFIG.comb_crossover}).",
+    )(f)
     f = click.option("--rel-tol", type=float, default=None, help="Quadrature relative tolerance.")(f)
     return f
 

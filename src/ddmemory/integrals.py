@@ -18,13 +18,13 @@ by a log ladder, and the spectrum's cutoff is always a panel edge.
 For m above a configurable crossover the kernel is replaced by its
 exact period integral (weight 2 pi m/T_p at each resonance) plus the
 de-oscillated local average 1/(2 sin^2(w T_p/2)) and a symmetrized
-finite-part correction per resonance cell; the two evaluation paths
-are cross-checked at the crossover the first time the fast path is
-used for a given problem.  When chi_repeated has already evaluated the
-direct path at the crossover for that problem, the check reuses that
-result instead of integrating it again.  With m -> infinity the same
-comb walk, minus the masses that grow with m, is the plateau level
-chi_plateau_limit.
+finite-part correction per resonance cell, whose O(1/m^2) model error
+joins quad_error; the two evaluation paths are cross-checked at the
+crossover the first time the fast path is used for a given problem.
+When chi_repeated has already evaluated the direct path at the crossover
+for that problem, the check reuses that result instead of integrating it
+again.  With m -> infinity the same comb walk, minus the masses that grow
+with m, is the plateau level chi_plateau_limit.
 
 Every flavour builds its integrand with one rows factory: the ideal and
 total filter rows S F / omega^2, times an optional kernel (the Dirichlet
@@ -49,7 +49,7 @@ import numpy as np
 
 from .errors import AccuracyError, ConsistencyError, DomainError, require_count
 from .filters import dirichlet_factor
-from .noise import HARD, NoiseSpectrum, evaluate
+from .noise import GAUSSIAN, HARD, NoiseSpectrum, evaluate
 from .pulses import BANG_BANG, PulseShape, bang_bang, quadrature_components
 from .sequences import TimingPattern, repeat_pattern, truncate
 
@@ -124,12 +124,18 @@ class QuadratureConfig:
     max_panels         evaluation budget per integral
     comb_crossover     repeat count above which the resonance-comb path runs
     validate_crossover cross-check comb vs direct at the crossover once
+
+    The crossover is 1000 because there the comb path's O(1/m^2) model
+    error bound meets rel_tol = 1e-6 on the shipped presets (at most
+    8.8e-7 chi at m = 1001, for CDD4 with 1.26 us slots on gaas), while
+    the direct path resolves every kernel node and costs about m.  It was
+    10^4 while the comb path charged a coarse O(1/m) model error.
     """
 
     rel_tol: float = 1e-6
     abs_floor: float = 1e-18
     max_panels: int = 200_000
-    comb_crossover: int = 10_000
+    comb_crossover: int = 1_000
     validate_crossover: bool = True
 
     def __post_init__(self) -> None:
@@ -154,8 +160,9 @@ class ErrorBudget:
     DCG pulses do for UDD5 on gaas, and then chi_pul < 0.
     coherence = exp(-chi_total).  m is the repeat count of the evaluated
     pattern (None for asymptotic estimates).  quad_error bounds the
-    numerical error of chi_total; growth_per_repeat, comb_path and
-    comb_agreement are filled by the resonance-comb evaluation path.
+    numerical error of chi_total; on the resonance-comb path it includes
+    the model error of the de-oscillated kernel.  growth_per_repeat,
+    comb_path and comb_agreement are filled by that path.
     """
 
     chi_total: float
@@ -306,19 +313,22 @@ class _Walk:
         bound = self.err + self.tail(self.spec.omega_min)
         raise AccuracyError(msg + self.label, self.total, bound)
 
-    def add(self, at, rows: np.ndarray, err: float = 0.0) -> float:
-        """Add contributions at frequencies at; returns their row-0 sum."""
+    def add(self, at, rows: np.ndarray, err: float = 0.0) -> None:
+        """Add contributions at frequencies at."""
         self.at.append(np.atleast_1d(at))
         self.rows.append(np.reshape(rows, (2, -1)))
-        part = float(np.sum(self.rows[-1][0]))
-        self.total += part
+        self.total += float(np.sum(self.rows[-1][0]))
         self.err += err
-        return part
 
-    def region(self, rows_fn: RowsFn, edges: np.ndarray) -> float:
-        """Integrate rows_fn between edges, with the cutoff as an extra edge, and add it."""
+    def region(self, rows_fn: RowsFn, edges: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Integrate rows_fn between edges, with the cutoff as an extra edge, and add it.
+
+        Returns the panels' left edges and their row integrals (2, P).
+        """
         edges = _with_breakpoint(edges, self.spec.omega_c)
-        return self.add(*_adaptive_region(rows_fn, edges, self))
+        a, rows, err = _adaptive_region(rows_fn, edges, self)
+        self.add(a, rows, err)
+        return a, rows
 
     def stop(self, w: float) -> bool:
         """Whether the tail above w is negligible; if it is, it joins the error."""
@@ -582,7 +592,21 @@ def _chi_comb(
     Parts (a)+(b)+finite parts are the plateau value; the cell masses grow
     linearly in m (reported as growth_per_repeat).  With m=None the result
     is the m -> infinity plateau level: (b) starts at omega_min, and
-    neither (a), the cell masses nor the O(1/m) model error enter.
+    neither (a), the cell masses nor the model error enter.
+
+    Model error, O(1/m^2).  The kernel is (1 - cos(m T_p x))/(2 sin^2(x T_p/2)),
+    so (b) and the finite parts drop the integral of g cos(m T_p x), g their
+    integrand and x the frequency in (b), the distance from the resonance
+    in a cell.  Every region and cell edge is a node of sin(m T_p x), so
+    integrating by parts twice leaves g' cos(m T_p x) / (m T_p)^2 at the
+    edges plus the integral of g'' cos(m T_p x) / (m T_p)^2.  The edge
+    terms cancel where (b) meets cell 1 and each cell meets the next, and
+    the variation of g' bounds the integral; the bound is the signed sum
+    of the edge terms plus that variation, over (m T_p)^2.  Where h jumps
+    (a band edge among the de-oscillated parts) or kinks (a power-law
+    cutoff), the jump of g times |sin(m T_p w)| / (m T_p) and the jump of
+    g' over (m T_p)^2 are added.  Against bench/oracle.py the bound is
+    about twice the true error of CDD4 and UDD4 on gaas.
     """
     # the comb walk's tail envelope is m + 1 times the base one, twice it for m = None
     scale, base = (m + 1) if m is not None else 2, _filter_bound(p)
@@ -605,11 +629,15 @@ def _walk_comb(
         return 0.0
     h_rows = _ff_rows_factory(p, shape, spec)
     half_res = math.pi / t_p  # lower edge of the first resonance cell
+    mt = None if m is None else m * t_p
+    # model error terms (see _chi_comb): the signed edge terms g' cos(mt x)
+    # and the variation of g' within each de-oscillated part
+    ends = variation = 0.0
 
     # (a) exact kernel region: log ladder low down, node-aligned panels above
     deosc_start = w_lo
     if m is not None:
-        node = 2.0 * math.pi / (m * t_p)
+        node = 2.0 * math.pi / mt
         w_a = min(min(1024, max(8, int(0.45 * m))) * node, w_hi, half_res)
         if w_a > w_lo:
             kernel_rows = _ff_rows_factory(p, shape, spec, lambda w: dirichlet_factor(m, t_p, w))
@@ -618,23 +646,24 @@ def _walk_comb(
 
     # (b) de-oscillated average up to the first cell
     w_b = min(half_res, w_hi)
-    deosc_part = 0.0
     if w_b > deosc_start:
         n_geo = max(2, int(math.ceil(_LADDER_PER_DECADE * math.log10(w_b / deosc_start))))
         geo = np.geomspace(deosc_start, w_b, n_geo + 1)
         edges = np.unique(np.concatenate([geo, np.linspace(max(deosc_start, 0.5 * w_b), w_b, 17)]))
         deosc_rows = _ff_rows_factory(p, shape, spec, lambda w: 0.5 / np.sin(0.5 * t_p * w) ** 2)
-        deosc_part = walk.region(deosc_rows, edges)
+        a_b, rows_b = walk.region(deosc_rows, edges)
+        if mt is not None:
+            dx = 1e-6 * (w_b - deosc_start)
+            lo, hi = _slope(deosc_rows, deosc_start, dx), _slope(deosc_rows, w_b, -dx)
+            ends += lo * math.cos(mt * deosc_start) - hi * math.cos(mt * w_b)
+            variation += _slope_variation(a_b, rows_b[0], w_b, lo, hi)
 
     # (c) resonance cells above pi/T_p
     w1 = 2.0 * math.pi / t_p
     growth_rows = np.zeros(2)
-    pv_abs = 0.0
     k = 1
     while k * w1 - 0.5 * w1 < w_hi:
         w_k = k * w1
-        if w_k > w_hi + 0.5 * w1:
-            break
         # zero when the cell centre lies past the band
         h_k = h_rows(np.array([w_k]))[:, 0]
         growth_rows += w1 * h_k
@@ -658,11 +687,15 @@ def _walk_comb(
         for crossing in (w_k - spec.omega_c, spec.omega_c - w_k, w_hi - w_k, w_k - w_lo):
             if d_min < crossing < d_max:
                 edges = _with_breakpoint(edges, crossing)
-        _, rows_i, err_i = _adaptive_region(pv_rows, edges, walk)
+        a_i, rows_i, err_i = _adaptive_region(pv_rows, edges, walk)
         patch = pv_rows(np.array([d_min]))[:, 0] * d_min
         # a cell centred past the band draws only on its lower half
         walk.add(w_k if w_k <= w_hi else w_k - 0.5 * w1, rows_i.sum(axis=1) + patch, err_i)
-        pv_abs += float(np.abs(rows_i[0]).sum()) + abs(float(patch[0]))
+        if mt is not None:
+            # the folded finite part is even in delta, so its slope at 0 vanishes
+            hi = _slope(pv_rows, d_max, -1e-6 * w1)
+            ends -= hi * math.cos(mt * d_max)
+            variation += _slope_variation(a_i, rows_i[0], d_max, 0.0, hi)
 
         k += 1
         if k > 65536:
@@ -670,10 +703,52 @@ def _walk_comb(
         if walk.stop((k - 0.5) * w1):
             break
 
-    if m is not None:
-        # de-oscillation model error is O(1/m) of the averaged parts
-        walk.err += (4.0 / m) * (abs(deosc_part) + pv_abs)
+    if mt is not None:
+        # h jumps at a band edge and kinks at a power-law cutoff; each one
+        # inside the de-oscillated parts adds its own terms
+        top = min(w_hi, (k - 0.5) * w1)
+        breaks = {w_hi} if spec.rolloff == GAUSSIAN else {w_hi, spec.omega_c}
+        breaks = [w for w in sorted(breaks) if deosc_start < w <= top]
+        if deosc_start == w_lo:
+            breaks.append(w_lo)
+        walk.err += sum(_break_bound(h_rows, w, t_p, mt) for w in breaks)
+        walk.err += (abs(ends) + variation) / mt**2
     return float(growth_rows[0])
+
+
+def _slope(rows_fn: RowsFn, x: float, dx: float) -> float:
+    """One-sided difference of row 0 of rows_fn at x, toward x + dx."""
+    v = rows_fn(np.array([x, x + dx]))[0]
+    return float(v[1] - v[0]) / dx
+
+
+def _slope_variation(
+    a: np.ndarray, integrals: np.ndarray, end: float, slope_lo: float, slope_hi: float
+) -> float:
+    """Variation of g' over the panels [a_i, a_i+1], ..., [a_-1, end], given g's panel integrals.
+
+    The integrals give g's mean on each panel; the slopes between
+    neighbouring means, with the end slopes, measure the variation without
+    evaluating g again.
+    """
+    b = np.append(a[1:], end)
+    means = integrals / (b - a)
+    slopes = np.concatenate(([slope_lo], np.diff(means) / np.diff(0.5 * (a + b)), [slope_hi]))
+    return float(np.abs(np.diff(slopes)).sum())
+
+
+def _break_bound(h_rows: RowsFn, w: float, t_p: float, mt: float) -> float:
+    """Model error where h jumps or kinks at w, which need not be a kernel node.
+
+    Integrating g cos(mt x) by parts across w leaves the jump of
+    g = h/(2 sin^2(w T_p/2)) times sin(mt w)/mt, and the jump of g' times
+    cos(mt w)/mt^2, charged here at |cos| = 1.
+    """
+    d = 1e-6 * w
+    x = w + d * np.array([-2.0, -1.0, 1.0, 2.0])
+    g = h_rows(x)[0] * 0.5 / np.sin(0.5 * t_p * x) ** 2
+    kink = (g[3] - g[2] - g[1] + g[0]) / d
+    return abs((g[2] - g[1]) * math.sin(mt * w)) / mt + abs(kink) / mt**2
 
 
 def chi_plateau_limit(

@@ -224,11 +224,14 @@ def _join(
         if gridded:
             bounds.extend(n_slots + b for b in block.grid[1])
             n_slots += block.grid[0]
-    grid = None
-    # the joined grid holds only where the joined times sit on it (equal slot widths)
-    if gridded and _on_grid(times, duration, (n_slots, bounds)):
-        grid = (n_slots, tuple(bounds))
-    return TimingPattern(tuple(times), duration, label, grid=grid)
+    if gridded:
+        # the joined grid holds only where the joined times sit on it (equal
+        # slot widths); the pattern's own grid check is the one pass that tells
+        try:
+            return TimingPattern(tuple(times), duration, label, grid=(n_slots, tuple(bounds)))
+        except DomainError:
+            pass
+    return TimingPattern(tuple(times), duration, label)
 
 
 def concat(p1: TimingPattern, p2: TimingPattern) -> TimingPattern:

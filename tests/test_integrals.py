@@ -260,7 +260,7 @@ class TestCrossoverReuse:
             direct = integrals._chi_direct(p, self.M0, gaas, bang_bang(), DEFAULT_CONFIG).chi_total
         calls = self._count_direct(monkeypatch)
         monkeypatch.setattr(integrals, "_chi_comb", off_by_a_fifth)
-        with pytest.raises(ConsistencyError, match=r"disagree by 2\d\.\d% at the crossover m=10000") as info:
+        with pytest.raises(ConsistencyError, match=rf"disagree by 2\d\.\d% at the crossover m={self.M0} ") as info:
             chi_repeated(p, 62_500, gaas)
         assert calls == ([] if warm else [self.M0])
         shifted = 1.2 * comb(p, self.M0, gaas, bang_bang(), DEFAULT_CONFIG).chi_total

@@ -8,7 +8,9 @@ the comb path's growth per repeat must match the reference's resonance sum.
 Where the walk stops before every resonance with weight (slow power-law
 tails, or resonances far past a Gaussian cutoff) the growth is checked
 through the repeated chi instead: m times its gap from the resonance sum
-must fit the error budget of chi at that m.
+must fit the error budget of chi at that m.  Past the crossover the comb
+path's quad_error, de-oscillation model error included, must bound its
+gap from the reference and meet rel_tol.
 """
 
 import sys
@@ -139,3 +141,31 @@ def test_comb_growth_fits_the_error_budget(name, spec_name):
         want = oracle.growth_ref(ref_p, spec, shape)
         gap = m * abs(b.growth_per_repeat - want)
         assert gap <= max(b.quad_error, cfg.rel_tol * b.chi_total), shape_name
+
+
+# the comb path just past the crossover and at m = 1e4, where the direct path
+# took over before: CDD4 across the benchmark's slot widths, where the
+# de-oscillation error is largest relative to chi (most at 1.26 us), UDD4,
+# and W37@64, whose chi the resonance masses carry
+COMB_PATTERNS = {
+    **{
+        f"cdd4_{x}us": (cdd(4, x * TAU), oracle.cdd_pattern(4, x * TAU), SHAPES)
+        for x in (0.6, 1.0, 1.26, 1.4)
+    },
+    "udd4": PATTERNS["udd4"] + ({"bb": SHAPES["bb"]},),
+    "w37_64": PATTERNS["w37_64"] + ({"bb": SHAPES["bb"]},),
+}
+
+
+@pytest.mark.parametrize("m", [DEFAULT_CONFIG.comb_crossover + 1, 10**4])
+@pytest.mark.parametrize("name", sorted(COMB_PATTERNS))
+def test_comb_error_bound_holds_and_meets_rel_tol(name, m):
+    p, ref_p, shapes = COMB_PATTERNS[name]
+    refs = oracle.chi_refs(ref_p, _GAAS, tuple(shapes.values()), m)
+    for (shape_name, shape), ref in zip(shapes.items(), refs):
+        b = chi_repeated(p, m, _GAAS, shape)
+        assert b.comb_path, shape_name
+        assert abs(b.chi_total - ref.value) <= b.quad_error + ref.error, (
+            f"{shape_name}: chi {b.chi_total!r} +- {b.quad_error!r} vs reference {ref.value!r}"
+        )
+        assert b.quad_error <= DEFAULT_CONFIG.rel_tol * b.chi_total, shape_name

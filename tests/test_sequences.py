@@ -291,3 +291,18 @@ class TestGrid:
     def test_concat_of_unequal_slots_drops_the_grid(self):
         assert concat(cdd(2, 1e-6), cdd(2, 2e-6)).grid is None
         assert concat(cdd(2, 1e-6), cdd(2, 1e-6)).grid == (8, (1, 3, 5, 7))
+
+    def test_a_join_checks_its_grid_once(self, monkeypatch):
+        from ddmemory import sequences
+
+        base = cdd(4, 1e-6)
+        calls = []
+        on_grid = sequences._on_grid
+
+        def counted(times, duration, grid):
+            calls.append(grid[0])
+            return on_grid(times, duration, grid)
+
+        monkeypatch.setattr(sequences, "_on_grid", counted)
+        assert repeat_pattern(base, 1000).grid[0] == 16_000
+        assert calls == [16_000]
