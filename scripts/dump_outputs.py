@@ -37,6 +37,7 @@ from ddmemory import (  # noqa: E402
     load_preset,
     m_max_soft_detail,
     plateau_report,
+    udd,
     walsh,
 )
 from ddmemory.cli import main as cli_main  # noqa: E402
@@ -73,6 +74,13 @@ def _calls():
     )
     yield "chi_with_jitter/bb", lambda: chi_with_jitter(p, 1000, 1e-7, gaas)
     yield "chi_with_jitter/dcg_10ns", lambda: chi_with_jitter(p, 1000, 1e-7, gaas, dcg3(1e-8))
+    # an odd base with finite pulses: junction pulses through the repetition factor
+    u5 = udd(5, 16e-6)
+    for m in (8, 64, 1000):
+        yield f"chi_repeated/udd5/dcg_10ns/{m}", lambda m=m: chi_repeated(u5, m, gaas, dcg3(1e-8))
+    yield "chi_with_jitter/udd5/dcg_10ns", lambda: chi_with_jitter(
+        u5, 1000, 1e-12, gaas, dcg3(1e-8)
+    )
     r18 = replace(gaas, rolloff=PowerLaw(18.0))
     yield "m_max_soft_detail/r18", lambda: m_max_soft_detail(p, r18)
     small = replace(DEFAULT_CONFIG, max_panels=64, validate_crossover=False)

@@ -27,8 +27,8 @@ again.  With m -> infinity the same comb walk, minus the masses that grow
 with m, is the plateau level chi_plateau_limit.
 
 Every flavour builds its integrand with one rows factory: the ideal and
-total filter rows S F / omega^2, times an optional kernel (the Dirichlet
-factor or the de-oscillated 1/(2 sin^2(omega T_p/2))).  Every integral,
+total rows S F / omega^2 of m repeats and a read delay, times an optional
+kernel (the de-oscillated 1/(2 sin^2(omega T_p/2))).  Every integral,
 direct or comb, is one walk up the band, whose panel budget,
 contributions, error, tail stop and failure live in one _Walk, and one
 assembler turns the per-region totals into an ErrorBudget.  Panel
@@ -48,10 +48,10 @@ from typing import Callable, List, NoReturn, Optional, Tuple
 import numpy as np
 
 from .errors import AccuracyError, ConsistencyError, DomainError, require_count
-from .filters import dirichlet_factor
+from .filters import dirichlet_factor, dirichlet_ratio
 from .noise import GAUSSIAN, HARD, NoiseSpectrum, evaluate
-from .pulses import BANG_BANG, PulseShape, bang_bang, quadrature_components
-from .sequences import TimingPattern, repeat_pattern, truncate
+from .pulses import BANG_BANG, PulseShape, _unit_pulse_terms, bang_bang, quadrature_components
+from .sequences import TimingPattern, truncate
 
 __all__ = [
     "QuadratureConfig",
@@ -110,7 +110,6 @@ _LADDER_PER_DECADE = 8
 _WALK_BLOCK_LOBES = 1024
 _TAIL_SHARE = 0.25  # of rel_tol, spent on the truncated tail
 _MAX_REFINE_ROUNDS = 60
-_EXPLICIT_REPEAT_LIMIT = 64  # odd finite-pulse bases: build the pattern outright
 
 RowsFn = Callable[[np.ndarray], np.ndarray]
 
@@ -383,21 +382,49 @@ def _integrate_band(
 
 
 def _ff_rows_factory(
-    p: TimingPattern, shape: PulseShape, spec: NoiseSpectrum, kernel: Optional[RowsFn] = None
+    p: TimingPattern,
+    shape: PulseShape,
+    spec: NoiseSpectrum,
+    m: int = 1,
+    delay: Optional[float] = None,
+    kernel: Optional[RowsFn] = None,
 ) -> RowsFn:
-    """Rows [S*F_total/w^2, S*F_ideal/w^2], each times kernel(w) when one is given."""
+    """Rows [S*F_total/w^2, S*F_ideal/w^2] of p repeated m times, then an unrefocused delay.
+
+    With G = e^{i(m-1)theta} sin(m theta)/sin(theta), theta = w T_p/2, and b, c_y what
+    one pulse of phasor 1 adds, the junction pulses of an odd base make
+    r_z = G (omega*y_p + dz) + b (G - 1) and r_y = G r_y_p + c_y (G - 1); a delay
+    adds end_sign e^{i w m T_p} (1 - e^{i w delay}) to r_z.  Without either, the
+    rows are the base rows times |G|^2.  A given kernel(w) multiplies both rows.
+    """
+    t_p = p.duration
 
     def rows(w: np.ndarray) -> np.ndarray:
         base, dz, ry = quadrature_components(p, shape, w)
-        f_bb = np.abs(base) ** 2
-        if dz is None:
-            f_total = f_bb
-        else:
-            f_total = np.abs(base + dz) ** 2 + np.abs(ry) ** 2
         weight = evaluate(spec, w) / w**2
         if kernel is not None:
             weight = weight * kernel(w)
-        return np.stack([f_total * weight, f_bb * weight])
+        junction = m > 1 and dz is not None and p.end_sign < 0
+        if delay is None and not junction:
+            f_bb = np.abs(base) ** 2
+            f_total = f_bb if dz is None else np.abs(base + dz) ** 2 + np.abs(ry) ** 2
+            if m > 1:
+                weight = weight * dirichlet_factor(m, t_p, w)
+            return np.stack([f_total * weight, f_bb * weight])
+        theta = 0.5 * t_p * w
+        ratio = dirichlet_ratio(m, theta)
+        g_rep = np.exp(1j * (m - 1) * theta) * ratio
+        rz = base if dz is None else base + dz
+        rz = g_rep * rz  # g_rep * (base + dz) rounds differently: numpy reuses the temporary
+        if junction:
+            b, c_y = _unit_pulse_terms(shape, w)
+            rz = rz + b * (g_rep - 1.0)
+            f_y = np.abs(g_rep * ry + c_y * (g_rep - 1.0)) ** 2
+        else:
+            f_y = 0.0 if ry is None else ratio**2 * np.abs(ry) ** 2
+        if delay is not None:
+            rz = rz + p.end_sign * np.exp(1j * w * (m * t_p)) * (1.0 - np.exp(1j * w * delay))
+        return np.stack([(np.abs(rz) ** 2 + f_y) * weight, ratio**2 * np.abs(base) ** 2 * weight])
 
     return rows
 
@@ -494,32 +521,28 @@ def chi_repeated(
     crossover integrates the direct path there only once.
 
     A base pattern with odd pulse count restarts each repeat with a junction
-    pulse, which breaks the kernel factorization for finite-width pulses;
-    such cases are evaluated by explicit construction for small m and
-    rejected beyond that.
+    pulse.  With finite-width pulses the direct path takes those through the
+    same geometric factor (see _ff_rows_factory); beyond comb_crossover they
+    raise DomainError, as the comb path lacks the junction cross term.
     """
     require_count("repeat count", m)
     shape = shape or bang_bang()
     cfg = config or DEFAULT_CONFIG
     if m == 1:
         return chi(p, spec, shape, cfg)
-    odd = p.n_pulses % 2 == 1
-    if odd and shape.kind != BANG_BANG:
-        if m <= _EXPLICIT_REPEAT_LIMIT:
-            budget = chi(repeat_pattern(p, m), spec, shape, cfg)
-            return replace(budget, m=m)
-        raise DomainError(
-            f"pattern {p.label!r} has odd pulse count; with finite-width pulses "
-            f"the repetition kernel does not factorize, and m={m} exceeds the "
-            f"explicit-construction limit {_EXPLICIT_REPEAT_LIMIT}"
-        )
+    comb_ready = p.end_sign > 0 or shape.kind == BANG_BANG
     if m <= cfg.comb_crossover:
         budget = _chi_direct(p, m, spec, shape, cfg)
-        if m == cfg.comb_crossover and cfg.validate_crossover:
+        if m == cfg.comb_crossover and cfg.validate_crossover and comb_ready:
             _direct_at_crossover[(p, spec, shape, cfg)] = budget
             if len(_direct_at_crossover) > _CROSSOVER_STORE:
                 _direct_at_crossover.popitem(last=False)
         return budget
+    if not comb_ready:
+        raise DomainError(
+            f"pattern {p.label!r} has odd pulse count; with finite-width pulses the "
+            f"comb path does not apply, and m={m} exceeds comb_crossover={cfg.comb_crossover}"
+        )
     agreement: Optional[float] = None
     if cfg.validate_crossover:
         agreement = _crossover_agreement(p, spec, shape, cfg)
@@ -534,8 +557,7 @@ def _chi_direct(
     shape: PulseShape,
     cfg: QuadratureConfig,
 ) -> ErrorBudget:
-    kernel = None if m == 1 else lambda w: dirichlet_factor(m, p.duration, w)
-    rows = _ff_rows_factory(p, shape, spec, kernel)
+    rows = _ff_rows_factory(p, shape, spec, m)
     # the kernel integrates to 2 pi m / T_p per period, so an m-linear
     # envelope certifies the tail: F*D <= per-period mass * base bound
     walk = _integrate_band(rows, spec, m * p.duration, _filter_bound(p) * m, cfg, _label(p, m))
@@ -640,7 +662,7 @@ def _walk_comb(
         node = 2.0 * math.pi / mt
         w_a = min(min(1024, max(8, int(0.45 * m))) * node, w_hi, half_res)
         if w_a > w_lo:
-            kernel_rows = _ff_rows_factory(p, shape, spec, lambda w: dirichlet_factor(m, t_p, w))
+            kernel_rows = _ff_rows_factory(p, shape, spec, m)
             walk.region(kernel_rows, _ladder_and_lobes(w_lo, w_a, 0.5 * node))
             deosc_start = w_a
 
@@ -650,11 +672,11 @@ def _walk_comb(
         n_geo = max(2, int(math.ceil(_LADDER_PER_DECADE * math.log10(w_b / deosc_start))))
         geo = np.geomspace(deosc_start, w_b, n_geo + 1)
         edges = np.unique(np.concatenate([geo, np.linspace(max(deosc_start, 0.5 * w_b), w_b, 17)]))
-        deosc_rows = _ff_rows_factory(p, shape, spec, lambda w: 0.5 / np.sin(0.5 * t_p * w) ** 2)
-        a_b, rows_b = walk.region(deosc_rows, edges)
+        deosc = _ff_rows_factory(p, shape, spec, kernel=lambda w: 0.5 / np.sin(0.5 * t_p * w) ** 2)
+        a_b, rows_b = walk.region(deosc, edges)
         if mt is not None:
             dx = 1e-6 * (w_b - deosc_start)
-            lo, hi = _slope(deosc_rows, deosc_start, dx), _slope(deosc_rows, w_b, -dx)
+            lo, hi = _slope(deosc, deosc_start, dx), _slope(deosc, w_b, -dx)
             ends += lo * math.cos(mt * deosc_start) - hi * math.cos(mt * w_b)
             variation += _slope_variation(a_b, rows_b[0], w_b, lo, hi)
 

@@ -32,17 +32,18 @@ from typing import Dict, NamedTuple, Optional
 import numpy as np
 
 from .errors import DivergenceError, DomainError, require_count, require_positive
-from .filters import dirichlet_ratio, passband_max, suppression_order
+from .filters import passband_max, suppression_order
 from .integrals import (
     ErrorBudget,
     QuadratureConfig,
     _assemble,
+    _ff_rows_factory,
     _filter_bound,
     chi_plateau_limit,
     integrate_rows,
 )
 from .noise import HARD, NoiseSpectrum, PowerLaw, evaluate
-from .pulses import BANG_BANG, PulseShape, bang_bang, pulse_order, quadrature_components
+from .pulses import BANG_BANG, PulseShape, bang_bang, pulse_order
 from .sequences import TimingPattern
 
 __all__ = [
@@ -275,38 +276,19 @@ def chi_with_jitter(
     """Error of m repeats followed by an unrefocused read delay delta_t.
 
     The switching function of the delay appends coherently:
-    r_total = G_m r_p + e^(i omega m T_p) (1 - e^(i omega delta_t)) with
-    G_m the geometric repetition factor.  chi_bb reports the delta_t = 0
-    ideal-pulse value, so chi_pul carries pulse width and jitter excess
-    together.
+    r_z = G_m r_z_p + end_sign e^(i omega m T_p) (1 - e^(i omega delta_t))
+    with G_m the geometric repetition factor; an odd base adds its junction
+    pulses through the same factor (see integrals._ff_rows_factory).
+    chi_bb reports the delta_t = 0 ideal-pulse value, so chi_pul carries
+    pulse width and jitter excess together.
     """
     require_count("repeat count", m)
     if not (math.isfinite(delta_t) and delta_t >= 0.0):
         raise DomainError(f"read delay delta_t must be finite and nonnegative, got {delta_t}")
-    shape = shape or bang_bang()
-    if p.n_pulses % 2 == 1 and shape.kind != BANG_BANG:
-        raise DomainError(
-            f"pattern {p.label!r} has odd pulse count; the repetition factor "
-            "does not apply with finite-width pulses"
-        )
-    t_p = p.duration
-
-    def rows(w: np.ndarray) -> np.ndarray:
-        base, dz, ry = quadrature_components(p, shape, w)
-        rz = base if dz is None else base + dz
-        theta = 0.5 * t_p * w
-        ratio = dirichlet_ratio(m, theta)
-        g_rep = np.exp(1j * (m - 1) * theta) * ratio
-        jit = np.exp(1j * w * (m * t_p)) * (1.0 - np.exp(1j * w * delta_t))
-        f_tot = np.abs(g_rep * rz + jit) ** 2
-        if ry is not None:
-            f_tot = f_tot + ratio**2 * np.abs(ry) ** 2
-        weight = evaluate(spec, w) / w**2
-        return np.stack([f_tot * weight, ratio**2 * np.abs(base) ** 2 * weight])
-
+    rows = _ff_rows_factory(p, shape or bang_bang(), spec, m, delta_t)
     # the bang-bang bound 2 (n+1) per repeat plus 2 for the delay phasor, squared and doubled
     bound = 2 * (math.sqrt(_filter_bound(p)) * m + 2) ** 2
-    low, high, err = integrate_rows(rows, spec, m * t_p + delta_t, bound, config)
+    low, high, err = integrate_rows(rows, spec, m * p.duration + delta_t, bound, config)
     return _assemble(low, high, err, m=m)
 
 

@@ -198,17 +198,22 @@ def _pulse_phasor(p: TimingPattern, omega: np.ndarray, base: np.ndarray) -> np.n
     return 0.5 * base + np.exp(1j * half_t) * edge
 
 
+def _unit_pulse_terms(shape: PulseShape, omega: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(b, c_y), what one pulse of phasor 1 adds to (r_z, r_y); u_p scales them per pattern."""
+    rz_pul, ry_pul = pulse_quadratures(shape, omega)
+    half = np.exp(-0.5j * shape.tau_pi * omega)
+    # 2 cos(w tau/2) - 2 written as -4 sin^2(w tau/4) to keep the small-w
+    # cancellation exact
+    return -4.0 * np.sin(0.25 * shape.tau_pi * omega) ** 2 - half * rz_pul, -half * ry_pul
+
+
 def _pulse_terms(
     p: TimingPattern, shape: PulseShape, omega: np.ndarray, base: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Additive pulse-induced parts (r_z - base, r_y), with base = omega*y_tilde."""
     u_p = _pulse_phasor(p, omega, base)
-    rz_pul, ry_pul = pulse_quadratures(shape, omega)
-    half = np.exp(-0.5j * shape.tau_pi * omega)
-    # 2 cos(w tau/2) - 2 written as -4 sin^2(w tau/4) to keep the small-w
-    # cancellation exact
-    bracket = -4.0 * np.sin(0.25 * shape.tau_pi * omega) ** 2 - half * rz_pul
-    return bracket * u_p, -half * ry_pul * u_p
+    b, c_y = _unit_pulse_terms(shape, omega)
+    return b * u_p, c_y * u_p
 
 
 def quadrature_components(

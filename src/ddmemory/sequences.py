@@ -5,9 +5,9 @@ sequence of duration T_p. The switching function y(t) starts at +1 and
 flips sign at every pulse. Joining two patterns restarts the second
 block's switching at +1, which inserts a junction pulse whenever the
 first block ends on -1 (odd pulse count); this is the convention under
-which y_join(omega) = y1 + exp(i*omega*T1)*y2 holds identically and
-m-fold repetition reproduces the Dirichlet-kernel error formula for
-every base block, even- or odd-ending.
+which y_join(omega) = y1 + exp(i*omega*T1)*y2 holds identically.  So the
+bang-bang filter of m repeats is the Dirichlet kernel times the base
+filter for any block; finite-width junction pulses add a cross term.
 
 Patterns built on a uniform slot grid carry the integer slot boundaries
 so downstream filter evaluation can use exact small-frequency series

@@ -57,7 +57,7 @@ class DetectedStructure:
     kernel_chi is the repetition-kernel evaluation of the same pattern;
     kernel_agreement its relative gap from the full-length integral.
     Both are None when the kernel route is unavailable (odd-count base
-    with finite-width pulses).
+    with finite-width pulses, repeated more than comb_crossover times).
     """
 
     base: TimingPattern

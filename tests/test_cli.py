@@ -133,11 +133,11 @@ class TestExitCodes:
         assert "rel_tol" in err
 
     def test_domain_error_from_module_is_three(self, capsys):
-        # odd pulse count with finite widths cannot use the kernel at large m
+        # odd pulse count with finite widths has no comb path past the crossover
         code, _, err = _run(
             capsys,
             ["error", "--sequence", "echo", "--tau", "1e-6", "--spectrum", "gaas",
-             "--pulse", "primitive:1e-9", "--repeat", "100"],
+             "--pulse", "primitive:1e-9", "--repeat", "1001"],
         )
         assert code == 3
 

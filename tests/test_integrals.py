@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ddmemory import (
@@ -145,29 +145,37 @@ class TestRepetitionKernel:
         assert via_kernel == pytest.approx(via_explicit, rel=1e-8)
 
     @given(
-        bounds=st.sets(st.integers(1, 15), min_size=2).map(sorted),
+        bounds=st.sets(st.integers(1, 15), min_size=1).map(sorted),
         m=st.integers(2, 8),
         shape=st.sampled_from((primitive(1e-9), dcg3(1e-8))),
     )
+    @example(bounds=[8], m=4, shape=primitive(1e-9))  # an echo
     @settings(max_examples=12, deadline=None)
     def test_finite_width_kernel_equals_explicit_for_grid_patterns(self, gaas, bounds, m, shape):
-        # an even pulse count keeps the toggling frame periodic, so the kernel applies
-        bounds = tuple(bounds[: len(bounds) // 2 * 2])
+        # an odd pulse count adds a junction pulse at every copy boundary,
+        # which the repetition factor carries at the phasor level
+        bounds = tuple(bounds)
         base = TimingPattern(tuple(b * 1e-6 for b in bounds), 16e-6, "grid", grid=(16, bounds))
         via_kernel = chi_repeated(base, m, gaas, shape).chi_total
         via_explicit = chi(repeat_pattern(base, m), gaas, shape).chi_total
         assert via_kernel == pytest.approx(via_explicit, rel=1e-6)
 
-    def test_finite_width_odd_base_small_m_falls_back(self, gaas):
-        base = echo(2e-6)
-        shape = primitive(1e-9)
-        via_kernel = chi_repeated(base, 4, gaas, shape).chi_total
-        via_explicit = chi(repeat_pattern(base, 4), gaas, shape).chi_total
-        assert via_kernel == pytest.approx(via_explicit, rel=1e-8)
+    @pytest.mark.parametrize("shape", [primitive(1e-9), dcg3(1e-8)], ids=["primitive", "dcg"])
+    def test_finite_width_odd_base_large_power_of_two_repeat(self, gaas, shape):
+        # CDD3 has 5 pulses; its power-of-two repeat is a Walsh pattern,
+        # whose product transform keeps the explicit evaluation cheap
+        base = cdd(3, 1e-6)
+        via_kernel = chi_repeated(base, 512, gaas, shape).chi_total
+        via_explicit = chi(repeat_pattern(base, 512), gaas, shape).chi_total
+        assert via_kernel == pytest.approx(via_explicit, rel=1e-9)
 
     def test_finite_width_odd_base_large_m_rejected(self, gaas):
-        with pytest.raises(DomainError):
-            chi_repeated(echo(2e-6), 100, gaas, primitive(1e-9))
+        m0 = DEFAULT_CONFIG.comb_crossover
+        with pytest.raises(DomainError, match="odd pulse count"):
+            chi_repeated(echo(2e-6), m0 + 1, gaas, primitive(1e-9))
+        # no comb call could take up a direct budget at the crossover
+        chi_repeated(echo(2e-6), m0, gaas, primitive(1e-9))
+        assert not integrals._direct_at_crossover
 
 
 class TestCombPath:

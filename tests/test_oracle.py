@@ -95,8 +95,10 @@ BUDGET_GROWTH = [
 
 
 def _shapes(name: str, m: int) -> dict:
-    # an odd pulse count has no repetition kernel with finite-width pulses,
-    # and a pattern without pulses has nothing for a pulse shape to change
+    # the reference's Dirichlet kernel does not model the junction pulses of
+    # an odd pulse count, which finite-width pulses feel (the tiled reference
+    # below covers those), and a pattern without pulses has nothing for a
+    # pulse shape to change
     n = PATTERNS[name][0].n_pulses
     if n == 0 or (m > 1 and n % 2):
         return {"bb": SHAPES["bb"]}
@@ -169,3 +171,25 @@ def test_comb_error_bound_holds_and_meets_rel_tol(name, m):
             f"{shape_name}: chi {b.chi_total!r} +- {b.quad_error!r} vs reference {ref.value!r}"
         )
         assert b.quad_error <= DEFAULT_CONFIG.rel_tol * b.chi_total, shape_name
+
+
+def _tiled(ref_p: oracle.Pattern, m: int) -> oracle.Pattern:
+    """m copies of an odd-count reference pattern, a junction pulse at each boundary j T_p."""
+    t_p = ref_p.duration
+    times = [t_p * j + t for j in range(m) for t in ((0.0,) if j else ()) + ref_p.times]
+    return oracle.Pattern(tuple(times), m * t_p)
+
+
+@pytest.mark.parametrize("m", [8, 64])
+@pytest.mark.parametrize("name", ["echo", "udd5"])
+def test_odd_base_repeat_matches_tiled_reference(name, m):
+    # finite-width pulses on an odd base: the library's phasor-level
+    # repetition factor against the explicitly tiled pattern
+    p, ref_p = PATTERNS[name]
+    shapes = {k: SHAPES[k] for k in ("primitive_1ns", "dcg_10ns")}
+    refs = oracle.chi_refs(_tiled(ref_p, m), _GAAS, tuple(shapes.values()))
+    for (shape_name, shape), ref in zip(shapes.items(), refs):
+        b = chi_repeated(p, m, _GAAS, shape)
+        assert oracle.within(b.chi_total, b.quad_error, DEFAULT_CONFIG.rel_tol, ref), (
+            f"{shape_name}: chi {b.chi_total!r} vs reference {ref.value!r} +- {ref.error!r}"
+        )

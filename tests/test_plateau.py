@@ -8,9 +8,11 @@ from ddmemory import (
     DomainError,
     HARD,
     PowerLaw,
+    TimingPattern,
     bang_bang,
     cdd,
     check_conditions,
+    chi,
     chi_asymptotic,
     chi_infinity_leading_order,
     chi_plateau_limit,
@@ -25,6 +27,8 @@ from ddmemory import (
     markovian_limit,
     plateau_report,
     primitive,
+    repeat_pattern,
+    udd,
 )
 from ddmemory import plateau
 
@@ -184,9 +188,26 @@ class TestJitter:
         with pytest.raises(DomainError):
             jitter_tolerance(cdd(4, 1e-6), 1000, gaas, budget_factor=1.0)
 
-    def test_odd_base_with_finite_pulses_rejected(self, gaas):
-        with pytest.raises(DomainError):
-            chi_with_jitter(echo(2e-6), 100, 1e-12, gaas, primitive(1e-9))
+    @pytest.mark.parametrize(
+        "p, shape",
+        [
+            (echo(2e-6), bang_bang()),
+            (echo(2e-6), primitive(1e-9)),
+            (echo(2e-6), dcg3(1e-8)),
+            (udd(5, 16e-6), primitive(1e-9)),
+        ],
+        ids=["echo-bb", "echo-primitive", "echo-dcg", "udd5-primitive"],
+    )
+    def test_odd_base_delay_equals_explicit_pattern(self, gaas, p, shape):
+        # junction pulses between the copies, and the delay continues the last
+        # copy's sign, which is -1 for an odd base; primitive pulses carry
+        # about a third of echo's chi here and nearly all of UDD5's, and the
+        # junctions' z term moves echo's chi with DCG pulses by 1e-4
+        m, delta_t = 16, 1e-10
+        q = repeat_pattern(p, m)
+        explicit = TimingPattern(q.pulse_times, q.duration + delta_t, "explicit")
+        got = chi_with_jitter(p, m, delta_t, gaas, shape).chi_total
+        assert got == pytest.approx(chi(explicit, gaas, shape).chi_total, rel=1e-6)
 
     @pytest.mark.parametrize("factor", [math.nan, math.inf, 0.0])
     def test_bad_budget_factor_is_named(self, gaas, factor):
