@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .errors import DDMemoryError
-from .integrals import DEFAULT_CONFIG, QuadratureConfig, chi, chi_during, chi_repeated
+from .integrals import DEFAULT_CONFIG, QuadratureConfig, chi_during, chi_repeated
 from .noise import NoiseSpectrum, calibrate_strength, load_preset, spectrum_to_json
 from .plateau import plateau_report
 from .pulses import BANG_BANG, PulseShape, bang_bang, dcg3, primitive, quadrature_components
@@ -299,10 +299,10 @@ def ff_cmd(sequence, tau, duration, pulse, repeat, points, omega_min, omega_max,
     values = [grid, ff_ideal, ff_ideal, base.real, base.imag]
     if shape.kind != BANG_BANG:
         rz, ry = (base, np.zeros_like(base)) if dz is None else (base + dz, ry)
-        values[1] = np.abs(rz) ** 2 + np.abs(ry) ** 2
+        rz_sq, ry_sq = np.abs(rz) ** 2, np.abs(ry) ** 2
+        values[1] = rz_sq + ry_sq
         columns += ["rz_sq", "ry_sq"]
-        # Python's complex abs, not numpy's: the columns keep their last bits
-        values += [[abs(z) ** 2 for z in rz], [abs(y) ** 2 for y in ry]]
+        values += [rz_sq, ry_sq]
     rows = [tuple(float(v) for v in row) for row in zip(*values)]
     emit_table(doc, columns, rows, fmt, output)
 
@@ -320,7 +320,7 @@ def error_cmd(sequence, tau, duration, pulse, spectrum, repeat, rel_tol, comb_cr
     p, shape, spec, config = _problem(sequence, tau, duration, pulse, spectrum, rel_tol, comb_crossover)
     if repeat < 1:
         raise _usage("--repeat", f"must be >= 1, got {repeat}")
-    budget = chi_repeated(p, repeat, spec, shape, config) if repeat > 1 else chi(p, spec, shape, config)
+    budget = chi_repeated(p, repeat, spec, shape, config)
     doc = _resolved_doc("error", p, spec, shape, config, extra={"repeat": repeat})
     doc["achieved"] = {"quad_error": budget.quad_error}
     columns = ["chi_total", "chi_ideal", "chi_pulse", "chi_low", "chi_high", "coherence", "quad_error"]

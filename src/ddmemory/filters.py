@@ -186,8 +186,8 @@ def y_tilde(p: TimingPattern, omega):
 
 
 def filter_fn(p: TimingPattern, omega):
-    """F(omega) = omega^2 |y(omega)|^2 >= 0, vectorized over omega >= 0."""
-    return _scalar_like(omega, np.abs(omega_y_tilde(p, omega)) ** 2)
+    """F(omega) = omega^2 |y(omega)|^2 >= 0, vectorized over omega >= 0; F(p, w) == F(p, [w])[0]."""
+    return _scalar_like(omega, np.abs(omega_y_tilde(p, _omega_array(omega))) ** 2)
 
 
 def combine(y1, y2, t_p1: float, omega):

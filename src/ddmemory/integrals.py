@@ -28,13 +28,14 @@ with m, is the plateau level chi_plateau_limit.
 
 Every flavour builds its integrand with one rows factory: the ideal and
 total rows S F / omega^2 of m repeats and a read delay, times an optional
-kernel (the de-oscillated 1/(2 sin^2(omega T_p/2))).  Every integral,
-direct or comb, is one walk up the band, whose panel budget,
-contributions, error, tail stop and failure live in one _Walk, and one
-assembler turns the per-region totals into an ErrorBudget.  Panel
-integrals use a 7-point Gauss / 15-point Kronrod pair evaluated in
-batches, and every region total is a correctly rounded math.fsum, so
-results do not depend on summation order or thread count.
+kernel (the de-oscillated 1/(2 sin^2(omega T_p/2))).  Every direct chi,
+read delay included, is one integrate_rows walk up the band and every
+comb chi one _walk_comb; each keeps its panel budget, contributions,
+error, tail stop and failure in one _Walk, and one assembler turns the
+per-region totals into an ErrorBudget.  Panel integrals use a 7-point
+Gauss / 15-point Kronrod pair evaluated in batches, and every region
+total is a correctly rounded math.fsum, so results do not depend on
+summation order or thread count.
 """
 
 from __future__ import annotations
@@ -61,6 +62,7 @@ __all__ = [
     "chi_repeated",
     "chi_during",
     "chi_plateau_limit",
+    "chi_with_jitter",
     "integrate_rows",
 ]
 
@@ -228,7 +230,7 @@ def _adaptive_region(rows_fn: RowsFn, edges: np.ndarray, walk: _Walk):
     return a[order], integrals[:, order], float(np.sum(err))
 
 
-def _ladder_and_lobes(w_lo: float, w_hi: float, lobe: float) -> np.ndarray:
+def _ladder_and_lobes(w_lo: float, w_hi: float, lobe: float, walk: _Walk) -> np.ndarray:
     """Log ladder while spacing < lobe width, then half-lobe edges on the node grid."""
     if w_hi <= w_lo:
         return np.array([w_lo, w_hi])
@@ -241,6 +243,7 @@ def _ladder_and_lobes(w_lo: float, w_hi: float, lobe: float) -> np.ndarray:
         half = 0.5 * lobe
         j0 = int(math.floor(w_switch / half)) + 1
         j1 = int(math.ceil(w_hi / half))
+        walk.check(j1 - j0 - 2)  # all but two edges start a panel: fail before building them
         grid = np.arange(j0, j1) * half
         edges.extend(grid[(grid > w_switch) & (grid < w_hi)])
         edges.append(w_hi)
@@ -302,10 +305,14 @@ class _Walk:
     at: List[np.ndarray] = field(default_factory=lambda: [np.zeros(0)])
     rows: List[np.ndarray] = field(default_factory=lambda: [np.zeros((2, 0))])
 
-    def spend(self, count: int) -> None:
-        self.panels += count
-        if self.panels > self.cfg.max_panels:
+    def check(self, count: int) -> None:
+        """Fail if count more panels would overrun the budget."""
+        if self.panels + count > self.cfg.max_panels:
             self.fail(f"quadrature budget of {self.cfg.max_panels} panels exhausted")
+
+    def spend(self, count: int) -> None:
+        self.check(count)
+        self.panels += count
 
     def fail(self, msg: str) -> NoReturn:
         """Raise AccuracyError with the partial sum; the bound adds the tail over the whole band."""
@@ -349,36 +356,6 @@ class _Walk:
 def _label(p: TimingPattern, m: Optional[int]) -> str:
     """Failure-message suffix naming the pattern and, when repeated, the repeat count."""
     return f" for {p.label!r}" + (f" repeated {m} times" if m not in (None, 1) else "")
-
-
-def _integrate_band(
-    rows_fn: RowsFn,
-    spec: NoiseSpectrum,
-    t_osc: float,
-    ff_bound: float,
-    cfg: QuadratureConfig,
-    label: str = "",
-) -> _Walk:
-    """Walk the band from omega_min upward; stop once the remaining tail is negligible.
-
-    ff_bound must upper-bound the filter rows divided by S/w^2, with any
-    repetition kernel counted through its exact period integral (an extra
-    factor m); the tail estimate uses it to certify early termination.
-    """
-    walk = _Walk(spec, cfg, lambda w: _tail_envelope(spec, w, ff_bound), label)
-    w_lo, w_hi = spec.omega_min, _band_top(spec)
-    if not w_lo < w_hi:
-        return walk
-    lobe = math.pi / t_osc
-    w = min(w_hi, max(1.25 * spec.omega_c, w_lo * 10.0, 6.0 * lobe))
-    walk.region(rows_fn, _ladder_and_lobes(w_lo, w, lobe))
-    while w < w_hi:
-        w_next = min(w_hi, w + _WALK_BLOCK_LOBES * lobe)
-        walk.region(rows_fn, _ladder_and_lobes(w, w_next, lobe))
-        w = w_next
-        if w >= w_hi or walk.stop(w):
-            break
-    return walk
 
 
 def _ff_rows_factory(
@@ -467,18 +444,30 @@ def integrate_rows(
     t_osc: float,
     ff_bound: float,
     config: Optional[QuadratureConfig] = None,
+    *,
+    label: str = "",
 ) -> Tuple[np.ndarray, np.ndarray, float]:
-    """Band integral of caller-supplied nonnegative rows [control, secondary].
+    """Band integral of nonnegative rows [control, secondary]: the one direct band walk.
 
-    t_osc is the slowest coherent timescale of the rows (sets panel width),
-    ff_bound a global upper bound of rows[0] * w^2 / S(w).  Returns (low,
-    high, error) with low/high the per-row sums below/above the cutoff.
-    chi_with_jitter integrates through it; chi and direct chi_repeated walk
-    the band the same way, with the pattern named in a failure message.
+    Walks up from omega_min and stops once the tail is negligible.  t_osc is
+    the slowest coherent timescale of the rows (sets panel width), ff_bound
+    an upper bound of rows[0] * w^2 / S(w) that certifies the tail, label
+    names the pattern in a failure message.  Returns (low, high, error),
+    low/high the per-row sums below/above the cutoff.
     """
-    walk = _integrate_band(rows_fn, spec, t_osc, ff_bound, config or DEFAULT_CONFIG)
-    low, high = walk.totals()
-    return low, high, walk.err
+    walk = _Walk(spec, config or DEFAULT_CONFIG, lambda w: _tail_envelope(spec, w, ff_bound), label)
+    w_lo, w_hi = spec.omega_min, _band_top(spec)
+    if w_lo < w_hi:
+        lobe = math.pi / t_osc
+        w = min(w_hi, max(1.25 * spec.omega_c, w_lo * 10.0, 6.0 * lobe))
+        walk.region(rows_fn, _ladder_and_lobes(w_lo, w, lobe, walk))
+        while w < w_hi:
+            w_next = min(w_hi, w + _WALK_BLOCK_LOBES * lobe)
+            walk.region(rows_fn, _ladder_and_lobes(w, w_next, lobe, walk))
+            w = w_next
+            if w >= w_hi or walk.stop(w):
+                break
+    return (*walk.totals(), walk.err)
 
 
 def chi(
@@ -556,12 +545,40 @@ def _chi_direct(
     spec: NoiseSpectrum,
     shape: PulseShape,
     cfg: QuadratureConfig,
+    delay: Optional[float] = None,
 ) -> ErrorBudget:
-    rows = _ff_rows_factory(p, shape, spec, m)
-    # the kernel integrates to 2 pi m / T_p per period, so an m-linear
-    # envelope certifies the tail: F*D <= per-period mass * base bound
-    walk = _integrate_band(rows, spec, m * p.duration, _filter_bound(p) * m, cfg, _label(p, m))
-    return _assemble(*walk.totals(), walk.err, m=m)
+    """chi of p repeated m times, then an optional unrefocused read delay, by integrate_rows."""
+    rows = _ff_rows_factory(p, shape, spec, m, delay)
+    if delay is None:
+        # the kernel integrates to 2 pi m / T_p per period: F*D <= m * base bound per period
+        t_osc, bound = m * p.duration, _filter_bound(p) * m
+    else:
+        # 2 (n+1) per repeat plus 2 for the delay phasor, squared and doubled
+        t_osc, bound = m * p.duration + delay, 2 * (math.sqrt(_filter_bound(p)) * m + 2) ** 2
+    return _assemble(*integrate_rows(rows, spec, t_osc, bound, cfg, label=_label(p, m)), m=m)
+
+
+def chi_with_jitter(
+    p: TimingPattern,
+    m: int,
+    delta_t: float,
+    spec: NoiseSpectrum,
+    shape: Optional[PulseShape] = None,
+    config: Optional[QuadratureConfig] = None,
+) -> ErrorBudget:
+    """Error of m repeats followed by an unrefocused read delay delta_t.
+
+    The switching function of the delay appends coherently:
+    r_z = G_m r_z_p + end_sign e^(i omega m T_p) (1 - e^(i omega delta_t))
+    with G_m the geometric repetition factor; an odd base adds its junction
+    pulses through the same factor (see _ff_rows_factory).
+    chi_bb reports the delta_t = 0 ideal-pulse value, so chi_pul carries
+    pulse width and jitter excess together.
+    """
+    require_count("repeat count", m)
+    if not (math.isfinite(delta_t) and delta_t >= 0.0):
+        raise DomainError(f"read delay delta_t must be finite and nonnegative, got {delta_t}")
+    return _chi_direct(p, m, spec, shape or bang_bang(), config or DEFAULT_CONFIG, delta_t)
 
 
 # direct budgets at m = comb_crossover from chi_repeated, oldest first, each
@@ -663,7 +680,7 @@ def _walk_comb(
         w_a = min(min(1024, max(8, int(0.45 * m))) * node, w_hi, half_res)
         if w_a > w_lo:
             kernel_rows = _ff_rows_factory(p, shape, spec, m)
-            walk.region(kernel_rows, _ladder_and_lobes(w_lo, w_a, 0.5 * node))
+            walk.region(kernel_rows, _ladder_and_lobes(w_lo, w_a, 0.5 * node, walk))
             deosc_start = w_a
 
     # (b) de-oscillated average up to the first cell

@@ -122,21 +122,32 @@ PRESET_DIR_ENV = "DDMEMORY_PRESET_DIR"
 
 
 def spectrum_from_json(doc: dict) -> NoiseSpectrum:
-    """Build a spectrum from the preset schema (frequencies in Hz)."""
+    """Build a spectrum from the preset schema (frequencies in Hz); DomainError names bad fields."""
+    if not isinstance(doc, dict):
+        raise DomainError(f"spectrum JSON must be an object, got {type(doc).__name__}")
+
+    def number(table: dict, key: str) -> float:
+        try:
+            if not isinstance(table[key], bool):
+                return float(table[key])
+        except (TypeError, ValueError, OverflowError):
+            pass
+        raise DomainError(f"spectrum JSON field {key!r} is not a number: {table[key]!r}")
+
     try:
         raw = doc["rolloff"]
         if isinstance(raw, dict):
-            rolloff: Rolloff = PowerLaw(float(raw["power_law"]))
+            rolloff: Rolloff = PowerLaw(number(raw, "power_law"))
         else:
             rolloff = str(raw)
-        omega_c = TWO_PI * float(doc["omega_c_hz"])
+        omega_c = TWO_PI * number(doc, "omega_c_hz")
         return NoiseSpectrum(
-            s=float(doc["s"]),
-            g=float(doc["g_over_omega_c"]) * omega_c,
+            s=number(doc, "s"),
+            g=number(doc, "g_over_omega_c") * omega_c,
             omega_c=omega_c,
             rolloff=rolloff,
-            omega_min=TWO_PI * float(doc["omega_min_hz"]),
-            omega_max=TWO_PI * float(doc["omega_max_hz"]),
+            omega_min=TWO_PI * number(doc, "omega_min_hz"),
+            omega_max=TWO_PI * number(doc, "omega_max_hz"),
         )
     except KeyError as exc:
         raise DomainError(f"spectrum JSON is missing field {exc}") from exc
@@ -176,5 +187,9 @@ def load_preset(name: str) -> NoiseSpectrum:
     for path in candidates:
         if path.is_file():
             with path.open("r") as fh:
-                return spectrum_from_json(json.load(fh))
+                try:
+                    doc = json.load(fh)
+                except ValueError as exc:
+                    raise DomainError(f"spectrum file {str(path)!r} is not JSON: {exc}") from exc
+            return spectrum_from_json(doc)
     raise DomainError(f"unknown spectrum preset {name!r}")

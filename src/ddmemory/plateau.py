@@ -19,8 +19,9 @@ leading-order closed form per contribution 2 g |A|^2 omega_c^(2a-1) /
 
 Lifetime bounds cover three failure mechanisms: spectral weight above
 the cutoff (power-law rolloff curbs the usable repeat count m_max),
-access jitter when appending a read delay to the repeated block, and a
-residual Markovian noise floor.
+access jitter when appending a read delay to the repeated block (its
+error chi_with_jitter is a direct integral, re-exported here from
+integrals), and a residual Markovian noise floor.
 """
 
 from __future__ import annotations
@@ -33,15 +34,7 @@ import numpy as np
 
 from .errors import DivergenceError, DomainError, require_count, require_positive
 from .filters import passband_max, suppression_order
-from .integrals import (
-    ErrorBudget,
-    QuadratureConfig,
-    _assemble,
-    _ff_rows_factory,
-    _filter_bound,
-    chi_plateau_limit,
-    integrate_rows,
-)
+from .integrals import ErrorBudget, QuadratureConfig, chi_plateau_limit, chi_with_jitter
 from .noise import HARD, NoiseSpectrum, PowerLaw, evaluate
 from .pulses import BANG_BANG, PulseShape, bang_bang, pulse_order
 from .sequences import TimingPattern
@@ -162,7 +155,7 @@ def chi_asymptotic(
     shape = shape or bang_bang()
     w_hi = min(spec.omega_c, spec.omega_max)
     if not _has_plateau(p, spec, shape) or w_hi <= spec.omega_min:
-        return _assemble(np.zeros(2), np.zeros(2), 0.0, m=None)
+        return ErrorBudget(0.0, 0.0, 0.0, 0.0, 0.0, 1.0, m=None)
     limit = chi_plateau_limit(p, replace(spec, omega_max=w_hi), shape, config)
     return replace(limit, growth_per_repeat=None, comb_path=False)
 
@@ -263,33 +256,6 @@ def m_max_soft(
 ) -> int:
     """Usable repeat count before rolloff leakage erodes the plateau, >= 1."""
     return max(1, int(m_max_soft_detail(p, spec, shape, config).bound))
-
-
-def chi_with_jitter(
-    p: TimingPattern,
-    m: int,
-    delta_t: float,
-    spec: NoiseSpectrum,
-    shape: Optional[PulseShape] = None,
-    config: Optional[QuadratureConfig] = None,
-) -> ErrorBudget:
-    """Error of m repeats followed by an unrefocused read delay delta_t.
-
-    The switching function of the delay appends coherently:
-    r_z = G_m r_z_p + end_sign e^(i omega m T_p) (1 - e^(i omega delta_t))
-    with G_m the geometric repetition factor; an odd base adds its junction
-    pulses through the same factor (see integrals._ff_rows_factory).
-    chi_bb reports the delta_t = 0 ideal-pulse value, so chi_pul carries
-    pulse width and jitter excess together.
-    """
-    require_count("repeat count", m)
-    if not (math.isfinite(delta_t) and delta_t >= 0.0):
-        raise DomainError(f"read delay delta_t must be finite and nonnegative, got {delta_t}")
-    rows = _ff_rows_factory(p, shape or bang_bang(), spec, m, delta_t)
-    # the bang-bang bound 2 (n+1) per repeat plus 2 for the delay phasor, squared and doubled
-    bound = 2 * (math.sqrt(_filter_bound(p)) * m + 2) ** 2
-    low, high, err = integrate_rows(rows, spec, m * p.duration + delta_t, bound, config)
-    return _assemble(low, high, err, m=m)
 
 
 def jitter_tolerance(

@@ -34,7 +34,7 @@ from typing import NamedTuple, Optional, Tuple, Union
 import numpy as np
 
 from .errors import DomainError, require_positive
-from .filters import _omega_array, _scalar_like, filter_fn, omega_y_tilde
+from .filters import _omega_array, _scalar_like, omega_y_tilde
 from .sequences import TimingPattern
 
 __all__ = [
@@ -259,10 +259,8 @@ def total_quadratures(
 def total_ff(
     p: TimingPattern, shape: PulseShape, omega: Union[float, np.ndarray]
 ) -> Union[float, np.ndarray]:
-    """F(omega) = |r_z|^2 + |r_y|^2; equals the ideal filter for bang-bang."""
-    if shape.kind == BANG_BANG:
-        return filter_fn(p, omega)
-    rz, ry = total_quadratures(p, shape, omega)
+    """F(omega) = |r_z|^2 + |r_y|^2, the ideal filter for bang-bang; F(w) == F([w])[0]."""
+    rz, ry = total_quadratures(p, shape, _omega_array(omega))
     return _scalar_like(omega, np.abs(rz) ** 2 + np.abs(ry) ** 2)
 
 

@@ -124,6 +124,28 @@ class TestExitCodes:
         assert code == 3
         assert "g must be finite" in err
 
+    @pytest.mark.parametrize(
+        "text, named", [('{"s": -2,', "broken.json' is not JSON"), ("[1, 2]", "an object")]
+    )
+    def test_malformed_spectrum_file_is_three(self, capsys, tmp_path, text, named):
+        path = tmp_path / "broken.json"
+        path.write_text(text)
+        code, _, err = _run(
+            capsys, ["error", "--sequence", "cdd:2", "--tau", "1e-6", "--spectrum", str(path)]
+        )
+        assert code == 3
+        assert named in err
+
+    def test_block_beyond_panel_budget_is_four(self, capsys):
+        # the first walk block of 16 s CDD4 repeated 1000 times exceeds the
+        # panel budget, which is reported before its edges are built
+        code, _, err = _run(
+            capsys,
+            ["error", "--sequence", "cdd:4", "--tau", "1", "--spectrum", "gaas", "--repeat", "1000"],
+        )
+        assert code == 4
+        assert "exhausted for 'CDD4' repeated 1000 times" in err
+
     def test_non_finite_rel_tol_is_three(self, capsys):
         code, _, err = _run(
             capsys,

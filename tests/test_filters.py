@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ddmemory import (
@@ -168,6 +168,15 @@ class TestOmegaArguments:
         got = call(np.array(1e5))
         assert type(got) is kind
         assert got == call(1e5)
+
+    @given(st.sampled_from(["cdd4", "udd5"]), st.floats(1e2, 1e10))
+    @example("cdd4", 675445761.347726)
+    @settings(max_examples=200, deadline=None)
+    def test_number_omega_equals_array_entry_bit_for_bit(self, name, w):
+        p = {"cdd4": cdd(4, 1e-6), "udd5": udd(5, 16e-6)}[name]
+        got = filter_fn(p, w)
+        assert type(got) is float
+        assert got.hex() == filter_fn(p, [w])[0].hex()
 
 
 class TestDirichlet:

@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -24,3 +25,13 @@ def test_import_loads_no_process_pool():
     # the search's process pool is imported only when it runs with workers > 1
     select = "m == 'concurrent.futures.process' or m.split('.')[0] == 'multiprocessing'"
     assert _loaded(select) == "[]"
+
+
+def test_no_module_imports_a_private_integrals_name():
+    # every band walk lives in integrals; other modules use its public API only
+    offenders = []
+    for path in sorted((SRC / "ddmemory").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.module in ("integrals", "ddmemory.integrals"):
+                offenders += [f"{path.name}: {a.name}" for a in node.names if a.name.startswith("_")]
+    assert offenders == []

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -24,6 +25,7 @@ from ddmemory import (
     chi_during,
     chi_plateau_limit,
     chi_repeated,
+    chi_with_jitter,
     dcg3,
     echo,
     free_evolution,
@@ -328,12 +330,33 @@ class TestConfigAndFailure:
         with pytest.raises(DomainError, match=name):
             QuadratureConfig(**{name: 1000.5})
 
-    def test_exhausted_panel_budget_reports_estimate(self, gaas):
+    @pytest.mark.parametrize(
+        "direct",
+        [
+            lambda p, spec, cfg: chi(p, spec, bang_bang(), cfg),
+            lambda p, spec, cfg: chi_repeated(p, 2, spec, bang_bang(), cfg),
+            lambda p, spec, cfg: chi_with_jitter(p, 2, 1e-7, spec, bang_bang(), cfg),
+        ],
+        ids=["chi", "chi_repeated", "chi_with_jitter"],
+    )
+    def test_exhausted_panel_budget_reports_estimate(self, gaas, direct):
         cfg = replace(DEFAULT_CONFIG, max_panels=64, rel_tol=1e-12)
-        with pytest.raises(AccuracyError) as err:
-            chi(cdd(4, 1e-6), gaas, bang_bang(), cfg)
+        with pytest.raises(AccuracyError, match="64 panels exhausted for 'CDD4'") as err:
+            direct(cdd(4, 1e-6), gaas, cfg)
         assert err.value.estimate > 0.0
         assert err.value.error_bound > err.value.estimate
+
+    def test_block_beyond_budget_fails_before_it_is_built(self, gaas):
+        # 16 s blocks repeated 1000 times: the first walk block alone holds
+        # about 8e8 half-lobe edges, 6 GB of numpy arrays had it been built
+        tracemalloc.start()
+        try:
+            with pytest.raises(AccuracyError, match="exhausted for 'CDD4' repeated 1000 times"):
+                chi_repeated(cdd(4, 1.0), 1000, gaas)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6
 
     @pytest.mark.parametrize("m", [None, 10**6])
     def test_exhausted_budget_on_comb_walk_reports_estimate(self, gaas, m):

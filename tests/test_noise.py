@@ -27,6 +27,14 @@ from ddmemory import (
 )
 
 TWO_PI = 2.0 * math.pi
+_MISSING = object()
+
+
+def _gaas_doc(**change) -> dict:
+    """The gaas preset document with fields changed, or dropped when set to _MISSING."""
+    doc = {"s": -2, "g_over_omega_c": 0.207, "omega_c_hz": 1e4, "rolloff": "gaussian",
+           "omega_min_hz": 0.01, "omega_max_hz": 1e8, **change}
+    return {k: v for k, v in doc.items() if v is not _MISSING}
 
 
 def _spec(**kw) -> NoiseSpectrum:
@@ -168,9 +176,23 @@ class TestJsonRoundTrip:
         assert again.omega_c == pytest.approx(spec.omega_c, rel=1e-15)
         assert again.rolloff == spec.rolloff
 
-    def test_missing_field_names_it(self):
-        with pytest.raises(DomainError, match="omega_c_hz"):
-            spectrum_from_json({"s": -2, "g_over_omega_c": 0.2, "rolloff": "hard"})
+    @pytest.mark.parametrize(
+        "doc, name",
+        [
+            (_gaas_doc(omega_c_hz=_MISSING), "missing field 'omega_c_hz'"),
+            (_gaas_doc(s="abc"), "'s' is not a number: 'abc'"),
+            (_gaas_doc(g_over_omega_c=None), "'g_over_omega_c' is not a number"),
+            (_gaas_doc(omega_c_hz=True), "'omega_c_hz' is not a number: True"),
+            (_gaas_doc(rolloff={"power_law": None}), "'power_law' is not a number"),
+            (_gaas_doc(rolloff={}), "missing field 'power_law'"),
+            (_gaas_doc(omega_max_hz=10**400), "'omega_max_hz' is not a number"),
+            ([1.0, 2.0], "must be an object, got list"),
+        ],
+        ids=["missing", "string", "null", "bool", "null_power_law", "no_power_law", "overflow", "list"],
+    )
+    def test_missing_field_names_it(self, doc, name):
+        with pytest.raises(DomainError, match=name):
+            spectrum_from_json(doc)
 
 
 class TestCalibrate:

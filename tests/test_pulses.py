@@ -5,7 +5,7 @@ import warnings
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ddmemory import (
@@ -108,6 +108,18 @@ class TestTotalFilter:
         got = total_ff(cdd(4, 1e-6), shape, np.array(1e5))
         assert type(got) is float
         assert got == total_ff(cdd(4, 1e-6), shape, 1e5)
+
+    @given(
+        st.sampled_from([cdd(4, 1e-6), udd(5, 16e-6)]),
+        st.sampled_from([bang_bang(), primitive(1e-9), dcg3(1e-8)]),
+        st.floats(1e2, 1e10),
+    )
+    @example(cdd(4, 1e-6), dcg3(1e-8), 13116029.564747807)
+    @settings(max_examples=200, deadline=None)
+    def test_number_omega_equals_array_entry_bit_for_bit(self, p, shape, w):
+        got = total_ff(p, shape, w)
+        assert type(got) is float
+        assert got.hex() == total_ff(p, shape, [w])[0].hex()
 
     @pytest.mark.parametrize(
         "call",
