@@ -22,12 +22,12 @@ keeps the zero at omega = 0 at every frequency, with no series branch.
 Other patterns are summed vertex by vertex. Direct summation destroys
 the high-order zero at omega = 0 through cancellation, so below
 |omega * T_p| <= 2 the sum is evaluated from its Taylor coefficients
-mu_k = sum_j c_j (t_j/T_p)^k / k! instead. One recurrence computes them
-for every pattern; only the vertex times and the arithmetic differ:
-integer slot indices with an exact integer sum and one correctly rounded
-division for patterns on a uniform slot grid, 60-digit values for UDD
-timings, and compensated float sums otherwise. In all three cases the
-multiplicity of the zero survives in double precision.
+mu_k = sum_j c_j (t_j/T_p)^k / k! instead, computed in one of three ways:
+from integer slot indices with an exact integer sum and one correctly
+rounded division for patterns on a uniform slot grid; from an exact
+closed form for Uhrig's times, which are recognised from the pulse times
+themselves; and by compensated float sums otherwise. In all three cases
+the multiplicity of the zero survives in double precision.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, SuppressionFitError, require_count
-from .sequences import TimingPattern, min_interval
+from .sequences import _GRID_RTOL, TimingPattern, min_interval, udd
 
 THETA_SWITCH = 2.0
 N_MOMENTS = 36
@@ -92,35 +92,57 @@ def _moment_recurrence(coeffs, taus, total, divide, unit) -> tuple[float, ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=256)
+def _udd_moments(n: int) -> tuple[float, ...]:
+    """mu_k of Uhrig's n-pulse pattern from an exact rational, rounded once.
+
+    Its vertices tau_j = (1 - cos theta_j)/2 at theta_j = j*pi/(n+1),
+    j = 0 .. n+1, carry the weights (-1)^j, doubled inside. Expanded in
+    cos(l*theta), tau^k = 4^-k sum_{r,i} (-1)^r C(k,r) C(r,i) 2^(k-r)
+    cos((r-2i)*theta), and the weighted sum of cos(l*theta_j) over the
+    vertices is 2(n+1) when l = n+1 (mod 2(n+1)) and 0 otherwise. So every
+    mu_k with k <= n is exactly 0.
+    """
+    period = 2 * (n + 1)
+    out = []
+    for k in range(1, N_MOMENTS + 1):
+        s = sum(
+            (-1) ** r * math.comb(k, r) * math.comb(r, i) * 2 ** (k - r)
+            for r in range(k + 1)
+            for i in range(r + 1)
+            if (r - 2 * i - n - 1) % period == 0
+        )
+        out.append(float(Fraction(period * s, 4**k * math.factorial(k))))
+    return tuple(out)
+
+
 @lru_cache(maxsize=4096)
-def _moments(p: TimingPattern) -> tuple[float, ...]:
+def _moments(times, duration, grid) -> tuple[float, ...]:
     """Taylor coefficients mu_k of omega*y = sum_k mu_k (i*omega*T_p)^k.
 
     mu_k = sum_j c_j tau_j^k / k! over the vertices tau_j = t_j / T_p; the
-    t = 0 vertex drops out for k >= 1.
+    t = 0 vertex drops out for k >= 1. Takes a pattern's pulse_times,
+    duration and grid, all that the routes read, so that equal patterns
+    with and without a grid are cached apart. Pulses within _GRID_RTOL*T_p
+    of Uhrig's times take the closed form.
     """
-    coeffs = [int(c) for c in _vertex_coefficients(p)[1][1:]]
-    if p.grid is not None:
+    n = len(times)
+    coeffs = [2 * (-1) ** l for l in range(1, n + 1)] + [(-1) ** (n + 1)]
+    if grid is not None:
         # integer slot indices: an exact sum and one correctly rounded division
-        n_slots, bounds = p.grid
+        n_slots, bounds = grid
         return _moment_recurrence(
             coeffs, [*bounds, n_slots], sum, lambda s, d: float(Fraction(s, d)), n_slots
         )
-    if p.udd_order is not None and p.udd_order >= 1:
-        import mpmath as mp
-
-        n = p.udd_order
-        with mp.workdps(60):
-            taus = [mp.sin(mp.pi * j / (2 * n + 2)) ** 2 for j in range(1, n + 1)]
-            return _moment_recurrence(
-                coeffs, [*taus, mp.mpf(1)], mp.fsum, lambda s, d: float(s / d), 1
-            )
-    taus = [t / p.duration for t in p.pulse_times] + [1.0]
+    tol = _GRID_RTOL * duration
+    if n and all(abs(t - u) <= tol for t, u in zip(times, udd(n, duration).pulse_times)):
+        return _udd_moments(n)
+    taus = [t / duration for t in times] + [1.0]
     return _moment_recurrence(coeffs, taus, math.fsum, operator.truediv, 1.0)
 
 
 def _series_eval(p: TimingPattern, theta: np.ndarray) -> np.ndarray:
-    mu = _moments(p)
+    mu = _moments(p.pulse_times, p.duration, p.grid)
     z = 1j * theta
     acc = np.zeros(theta.shape, dtype=complex)
     for m_k in reversed(mu):
@@ -181,7 +203,7 @@ def y_tilde(p: TimingPattern, omega):
         out = omega_y_tilde(p, w) / w
     zero = w == 0.0
     if zero.any():
-        out[zero] = 1j * p.duration * _moments(p)[0]
+        out[zero] = 1j * p.duration * _moments(p.pulse_times, p.duration, p.grid)[0]
     return _scalar_like(omega, out)
 
 

@@ -11,7 +11,7 @@ filter for any block; finite-width junction pulses add a cross term.
 
 Patterns built on a uniform slot grid carry the integer slot boundaries
 so downstream filter evaluation can use exact small-frequency series
-coefficients; UDD patterns carry their order for the same purpose.
+coefficients; Uhrig's times are recognised there from the times alone.
 A grid whose slot signs are a Walsh function (free evolution, echo, CDD,
 every w_k and their power-of-two repeats) also yields its Paley index,
 found at construction, which selects the closed-form product transform.
@@ -43,7 +43,6 @@ class TimingPattern:
     # (n_slots, interior slot indices of the pulses) when the pattern
     # lives exactly on a uniform grid; None otherwise
     grid: Optional[tuple[int, tuple[int, ...]]] = field(default=None, compare=False)
-    udd_order: Optional[int] = field(default=None, compare=False)
     # Paley index k when the grid's slot signs are Walsh w_k; None otherwise
     walsh_index: Optional[int] = field(init=False, compare=False)
 
@@ -113,7 +112,7 @@ def udd(n: int, t_p: float) -> TimingPattern:
         times[n - j] = t_p - tj
     if n % 2:
         times[n // 2] = 0.5 * t_p
-    return TimingPattern(tuple(times), t_p, f"UDD{n}", udd_order=n)
+    return TimingPattern(tuple(times), t_p, f"UDD{n}")
 
 
 def udd_from_min_interval(n: int, tau: float) -> TimingPattern:
@@ -248,7 +247,10 @@ def repeat_pattern(p: TimingPattern, m: int) -> TimingPattern:
     """Explicit m-fold self-join; brute-force oracle for the repetition kernel.
 
     Each copy restarts at +1, so an odd-ending base acquires a junction
-    pulse at every block boundary.
+    pulse at every block boundary. A base off any uniform grid (UDD, say)
+    repeats into a pattern whose small-frequency series comes from float
+    sums, which lose part of a high-order zero for many copies;
+    integrals.chi_repeated is the accurate route for such a base.
     """
     require_count("repeat count", m)
     if m == 1:

@@ -1,5 +1,7 @@
 import math
+from dataclasses import replace
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -11,11 +13,13 @@ from ddmemory import (
     TimingPattern,
     carr_purcell,
     cdd,
+    chi,
     combine,
     concat,
     dirichlet_factor,
     echo,
     filter_fn,
+    filters,
     free_evolution,
     omega_y_tilde,
     passband_max,
@@ -26,7 +30,7 @@ from ddmemory import (
     walsh,
     y_tilde,
 )
-from ddmemory.filters import THETA_SWITCH, dirichlet_ratio
+from ddmemory.filters import N_MOMENTS, THETA_SWITCH, dirichlet_ratio
 
 RNG = np.random.default_rng(20240817)
 
@@ -224,11 +228,22 @@ class TestDirichlet:
 
 
 class TestSuppressionOrder:
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 12, 18, 27])
     def test_udd_reaches_its_order(self, n):
         fit = suppression_order(udd(n, 1e-6))
         assert fit.alpha == n
         assert fit.residual < 0.05
+
+    def test_udd28_filter_underflows_on_the_fit_grid(self):
+        # F ~ (omega T_p)^58 underflows at 1e-4 / T_p
+        with pytest.raises(SuppressionFitError, match="vanished"):
+            suppression_order(udd(28, 1e-6))
+
+    def test_order_is_read_off_the_times_not_the_constructor(self):
+        u = udd(5, 1e-6)
+        scaled = tuple(0.9 * t for t in u.pulse_times)
+        fresh = TimingPattern(scaled, u.duration, "scaled")
+        assert suppression_order(replace(u, pulse_times=scaled)) == suppression_order(fresh)
 
     def test_free_is_zeroth_order(self):
         fit = suppression_order(free_evolution(1e-6))
@@ -247,6 +262,43 @@ class TestSuppressionOrder:
     def test_fit_residual_limit_enforced(self):
         with pytest.raises(SuppressionFitError):
             suppression_order(udd(3, 1e-6), fit_residual_limit=1e-18)
+
+
+def _udd_moments_reference(n):
+    """mu_k of UDD_n summed vertex by vertex at 400 digits, rounded to float."""
+    with mp.workdps(400):
+        taus = [mp.sin(mp.pi * j / (2 * n + 2)) ** 2 for j in range(1, n + 1)] + [mp.mpf(1)]
+        coeffs = [2 * (-1) ** l for l in range(1, n + 1)] + [(-1) ** (n + 1)]
+        return [
+            float(mp.fsum(c * t**k for c, t in zip(coeffs, taus)) / mp.factorial(k))
+            for k in range(1, N_MOMENTS + 1)
+        ]
+
+
+class TestMoments:
+    @pytest.mark.parametrize("n", range(1, 41))
+    def test_udd_closed_form_is_the_correctly_rounded_sum(self, n):
+        mu = filters._udd_moments(n)
+        assert all(m == 0.0 for m in mu[:n])
+        assert list(mu) == _udd_moments_reference(n)
+
+    def test_hand_built_udd_times_take_the_udd_route(self, gaas):
+        u = udd(5, 16e-6)
+        hand = TimingPattern(u.pulse_times, u.duration, "hand")
+        assert chi(hand, gaas).chi_total == chi(u, gaas).chi_total
+        assert filters._moments(hand.pulse_times, hand.duration, None) == filters._udd_moments(5)
+
+    def test_cache_tells_a_grid_from_its_absence(self):
+        # equal patterns that differ only in the grid take different routes,
+        # whichever of them is evaluated first
+        g = repeat_pattern(cdd(3, 1e-6), 3)
+        f = TimingPattern(g.pulse_times, g.duration, g.label)
+        assert f == g and g.grid is not None
+        filters._moments.cache_clear()
+        cold = omega_y_tilde(f, 1e3)
+        filters._moments.cache_clear()
+        omega_y_tilde(g, 1e3)
+        assert omega_y_tilde(f, 1e3) == cold
 
 
 class TestPassband:

@@ -7,9 +7,10 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def _loaded(select: str) -> str:
-    """Sorted names of the modules m, `select` true, that a fresh `import ddmemory` loads."""
-    code = f"import sys, ddmemory; print(sorted(m for m in sys.modules if {select}))"
+def _loaded(select: str, run: str = "pass") -> str:
+    """Sorted names of the modules m, `select` true, loaded in a fresh interpreter
+    by `import ddmemory` and the statement `run`."""
+    code = f"import sys, ddmemory; {run}; print(sorted(m for m in sys.modules if {select}))"
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
@@ -19,6 +20,12 @@ def _loaded(select: str) -> str:
 
 def test_import_loads_no_scipy():
     assert _loaded("m.split('.')[0] == 'scipy'") == "[]"
+
+
+def test_udd_chi_loads_no_mpmath():
+    # UDD moments come from a closed form in exact rationals
+    run = "ddmemory.chi(ddmemory.udd(5, 16e-6), ddmemory.load_preset('gaas'))"
+    assert _loaded("m.split('.')[0] == 'mpmath'", run) == "[]"
 
 
 def test_import_loads_no_process_pool():

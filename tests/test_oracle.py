@@ -59,7 +59,7 @@ PATTERNS = {
         repeat_pattern(cdd(3, TAU), 3),
         oracle._grid_pattern(np.tile(_THUE_MORSE_8, 3), TAU, 24 * TAU),
     ),
-    # off every grid and no UDD order: the float moment route
+    # off every grid and not at Uhrig's times: the float moment route
     "udd5_cut": (
         truncate(_UDD5, 0.55 * _UDD5.duration),
         oracle.truncated(oracle.udd_pattern(5, 16 * TAU), 0.55 * _UDD5.duration),

@@ -59,6 +59,11 @@ class TestConditions:
         assert not bad.condition_lowfreq_pul.passed
         assert not bad.all_conditions_met
 
+    def test_udd20_meets_every_condition(self, gaas):
+        rep = check_conditions(udd(20, 2e-5), gaas)
+        assert rep.condition_lowfreq_bb.margin == 37.0
+        assert rep.all_conditions_met
+
     def test_free_evolution_fails_lowfreq(self, gaas):
         rep = check_conditions(free_evolution(1e-6), gaas)
         assert not rep.condition_lowfreq_bb.passed
