@@ -13,7 +13,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import os
 import sys
 from typing import Dict, List, Optional, Sequence as SeqT
 
@@ -434,7 +433,8 @@ def plateau_cmd(sequence, tau, duration, pulse, spectrum, t_markov, jitter_budge
               help="Storage times in s; may be given several times.")
 @_pulse_opt
 @_spectrum_opt
-@click.option("--threads", type=int, default=None, help="Worker process cap.")
+@click.option("--threads", type=int, default=None,
+              help="Ignored, kept for compatibility; must be >= 1. The search runs in one process.")
 @click.option("--limit", type=int, default=MAX_SLOTS, show_default=True,
               help="Largest admissible slot count N.")
 @_numeric_opts
@@ -444,17 +444,14 @@ def search_cmd(tau, t_s_values, pulse, spectrum, threads, limit, rel_tol, comb_c
     shape = build_pulse(pulse)
     spec = load_preset(spectrum)
     config = _quad_config(rel_tol, comb_crossover)
-    workers = threads
-    if workers is not None:
-        if workers < 1:
-            raise _usage("--threads", f"must be >= 1, got {workers}")
-        workers = min(workers, os.cpu_count() or 1)
+    if threads is not None and threads < 1:
+        raise _usage("--threads", f"must be >= 1, got {threads}")
     t_s_list = list(t_s_values)
     doc = _resolved_doc(
         "search", spec=spec, shape=shape, config=config,
         extra={"tau_s": tau, "t_s_values": t_s_list, "limit": limit},
     )
-    results = search_series(tau, t_s_list, spec, shape, config=config, workers=workers, limit=limit)
+    results = search_series(tau, t_s_list, spec, shape, config=config, limit=limit)
     rows = []
     skipped = 0
     for res in results:

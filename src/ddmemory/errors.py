@@ -81,6 +81,6 @@ def require_positive(name: str, x: float) -> None:
 
 
 def require_count(name: str, m: int, least: int = 1) -> None:
-    """Raise DomainError naming `name` unless m is an integer >= least."""
-    if not (isinstance(m, numbers.Integral) and m >= least):
+    """Raise DomainError naming `name` unless m is an integer >= least; bools are not counts."""
+    if not (isinstance(m, numbers.Integral) and not isinstance(m, bool) and m >= least):
         raise DomainError(f"{name} must be an integer >= {least}, got {m!r}")

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -47,6 +48,9 @@ class TimingPattern:
     walsh_index: Optional[int] = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
+        # a list or array of times or bounds is stored as a tuple, so patterns hash
+        if not isinstance(self.pulse_times, tuple):
+            object.__setattr__(self, "pulse_times", tuple(map(float, self.pulse_times)))
         require_positive("pattern duration", self.duration)
         prev = 0.0
         for t in self.pulse_times:
@@ -61,6 +65,10 @@ class TimingPattern:
             )
         if self.grid is not None:
             n_slots, bounds = self.grid
+            if not isinstance(bounds, tuple):
+                bounds = tuple(map(operator.index, bounds))
+            n_slots = operator.index(n_slots)
+            object.__setattr__(self, "grid", (n_slots, bounds))
             if len(bounds) != len(self.pulse_times):
                 raise DomainError("grid boundary count does not match pulse count")
             if any(not 0 < b < n_slots for b in bounds):
@@ -151,9 +159,9 @@ def walsh_signs(k: int, n_slots: int) -> list[int]:
     require_count("slot count", n_slots)
     if n_slots & (n_slots - 1):
         raise DomainError(f"slot count must be a power of two, got {n_slots}")
-    if not (isinstance(k, numbers.Integral) and 0 <= k < n_slots):
+    if not (isinstance(k, numbers.Integral) and not isinstance(k, bool) and 0 <= k < n_slots):
         raise DomainError(f"Walsh index must be an integer in [0, {n_slots}), got {k!r}")
-    q = n_slots.bit_length() - 1
+    q = int(n_slots).bit_length() - 1
     rev_k = int(format(int(k), f"0{q}b")[::-1], 2)
     return [-1 if (rev_k & j).bit_count() & 1 else 1 for j in range(n_slots)]
 

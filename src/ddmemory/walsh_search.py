@@ -6,26 +6,24 @@ index k >= N/2 have minimal pulse interval exactly tau.  Each candidate
 is a complete pattern of duration T_s and is scored by its band error
 chi; the winner is the deterministic argmin.
 
-Candidates are scored by index: each worker builds w_k from k, so no
-candidate list is held, and the tie-break reads the pulse count of w_k
-off k.  Generic Walsh patterns are not periodic, so candidates are always
-integrated at full length.  A winner that does tile as base^m is
+Candidates are scored by index in one loop in the calling process: w_k
+is built from k, so no candidate list is held, and the tie-break reads
+the pulse count of w_k off k.  Generic Walsh patterns are not periodic,
+so candidates are always integrated at full length.  A winner that does tile as base^m is
 reported with its base block and cross-checked against the repetition
 kernel; the relative gap between the two evaluations is recorded.
 """
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, replace
-from functools import partial
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import AccuracyError, DomainError, require_count, require_positive
 from .integrals import ErrorBudget, QuadratureConfig, chi, chi_repeated
 from .noise import NoiseSpectrum
 from .pulses import PulseShape, bang_bang
-from .sequences import TimingPattern, _grid_signs, _sign_bounds, walsh
+from .sequences import TimingPattern, _grid_signs, _paley_index, _sign_bounds, walsh
 
 __all__ = [
     "CandidateResult",
@@ -108,12 +106,14 @@ def _base_from_signs(signs: Sequence[int], duration: float) -> TimingPattern:
     q = len(signs)
     bounds = _sign_bounds(signs)
     times = tuple(b * duration / q for b in bounds)
-    base = TimingPattern(times, duration, f"block{q}", grid=(q, bounds))
-    k = base.walsh_index
+    k = _paley_index((q, bounds))
     if k is None:
-        return base
-    label = f"CDD{q.bit_length() - 1}" if k == q - 1 and q > 1 else f"W{k}@{q}"
-    return replace(base, label=label)
+        label = f"block{q}"
+    elif k == q - 1 and q > 1:
+        label = f"CDD{q.bit_length() - 1}"
+    else:
+        label = f"W{k}@{q}"
+    return TimingPattern(times, duration, label, grid=(q, bounds))
 
 
 def detect_structure(p: TimingPattern) -> Optional[Tuple[TimingPattern, int]]:
@@ -146,23 +146,6 @@ def _walsh_pulses(k: int) -> int:
     return n
 
 
-def _score(
-    k: int,
-    t_s: float,
-    n_slots: int,
-    spec: NoiseSpectrum,
-    shape: PulseShape,
-    config: Optional[QuadratureConfig],
-) -> Tuple[CandidateResult, Optional[ErrorBudget]]:
-    try:
-        budget = chi(walsh(k, t_s, n_slots), spec, shape, config)
-    except AccuracyError as exc:
-        return CandidateResult(k, None, skipped=True, note=f"accuracy: {exc}"), None
-    except DomainError as exc:
-        return CandidateResult(k, None, skipped=True, note=f"domain: {exc}"), None
-    return CandidateResult(k, budget.chi_total), budget
-
-
 def best_sequence(
     t_s: float,
     tau: float,
@@ -174,26 +157,29 @@ def best_sequence(
 ) -> SearchResult:
     """Minimum-chi Walsh pattern at (T_s, tau), deterministically tie-broken.
 
-    Candidates are scored independently by index (in parallel when
-    workers > 1) and reduced in index order; ties fall to the fewest
-    pulses, then the lowest Walsh index.  Failed candidates are skipped
-    and recorded.  A periodic winner carries its detected base block and
-    the repetition-kernel cross-check.
+    Candidates are scored one by one in index order in the calling
+    process; ties fall to the fewest pulses, then the lowest Walsh index.
+    Failed candidates are skipped and recorded.  A periodic winner carries
+    its detected base block and the repetition-kernel cross-check.
+    `workers`, when given, must be a count >= 1 and is otherwise ignored.
     """
     shape = shape or bang_bang()
     n = _slot_count(t_s, tau, limit)
-    if workers is None:
-        workers = os.cpu_count() or 1
-    require_count("workers", workers)
-    score = partial(_score, t_s=t_s, n_slots=n, spec=spec, shape=shape, config=config)
-    if workers > 1 and n >= 16:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            scored = list(pool.map(score, range(n), chunksize=max(1, n // (8 * workers))))
-    else:
-        scored = list(map(score, range(n)))
-    rows = [row for row, _ in scored]
+    if workers is not None:
+        require_count("workers", workers)
+    rows: List[CandidateResult] = []
+    budgets: List[Optional[ErrorBudget]] = []
+    for k in range(n):
+        budget, note = None, ""
+        try:
+            budget = chi(walsh(k, t_s, n), spec, shape, config)
+        except AccuracyError as exc:
+            note = f"accuracy: {exc}"
+        except DomainError as exc:
+            note = f"domain: {exc}"
+        chi_total = None if budget is None else budget.chi_total
+        rows.append(CandidateResult(k, chi_total, budget is None, note))
+        budgets.append(budget)
     ranked = [row for row in rows if not row.skipped]
     if not ranked:
         raise DomainError(
@@ -201,7 +187,7 @@ def best_sequence(
         )
     winner_index = min(ranked, key=lambda r: (r.chi_total, _walsh_pulses(r.index), r.index)).index
     winner = walsh(winner_index, t_s, n)
-    budget = scored[winner_index][1]
+    budget = budgets[winner_index]
     assert budget is not None
 
     structure: Optional[DetectedStructure] = None
@@ -232,11 +218,7 @@ def search_series(
     spec: NoiseSpectrum,
     shape: Optional[PulseShape] = None,
     config: Optional[QuadratureConfig] = None,
-    workers: Optional[int] = None,
     limit: int = MAX_SLOTS,
 ) -> List[SearchResult]:
     """Independent best_sequence per storage time, in the given order."""
-    return [
-        best_sequence(t_s, tau, spec, shape, config=config, workers=workers, limit=limit)
-        for t_s in t_s_list
-    ]
+    return [best_sequence(t_s, tau, spec, shape, config=config, limit=limit) for t_s in t_s_list]

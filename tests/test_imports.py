@@ -28,10 +28,18 @@ def test_udd_chi_loads_no_mpmath():
     assert _loaded("m.split('.')[0] == 'mpmath'", run) == "[]"
 
 
+_PROCESS_MODULES = "m == 'concurrent.futures.process' or m.split('.')[0] == 'multiprocessing'"
+
+
 def test_import_loads_no_process_pool():
-    # the search's process pool is imported only when it runs with workers > 1
-    select = "m == 'concurrent.futures.process' or m.split('.')[0] == 'multiprocessing'"
-    assert _loaded(select) == "[]"
+    # no module of the package starts or imports worker processes
+    assert _loaded(_PROCESS_MODULES) == "[]"
+
+
+def test_search_starts_no_process():
+    # workers is checked and ignored: every candidate is scored in the calling process
+    run = "ddmemory.best_sequence(16e-6, 1e-6, ddmemory.load_preset('gaas'), workers=2)"
+    assert _loaded(_PROCESS_MODULES, run) == "[]"
 
 
 def test_no_module_imports_a_private_integrals_name():

@@ -1,6 +1,7 @@
 import math
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +11,7 @@ from ddmemory import (
     ResourceLimitError,
     TimingPattern,
     carr_purcell,
+    chi,
     cdd,
     concat,
     echo,
@@ -57,6 +59,19 @@ class TestConstructors:
 
     def test_udd_zero_is_free_evolution(self):
         assert udd(0, 1.0).pulse_times == ()
+
+    @pytest.mark.parametrize("convert", [list, np.array], ids=["list", "array"])
+    @pytest.mark.parametrize("grid", [False, True], ids=["off_grid", "grid"])
+    def test_sequence_inputs_are_stored_as_tuples(self, gaas, convert, grid):
+        times, bounds = (0.25e-6, 0.75e-6), (1, 3)
+        p = TimingPattern(convert(times), 1e-6, "x", grid=(4, convert(bounds)) if grid else None)
+        ref = TimingPattern(times, 1e-6, "x", grid=(4, bounds) if grid else None)
+        assert type(p.pulse_times) is tuple and p.pulse_times == times
+        assert hash(p) == hash(ref)
+        if grid:
+            assert p.grid == (4, bounds) and all(type(b) is int for b in p.grid[1])
+            assert p.walsh_index == ref.walsh_index == 3
+        assert chi(p, gaas).chi_total == chi(ref, gaas).chi_total
 
     def test_bad_orders_rejected(self):
         with pytest.raises(DomainError):
@@ -167,6 +182,28 @@ class TestCompose:
     def test_non_integer_count_is_named(self, call, name):
         with pytest.raises(DomainError, match=name):
             call()
+
+    @pytest.mark.parametrize(
+        "call, name",
+        [
+            (lambda: repeat_pattern(echo(1e-6), True), "repeat count"),
+            (lambda: udd(True, 1e-6), "pulse count"),
+            (lambda: udd_from_min_interval(True, 1e-6), "pulse count"),
+            (lambda: cdd(True, 1e-6), "level"),
+            (lambda: walsh(True, 4e-6, 4), "Walsh index"),
+            (lambda: walsh(0, 4e-6, True), "slot count"),
+        ],
+        ids=["repeat_pattern", "udd", "udd_from_min_interval", "cdd", "walsh_index", "walsh_slots"],
+    )
+    def test_bool_count_is_named(self, call, name):
+        with pytest.raises(DomainError, match=name):
+            call()
+
+    def test_numpy_integer_counts_are_accepted(self):
+        assert cdd(np.int64(2), 1e-6) == cdd(2, 1e-6)
+        assert udd(np.int64(3), 1e-6).label == "UDD3"
+        assert walsh(np.int64(3), 4e-6, np.int64(4)) == walsh(3, 4e-6, 4)
+        assert repeat_pattern(echo(1e-6), np.int64(2)) == repeat_pattern(echo(1e-6), 2)
 
     def test_repeat_resource_cap(self):
         with pytest.raises(ResourceLimitError):

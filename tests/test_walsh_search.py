@@ -7,6 +7,7 @@ from ddmemory import (
     DEFAULT_CONFIG,
     DomainError,
     NoiseSpectrum,
+    TimingPattern,
     bang_bang,
     best_sequence,
     cdd,
@@ -52,7 +53,7 @@ class TestEnumerate:
         with pytest.raises(DomainError, match=name):
             best_sequence(t_s, tau, gaas, workers=1)
 
-    @pytest.mark.parametrize("workers", [0, 2.5])
+    @pytest.mark.parametrize("workers", [0, 2.5, True])
     def test_worker_count_is_named(self, gaas, workers):
         with pytest.raises(DomainError, match="workers"):
             best_sequence(4 * TAU, TAU, gaas, workers=workers)
@@ -76,6 +77,24 @@ class TestDetectStructure:
         from ddmemory import udd
 
         assert detect_structure(udd(5, 1e-6)) is None
+
+    @pytest.mark.parametrize(
+        "k, n, label, repeats", [(960, 1024, "CDD4", 64), (2, 8, "W1@4", 2)]
+    )
+    def test_base_is_built_once_under_its_label(self, monkeypatch, k, n, label, repeats):
+        winner = walsh(k, n * TAU, n)
+        built = []
+        post_init = TimingPattern.__post_init__
+
+        def counted(p):
+            built.append(p.label)
+            post_init(p)
+
+        monkeypatch.setattr(TimingPattern, "__post_init__", counted)
+        base, found = detect_structure(winner)
+        assert built == [label]
+        assert (base.label, found) == (label, repeats)
+        assert base.walsh_index == k // repeats
 
     def test_periodic_walsh_maps_to_lower_index(self):
         det = detect_structure(walsh(30, 32 * TAU, 32))
