@@ -66,6 +66,7 @@ from .integrals import (
     chi_plateau_limit,
     chi_repeated,
     integrate_rows,
+    jitter_curve,
 )
 from .plateau import (
     ConditionCheck,

@@ -27,20 +27,30 @@ again.  With m -> infinity the same comb walk, minus the masses that grow
 with m, is the plateau level chi_plateau_limit.
 
 Every flavour builds its integrand with one rows factory: the ideal and
-total rows S F / omega^2 of m repeats and a read delay, times an optional
-kernel (the de-oscillated 1/(2 sin^2(omega T_p/2))).  Every direct chi,
-read delay included, is one integrate_rows walk up the band and every
+total rows S F / omega^2 of m repeats, or their read-delay basis, times an
+optional kernel (the de-oscillated 1/(2 sin^2(omega T_p/2))).  Every
+direct chi is one _Walk.band walk up the band (integrate_rows) and every
 comb chi one _walk_comb; each keeps its panel budget, contributions,
 error, tail stop and failure in one _Walk, and one assembler turns the
 per-region totals into an ErrorBudget.  Panel integrals use a 7-point
 Gauss / 15-point Kronrod pair evaluated in batches, and every region
 total is a correctly rounded math.fsum, so results do not depend on
 summation order or thread count.
+
+A read delay delta after the repeats makes |r_z|^2 the zero-delay row plus
+sin^2(omega delta/2) and sin(omega delta) times two rows that do not depend
+on delta.  So jitter_curve walks the band once at delta = 0, keeps the node
+values of those three rows on its accepted panels, and re-weights them for
+each delta.  Each delta gets its own K15-G7 gap per block, splitting only
+the panels that miss, and its own tail check, walking on past the stop if
+that misses, under the walk's panel budget.  chi_with_jitter is that curve
+at one delay.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
@@ -63,6 +73,7 @@ __all__ = [
     "chi_during",
     "chi_plateau_limit",
     "chi_with_jitter",
+    "jitter_curve",
     "integrate_rows",
 ]
 
@@ -112,6 +123,7 @@ _LADDER_PER_DECADE = 8
 _WALK_BLOCK_LOBES = 1024
 _TAIL_SHARE = 0.25  # of rel_tol, spent on the truncated tail
 _MAX_REFINE_ROUNDS = 60
+_REWEIGHT_ULPS = 8  # rounding charge of a re-weighted read-delay row, in eps
 
 RowsFn = Callable[[np.ndarray], np.ndarray]
 
@@ -179,33 +191,51 @@ class ErrorBudget:
     comb_agreement: Optional[float] = None
 
 
-def _eval_panels(rows_fn: RowsFn, a: np.ndarray, b: np.ndarray):
-    """Batched G7/K15 on panels [a_i, b_i]: (integrals (R, P), error (P,))."""
-    mid = 0.5 * (a + b)
+def _panel_nodes(a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The 15 Kronrod nodes (P, 15) of panels [a_i, b_i], and their half widths (P,)."""
     half = 0.5 * (b - a)
-    x = mid[:, None] + half[:, None] * _NODES[None, :]
+    return 0.5 * (a + b)[:, None] + half[:, None] * _NODES[None, :], half
+
+
+def _kronrod(vals: np.ndarray, half: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """K15 integrals (R, P) of node values (R, P, 15), and row 0's K15-G7 gap (P,)."""
+    integrals = vals @ _WK15 * half
+    return integrals, np.abs(integrals[0] - vals[0] @ _WG7 * half)
+
+
+def _eval_panels(rows_fn: RowsFn, a: np.ndarray, b: np.ndarray):
+    """Batched G7/K15 on panels [a_i, b_i]: (integrals (R, P), error (P,), nodes (R, P, 15))."""
+    x, half = _panel_nodes(a, b)
     vals = rows_fn(x.ravel())
     vals = vals.reshape(vals.shape[0], len(a), 15)
-    integrals = vals @ _WK15 * half
-    gauss0 = vals[0] @ _WG7 * half
-    err = np.abs(integrals[0] - gauss0)
-    return integrals, err
+    return (*_kronrod(vals, half), vals)
 
 
-def _adaptive_region(rows_fn: RowsFn, edges: np.ndarray, walk: _Walk):
+def _adaptive_region(rows_fn: RowsFn, edges: np.ndarray, walk: _Walk, keep: bool = False):
     """Refine panels between fixed edges until the K15-G7 gap is within tolerance.
 
-    Returns (left_edges, row_integrals (R, P), total_error), panels sorted by
-    position so downstream sums are order-stable.
+    Returns _refine's (left_edges, right_edges, row_integrals (R, P),
+    total_error, node values), the node values only when keep is set.
     """
     a = np.asarray(edges[:-1], dtype=float)
     b = np.asarray(edges[1:], dtype=float)
-    keep = b > a
-    a, b = a[keep], b[keep]
+    wide = b > a
+    a, b = a[wide], b[wide]
     if a.size == 0:
-        return a, np.zeros((2, 0)), 0.0
+        return a, b, np.zeros((2, 0)), 0.0, None
     walk.spend(a.size)
-    integrals, err = _eval_panels(rows_fn, a, b)
+    integrals, err, vals = _eval_panels(rows_fn, a, b)
+    return _refine(rows_fn, a, b, integrals, err, vals if keep else None, walk)
+
+
+def _refine(rows_fn: RowsFn, a, b, integrals, err, vals: Optional[np.ndarray], walk: _Walk):
+    """Split panels until the sum of row 0's K15-G7 gaps is within tolerance of its total.
+
+    rows_fn evaluates the halves of split panels; vals, unless None, are the
+    panels' node values and follow them.  Returns (left_edges, right_edges,
+    row_integrals (R, P), total_error, vals), panels sorted by position so
+    downstream sums are order-stable.
+    """
     for _ in range(_MAX_REFINE_ROUNDS):
         total = float(np.sum(integrals[0]))
         err_total = float(np.sum(err))
@@ -219,15 +249,20 @@ def _adaptive_region(rows_fn: RowsFn, edges: np.ndarray, walk: _Walk):
         mids = 0.5 * (a[split] + b[split])
         new_a = np.concatenate([a[split], mids])
         new_b = np.concatenate([mids, b[split]])
-        new_integrals, new_err = _eval_panels(rows_fn, new_a, new_b)
+        new_integrals, new_err, new_vals = _eval_panels(rows_fn, new_a, new_b)
         a = np.concatenate([a[~split], new_a])
         b = np.concatenate([b[~split], new_b])
         integrals = np.concatenate([integrals[:, ~split], new_integrals], axis=1)
         err = np.concatenate([err[~split], new_err])
+        if vals is not None:
+            vals = np.concatenate([vals[:, ~split], new_vals], axis=1)
     else:
         walk.fail(f"quadrature budget of {walk.cfg.max_panels} panels exhausted")
     order = np.argsort(a, kind="stable")
-    return a[order], integrals[:, order], float(np.sum(err))
+    return (
+        a[order], b[order], integrals[:, order], float(np.sum(err)),
+        None if vals is None else vals[:, order],
+    )
 
 
 def _ladder_and_lobes(w_lo: float, w_hi: float, lobe: float, walk: _Walk) -> np.ndarray:
@@ -289,10 +324,12 @@ def _tail_envelope(spec: NoiseSpectrum, w_from: float, ff_bound: float) -> float
 class _Walk:
     """State of one band walk: panel budget, contributions, running error and tail stop.
 
-    Contributions (2, P) arrive at frequencies (P,) and are split at the
-    cutoff.  The totals are math.fsum over each region, which is correctly
-    rounded, so they depend neither on the order contributions arrive in
-    nor on how the work was divided.
+    Contributions (R, P), R = 2 or 1, arrive at frequencies (P,) and are
+    split at the cutoff.  The totals are math.fsum over each region, which
+    is correctly rounded, so they depend neither on the order contributions
+    arrive in nor on how the work was divided.  With nodes set to a list,
+    each region also appends its accepted panels (a, b) and their node values
+    (R - 1, P, 15) of every row but row 1, for a caller that re-weights them.
     """
 
     spec: NoiseSpectrum
@@ -304,6 +341,7 @@ class _Walk:
     err: float = 0.0
     at: List[np.ndarray] = field(default_factory=lambda: [np.zeros(0)])
     rows: List[np.ndarray] = field(default_factory=lambda: [np.zeros((2, 0))])
+    nodes: Optional[List[Tuple[np.ndarray, np.ndarray, np.ndarray]]] = None
 
     def check(self, count: int) -> None:
         """Fail if count more panels would overrun the budget."""
@@ -322,19 +360,47 @@ class _Walk:
     def add(self, at, rows: np.ndarray, err: float = 0.0) -> None:
         """Add contributions at frequencies at."""
         self.at.append(np.atleast_1d(at))
-        self.rows.append(np.reshape(rows, (2, -1)))
+        self.rows.append(np.reshape(rows, (len(rows), -1)))
         self.total += float(np.sum(self.rows[-1][0]))
         self.err += err
 
     def region(self, rows_fn: RowsFn, edges: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Integrate rows_fn between edges, with the cutoff as an extra edge, and add it.
+        """Integrate rows_fn between edges, with the cutoff as an extra edge, and add rows 0-1.
 
-        Returns the panels' left edges and their row integrals (2, P).
+        Returns the panels' left edges and their row integrals (R, P).
         """
         edges = _with_breakpoint(edges, self.spec.omega_c)
-        a, rows, err = _adaptive_region(rows_fn, edges, self)
-        self.add(a, rows, err)
+        a, b, rows, err, vals = _adaptive_region(rows_fn, edges, self, self.nodes is not None)
+        self.add(a, rows[:2], err)
+        if vals is not None:
+            self.nodes.append((a, b, np.delete(vals, 1, axis=0)))
         return a, rows
+
+    def band(self, rows_fn: RowsFn, t_osc: float) -> float:
+        """Walk rows_fn up from omega_min until the tail is negligible; returns where it stopped.
+
+        t_osc is the slowest coherent timescale of the rows and sets the
+        panel width: a log ladder up to a few lobes pi/t_osc, then half-lobe
+        panels in blocks of _WALK_BLOCK_LOBES lobes (see climb).
+        """
+        w_lo, w_hi = self.spec.omega_min, _band_top(self.spec)
+        if not w_lo < w_hi:
+            return w_hi
+        lobe = math.pi / t_osc
+        w = min(w_hi, max(1.25 * self.spec.omega_c, w_lo * 10.0, 6.0 * lobe))
+        self.region(rows_fn, _ladder_and_lobes(w_lo, w, lobe, self))
+        return self.climb(rows_fn, w, lobe)
+
+    def climb(self, rows_fn: RowsFn, w: float, lobe: float) -> float:
+        """Walk blocks up from w, checking the tail after each, until it passes or the band ends."""
+        w_hi = _band_top(self.spec)
+        while w < w_hi:
+            w_next = min(w_hi, w + _WALK_BLOCK_LOBES * lobe)
+            self.region(rows_fn, _ladder_and_lobes(w, w_next, lobe, self))
+            w = w_next
+            if w < w_hi and self.stop(w):
+                break
+        return w
 
     def stop(self, w: float) -> bool:
         """Whether the tail above w is negligible; if it is, it joins the error."""
@@ -363,16 +429,22 @@ def _ff_rows_factory(
     shape: PulseShape,
     spec: NoiseSpectrum,
     m: int = 1,
-    delay: Optional[float] = None,
+    basis: bool = False,
     kernel: Optional[RowsFn] = None,
 ) -> RowsFn:
-    """Rows [S*F_total/w^2, S*F_ideal/w^2] of p repeated m times, then an unrefocused delay.
+    """Rows [S*F_total/w^2, S*F_ideal/w^2] of p repeated m times, or their read-delay basis.
 
     With G = e^{i(m-1)theta} sin(m theta)/sin(theta), theta = w T_p/2, and b, c_y what
     one pulse of phasor 1 adds, the junction pulses of an odd base make
-    r_z = G (omega*y_p + dz) + b (G - 1) and r_y = G r_y_p + c_y (G - 1); a delay
-    adds end_sign e^{i w m T_p} (1 - e^{i w delay}) to r_z.  Without either, the
-    rows are the base rows times |G|^2.  A given kernel(w) multiplies both rows.
+    r_z = G (omega*y_p + dz) + b (G - 1) and r_y = G r_y_p + c_y (G - 1).  Without
+    junctions the rows are the base rows times |G|^2.  A given kernel(w)
+    multiplies every row.
+
+    A read delay delta adds D (1 - e^{i w delta}) to r_z = R, D = end_sign e^{i w m T_p},
+    so |r_z|^2 = |R|^2 + 4 sin^2(w delta/2) (1 + Re conj(R) D) + 2 sin(w delta) Im conj(R) D.
+    With basis set the rows are [(|R|^2 + |r_y|^2) W, S*F_ideal/w^2, (1 + Re conj(R) D) W,
+    Im conj(R) D W], W = S/w^2: row 0 is the total at delta = 0, and rows 0, 2
+    and 3 give it at any delta (see _delay_row).
     """
     t_p = p.duration
 
@@ -382,7 +454,7 @@ def _ff_rows_factory(
         if kernel is not None:
             weight = weight * kernel(w)
         junction = m > 1 and dz is not None and p.end_sign < 0
-        if delay is None and not junction:
+        if not (basis or junction):
             f_bb = np.abs(base) ** 2
             f_total = f_bb if dz is None else np.abs(base + dz) ** 2 + np.abs(ry) ** 2
             if m > 1:
@@ -399,11 +471,19 @@ def _ff_rows_factory(
             f_y = np.abs(g_rep * ry + c_y * (g_rep - 1.0)) ** 2
         else:
             f_y = 0.0 if ry is None else ratio**2 * np.abs(ry) ** 2
-        if delay is not None:
-            rz = rz + p.end_sign * np.exp(1j * w * (m * t_p)) * (1.0 - np.exp(1j * w * delay))
-        return np.stack([(np.abs(rz) ** 2 + f_y) * weight, ratio**2 * np.abs(base) ** 2 * weight])
+        out = [(np.abs(rz) ** 2 + f_y) * weight, ratio**2 * np.abs(base) ** 2 * weight]
+        if basis:
+            rd = np.conj(rz) * (p.end_sign * np.exp(1j * w * (m * t_p)))
+            out += [(1.0 + rd.real) * weight, rd.imag * weight]
+        return np.stack(out)
 
     return rows
+
+
+def _delay_row(basis: np.ndarray, w: np.ndarray, delta: float) -> np.ndarray:
+    """Total row (1, ...) after a read delay delta, from basis rows 0, 2 and 3 (3, ...) at w."""
+    cross = 4.0 * np.sin(0.5 * delta * w) ** 2 * basis[1] + 2.0 * np.sin(delta * w) * basis[2]
+    return (basis[0] + cross)[None]
 
 
 def _assemble(
@@ -456,17 +536,7 @@ def integrate_rows(
     low/high the per-row sums below/above the cutoff.
     """
     walk = _Walk(spec, config or DEFAULT_CONFIG, lambda w: _tail_envelope(spec, w, ff_bound), label)
-    w_lo, w_hi = spec.omega_min, _band_top(spec)
-    if w_lo < w_hi:
-        lobe = math.pi / t_osc
-        w = min(w_hi, max(1.25 * spec.omega_c, w_lo * 10.0, 6.0 * lobe))
-        walk.region(rows_fn, _ladder_and_lobes(w_lo, w, lobe, walk))
-        while w < w_hi:
-            w_next = min(w_hi, w + _WALK_BLOCK_LOBES * lobe)
-            walk.region(rows_fn, _ladder_and_lobes(w, w_next, lobe, walk))
-            w = w_next
-            if w >= w_hi or walk.stop(w):
-                break
+    walk.band(rows_fn, t_osc)
     return (*walk.totals(), walk.err)
 
 
@@ -545,17 +615,74 @@ def _chi_direct(
     spec: NoiseSpectrum,
     shape: PulseShape,
     cfg: QuadratureConfig,
-    delay: Optional[float] = None,
 ) -> ErrorBudget:
-    """chi of p repeated m times, then an optional unrefocused read delay, by integrate_rows."""
-    rows = _ff_rows_factory(p, shape, spec, m, delay)
-    if delay is None:
-        # the kernel integrates to 2 pi m / T_p per period: F*D <= m * base bound per period
-        t_osc, bound = m * p.duration, _filter_bound(p) * m
-    else:
-        # 2 (n+1) per repeat plus 2 for the delay phasor, squared and doubled
-        t_osc, bound = m * p.duration + delay, 2 * (math.sqrt(_filter_bound(p)) * m + 2) ** 2
-    return _assemble(*integrate_rows(rows, spec, t_osc, bound, cfg, label=_label(p, m)), m=m)
+    """chi of p repeated m times, by integrate_rows."""
+    rows = _ff_rows_factory(p, shape, spec, m)
+    # the kernel integrates to 2 pi m / T_p per period: F*D <= m * base bound per period
+    bound = _filter_bound(p) * m
+    budget = integrate_rows(rows, spec, m * p.duration, bound, cfg, label=_label(p, m))
+    return _assemble(*budget, m=m)
+
+
+def _require_delay(delta_t: float) -> None:
+    if not (math.isfinite(delta_t) and delta_t >= 0.0):
+        raise DomainError(f"read delay delta_t must be finite and nonnegative, got {delta_t}")
+
+
+def jitter_curve(
+    p: TimingPattern,
+    m: int,
+    spec: NoiseSpectrum,
+    shape: Optional[PulseShape] = None,
+    config: Optional[QuadratureConfig] = None,
+) -> Callable[[float], ErrorBudget]:
+    """Error of m repeats followed by an unrefocused read delay, as a function of the delay.
+
+    The delay appends coherently: r_z = R + D (1 - e^(i omega delta_t)), with
+    R the repeat's r_z (an odd base adds its junction pulses through the
+    repetition factor) and D = end_sign e^(i omega m T_p).  One band walk at
+    delta_t = 0 serves every delay (see the module notes); each delay counts
+    its panels afresh from the walk's, so its result does not depend on the
+    delays evaluated before it.  quad_error adds the rounding of the
+    re-weighting, a few eps times the zero-delay chi, which dominates where
+    a delay cancels most of that error.  chi_bb reports the delta_t = 0
+    ideal-pulse value, so chi_pul carries pulse width and jitter excess
+    together.  The returned function raises DomainError for a delay that is
+    negative or not finite.
+    """
+    require_count("repeat count", m)
+    cfg = config or DEFAULT_CONFIG
+    basis = _ff_rows_factory(p, shape or bang_bang(), spec, m, basis=True)
+    # 2 (n+1) per repeat plus 2 for the delay phasor, squared and doubled, at every delay
+    bound = 2 * (math.sqrt(_filter_bound(p)) * m + 2) ** 2
+    walk = _Walk(spec, cfg, lambda w: _tail_envelope(spec, w, bound), _label(p, m), nodes=[])
+    lobe = math.pi / (m * p.duration)
+    w_stop = walk.band(basis, m * p.duration)
+    low, high = walk.totals()
+    chi0 = float(low[0] + high[0])
+
+    def at(delta_t: float) -> ErrorBudget:
+        _require_delay(delta_t)
+
+        def rows(w: np.ndarray) -> np.ndarray:
+            return _delay_row(np.delete(basis(w), 1, axis=0), w, delta_t)
+
+        replay = _Walk(spec, cfg, walk.tail, walk.label, walk.panels, rows=[np.zeros((1, 0))])
+        for a, b, vals in walk.nodes:
+            x, half = _panel_nodes(a, b)
+            integrals, err = _kronrod(_delay_row(vals, x, delta_t), half)
+            a, _, integrals, err, _ = _refine(rows, a, b, integrals, err, None, replay)
+            replay.add(a, integrals, err)
+        if w_stop < _band_top(spec) and not replay.stop(w_stop):
+            replay.climb(rows, w_stop, lobe)
+        # a node's row 0 + X, X the delay terms, rounds to a few eps (row 0 + |X|),
+        # and row 0 + |X| <= 2 row 0 + the delayed row: where the delay cancels
+        # most of row 0, that rounding is larger than the quadrature error
+        replay.err += _REWEIGHT_ULPS * sys.float_info.epsilon * (2.0 * chi0 + replay.total)
+        (low_d,), (high_d,) = replay.totals()
+        return _assemble(np.array([low_d, low[1]]), np.array([high_d, high[1]]), replay.err, m=m)
+
+    return at
 
 
 def chi_with_jitter(
@@ -566,19 +693,9 @@ def chi_with_jitter(
     shape: Optional[PulseShape] = None,
     config: Optional[QuadratureConfig] = None,
 ) -> ErrorBudget:
-    """Error of m repeats followed by an unrefocused read delay delta_t.
-
-    The switching function of the delay appends coherently:
-    r_z = G_m r_z_p + end_sign e^(i omega m T_p) (1 - e^(i omega delta_t))
-    with G_m the geometric repetition factor; an odd base adds its junction
-    pulses through the same factor (see _ff_rows_factory).
-    chi_bb reports the delta_t = 0 ideal-pulse value, so chi_pul carries
-    pulse width and jitter excess together.
-    """
-    require_count("repeat count", m)
-    if not (math.isfinite(delta_t) and delta_t >= 0.0):
-        raise DomainError(f"read delay delta_t must be finite and nonnegative, got {delta_t}")
-    return _chi_direct(p, m, spec, shape or bang_bang(), config or DEFAULT_CONFIG, delta_t)
+    """Error of m repeats followed by an unrefocused read delay delta_t (see jitter_curve)."""
+    _require_delay(delta_t)  # before the walk
+    return jitter_curve(p, m, spec, shape, config)(delta_t)
 
 
 # direct budgets at m = comb_crossover from chi_repeated, oldest first, each
@@ -726,7 +843,7 @@ def _walk_comb(
         for crossing in (w_k - spec.omega_c, spec.omega_c - w_k, w_hi - w_k, w_k - w_lo):
             if d_min < crossing < d_max:
                 edges = _with_breakpoint(edges, crossing)
-        a_i, rows_i, err_i = _adaptive_region(pv_rows, edges, walk)
+        a_i, _, rows_i, err_i, _ = _adaptive_region(pv_rows, edges, walk)
         patch = pv_rows(np.array([d_min]))[:, 0] * d_min
         # a cell centred past the band draws only on its lower half
         walk.add(w_k if w_k <= w_hi else w_k - 0.5 * w1, rows_i.sum(axis=1) + patch, err_i)

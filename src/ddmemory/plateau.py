@@ -20,8 +20,9 @@ leading-order closed form per contribution 2 g |A|^2 omega_c^(2a-1) /
 Lifetime bounds cover three failure mechanisms: spectral weight above
 the cutoff (power-law rolloff curbs the usable repeat count m_max),
 access jitter when appending a read delay to the repeated block (its
-error chi_with_jitter is a direct integral, re-exported here from
-integrals), and a residual Markovian noise floor.
+error, from one band walk re-weighted for every delay, is jitter_curve in
+integrals; chi_with_jitter is re-exported here), and a residual Markovian
+noise floor.
 """
 
 from __future__ import annotations
@@ -34,7 +35,13 @@ import numpy as np
 
 from .errors import DivergenceError, DomainError, require_count, require_positive
 from .filters import passband_max, suppression_order
-from .integrals import ErrorBudget, QuadratureConfig, chi_plateau_limit, chi_with_jitter
+from .integrals import (
+    ErrorBudget,
+    QuadratureConfig,
+    chi_plateau_limit,
+    chi_with_jitter,
+    jitter_curve,
+)
 from .noise import HARD, NoiseSpectrum, PowerLaw, evaluate
 from .pulses import BANG_BANG, PulseShape, bang_bang, pulse_order
 from .sequences import TimingPattern
@@ -270,18 +277,20 @@ def jitter_tolerance(
     """Largest read delay keeping total error within budget_factor * chi_inf.
 
     Bisects delta_t for the repeated-plus-delay scenario of chi_with_jitter
-    against the asymptotic plateau budget.  The reference is the
-    rolloff-aware plateau level (chi_plateau_limit), which equals the
-    to-the-cutoff integral for hard cutoffs and extends it past the cutoff
-    for soft rolloffs.  Raises DomainError when the error already exceeds
-    the budget at delta_t = 0.
+    against the asymptotic plateau budget, reading every delay off one
+    jitter_curve: one band walk at delta_t = 0, re-weighted and checked for
+    each delay.  The reference is the rolloff-aware plateau level
+    (chi_plateau_limit), which equals the to-the-cutoff integral for hard
+    cutoffs and extends it past the cutoff for soft rolloffs.  Raises
+    DomainError when the error already exceeds the budget at delta_t = 0.
     """
     require_positive("budget_factor", budget_factor)
     if not 0.0 < rel_tol < 1.0:
         raise DomainError(f"rel_tol must lie in (0, 1), got {rel_tol}")
     shape = shape or bang_bang()
     budget = budget_factor * chi_plateau_limit(p, spec, shape, config).chi_total
-    chi0 = chi_with_jitter(p, m, 0.0, spec, shape, config).chi_total
+    curve = jitter_curve(p, m, spec, shape, config)
+    chi0 = curve(0.0).chi_total
     if chi0 >= budget:
         raise DomainError(
             f"error at zero delay ({chi0:.3e}) already exceeds the budget "
@@ -292,7 +301,7 @@ def jitter_tolerance(
     power = float(np.trapezoid(evaluate(spec, grid), grid))
     hi = math.sqrt((budget - chi0) / power) if power > 0 else p.duration
     for doublings in range(80):
-        if chi_with_jitter(p, m, hi, spec, shape, config).chi_total > budget:
+        if curve(hi).chi_total > budget:
             break
         hi *= 2.0
     else:
@@ -301,7 +310,7 @@ def jitter_tolerance(
     lo = 0.5 * hi if doublings else 0.0
     while hi - lo > rel_tol * hi:
         mid = 0.5 * (lo + hi)
-        if chi_with_jitter(p, m, mid, spec, shape, config).chi_total > budget:
+        if curve(mid).chi_total > budget:
             hi = mid
         else:
             lo = mid

@@ -64,10 +64,13 @@ class TimingPattern:
                 f"pulses must lie inside (0, {self.duration}), got {self.pulse_times[-1]}"
             )
         if self.grid is not None:
-            n_slots, bounds = self.grid
-            if not isinstance(bounds, tuple):
-                bounds = tuple(map(operator.index, bounds))
-            n_slots = operator.index(n_slots)
+            try:
+                n_slots, bounds = self.grid
+                n_slots, bounds = operator.index(n_slots), tuple(map(operator.index, bounds))
+            except (TypeError, ValueError):
+                raise DomainError(
+                    f"grid must be an integer slot count and slot indices, got {self.grid!r}"
+                ) from None
             object.__setattr__(self, "grid", (n_slots, bounds))
             if len(bounds) != len(self.pulse_times):
                 raise DomainError("grid boundary count does not match pulse count")

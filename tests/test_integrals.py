@@ -29,6 +29,7 @@ from ddmemory import (
     dcg3,
     echo,
     free_evolution,
+    jitter_curve,
     primitive,
     repeat_pattern,
     truncate,
@@ -303,6 +304,93 @@ class TestDuring:
     def test_beyond_duration_rejected(self, gaas):
         with pytest.raises(DomainError):
             chi_during(echo(1e-6), 2e-6, gaas, bang_bang())
+
+
+def _delayed(p, m, delta_t):
+    """p repeated m times as one explicit pattern, its duration extended by delta_t."""
+    q = repeat_pattern(p, m)
+    return TimingPattern(q.pulse_times, q.duration + delta_t, "explicit")
+
+
+def _meets(got, ref, rel_tol=DEFAULT_CONFIG.rel_tol):
+    """|chi - ref| <= max(quad_error, rel_tol * chi), plus the reference's own quad_error."""
+    gap = abs(got.chi_total - ref.chi_total)
+    return gap <= max(got.quad_error, rel_tol * got.chi_total) + ref.quad_error
+
+
+_CURVE_BASES = {"cdd4": cdd(4, 1e-6), "echo": echo(2e-6), "udd5": udd(5, 16e-6)}
+_CURVE_SHAPES = {"bb": bang_bang(), "primitive_1ns": primitive(1e-9), "dcg_10ns": dcg3(1e-8)}
+
+
+class TestJitterCurve:
+    @given(
+        base=st.sampled_from(sorted(_CURVE_BASES)),
+        shape=st.sampled_from(sorted(_CURVE_SHAPES)),
+        m=st.integers(1, 32),
+        delta_t=st.floats(0.0, 1e-9),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_matches_explicit_delayed_pattern(self, gaas, base, shape, m, delta_t):
+        # the explicit pattern goes through no kernel and no delay rows
+        p, shape = _CURVE_BASES[base], _CURVE_SHAPES[shape]
+        got = jitter_curve(p, m, gaas, shape)(delta_t)
+        assert _meets(got, chi(_delayed(p, m, delta_t), gaas, shape))
+
+    def test_long_delay_splits_only_its_panels(self, gaas, monkeypatch):
+        # the zero-delay panels resolve e^(i omega delta) up to a few block
+        # lengths (no delay up to 5 T_p splits a panel for the bases above or
+        # for 128 us blocks); 8 T_p after one 128 us CDD4 block needs its own
+        p, delta_t = cdd(4, 8e-6), 8 * 128e-6
+        curve = jitter_curve(p, 1, gaas)
+        evaluated = []
+        original = integrals._eval_panels
+
+        def counted(rows_fn, a, b):
+            evaluated.append(len(a))
+            return original(rows_fn, a, b)
+
+        monkeypatch.setattr(integrals, "_eval_panels", counted)
+        got = curve(delta_t)
+        monkeypatch.undo()
+        assert 0 < sum(evaluated) < 100
+        assert _meets(got, chi(_delayed(p, 1, delta_t), gaas))
+
+    def test_delay_that_cancels_the_error_walks_past_the_stop(self, gaas, monkeypatch):
+        # pulses at 0.2 T and 0.9 T leave a net area of -0.4 T per copy, which
+        # a delay of 0.4 m T all but cancels: chi falls 1e6-fold, so under a
+        # power-law tail the zero-delay walk stopped too low for this delay
+        p = TimingPattern((0.2e-6, 0.9e-6), 1e-6, "y")
+        spec = replace(gaas, rolloff=PowerLaw(2.0))
+        m, delta_t = 10, 0.3999 * 10e-6
+        ref = chi(_delayed(p, m, delta_t), spec)
+        curve = jitter_curve(p, m, spec)
+        climbs = []
+        original = integrals._Walk.climb
+
+        def counted(walk, *args):
+            climbs.append(args)
+            return original(walk, *args)
+
+        monkeypatch.setattr(integrals._Walk, "climb", counted)
+        got = curve(delta_t)
+        assert len(climbs) == 1
+        assert got.chi_total < 1e-5 * curve(0.0).chi_total
+        assert _meets(got, ref)
+
+    def test_quad_error_covers_the_rounding_of_a_cancelling_delay(self, gaas):
+        # one pulse at 0.6 T leaves a net area of 0.2 T, which a delay of
+        # 0.2 T cancels: chi falls 1e8-fold, and rows of size chi(0) cancel
+        # to the last 8 digits in the re-weighted delay row
+        p, delta_t = TimingPattern((0.6e-6,), 1e-6, "x"), 0.2e-6
+        got = jitter_curve(p, 1, gaas)(delta_t)
+        ref = chi(_delayed(p, 1, delta_t), gaas)
+        assert abs(got.chi_total - ref.chi_total) <= got.quad_error + ref.quad_error
+
+    @pytest.mark.parametrize("delta_t", [-1e-12, math.nan, math.inf])
+    def test_bad_delay_is_named(self, gaas, delta_t):
+        curve = jitter_curve(echo(2e-6), 2, gaas)
+        with pytest.raises(DomainError, match="delta_t"):
+            curve(delta_t)
 
 
 class TestConfigAndFailure:

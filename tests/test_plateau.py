@@ -21,7 +21,9 @@ from ddmemory import (
     dcg3,
     echo,
     free_evolution,
+    jitter_curve,
     jitter_tolerance,
+    load_preset,
     m_max_soft,
     m_max_soft_detail,
     markovian_limit,
@@ -30,7 +32,7 @@ from ddmemory import (
     repeat_pattern,
     udd,
 )
-from ddmemory import plateau
+from ddmemory import integrals, plateau
 
 CDD4_COEFF = 3.0 * math.pi**6 / (5.0 * 2.0**25)
 
@@ -181,13 +183,44 @@ class TestJitter:
     def test_bisection_evaluates_each_delay_once(self, gaas, monkeypatch):
         delays = []
 
-        def counting(p, m, delta_t, *args):
-            delays.append(delta_t)
-            return chi_with_jitter(p, m, delta_t, *args)
+        def counting(*args):
+            curve = jitter_curve(*args)
 
-        monkeypatch.setattr(plateau, "chi_with_jitter", counting)
-        jitter_tolerance(cdd(4, 1e-6), 1000, gaas, budget_factor=2.0)
+            def at(delta_t):
+                delays.append(delta_t)
+                return curve(delta_t)
+
+            return at
+
+        monkeypatch.setattr(plateau, "jitter_curve", counting)
+        dt = jitter_tolerance(cdd(4, 1e-6), 1000, gaas, budget_factor=2.0)
         assert len(delays) == len(set(delays))
+        # zero delay, then doublings from a physical scale, then midpoints
+        # between the last two doublings (or zero and the first) that close on dt
+        assert delays[0] == 0.0
+        doubling = delays[1:2]
+        for delta_t in delays[2:]:
+            if delta_t != 2.0 * doubling[-1]:
+                break
+            doubling.append(delta_t)
+        bisection = delays[1 + len(doubling):]
+        lo, hi = (doubling[-2] if len(doubling) > 1 else 0.0), doubling[-1]
+        assert len(bisection) >= 9  # 1e-3 of hi from an interval of at least hi / 2
+        assert all(lo < delta_t < hi for delta_t in bisection)
+        assert lo < dt < hi
+
+    @pytest.mark.parametrize("preset", ["gaas", "yb"])
+    def test_tolerance_runs_one_band_walk(self, preset, monkeypatch):
+        walks = []
+        original = integrals._Walk.band
+
+        def counted(walk, *args):
+            walks.append(args)
+            return original(walk, *args)
+
+        monkeypatch.setattr(integrals._Walk, "band", counted)
+        jitter_tolerance(cdd(4, 1e-6), 1000, load_preset(preset), budget_factor=2.0)
+        assert len(walks) == 1
 
     def test_infeasible_budget_rejected(self, gaas):
         with pytest.raises(DomainError):

@@ -73,6 +73,15 @@ class TestConstructors:
             assert p.walsh_index == ref.walsh_index == 3
         assert chi(p, gaas).chi_total == chi(ref, gaas).chi_total
 
+    @pytest.mark.parametrize(
+        "grid",
+        [(4.0, (1,)), (4, (1.0,)), (4, 1), (4,), (4, (1,), 0)],
+        ids=["float_count", "float_bound", "bare_bound", "no_bounds", "three_fields"],
+    )
+    def test_malformed_grid_is_named(self, grid):
+        with pytest.raises(DomainError, match="grid"):
+            TimingPattern((0.25e-6,), 1e-6, "x", grid=grid)
+
     def test_bad_orders_rejected(self):
         with pytest.raises(DomainError):
             udd(-1, 1.0)
