@@ -34,9 +34,12 @@ from ddmemory import (  # noqa: E402
     chi_repeated,
     chi_with_jitter,
     dcg3,
+    echo,
+    jitter_tolerance,
     load_preset,
     m_max_soft_detail,
     plateau_report,
+    primitive,
     udd,
     walsh,
 )
@@ -71,6 +74,14 @@ def _calls():
     p = cdd(4, 1e-6)
     yield "plateau_report/dcg_10ns", lambda: plateau_report(
         p, gaas, dcg3(1e-8), t_markov=1.0, jitter_budget_factor=2.0
+    )
+    # CDD4 with bang-bang and DCG pulses is in the reference table above
+    yield "jitter_tolerance/cdd4/primitive_1ns", lambda: jitter_tolerance(
+        p, 1000, gaas, primitive(1e-9)
+    )
+    # an odd base: its read delay continues the last copy's sign
+    yield "jitter_tolerance/echo/primitive_1ns/16", lambda: jitter_tolerance(
+        echo(2e-6), 16, gaas, primitive(1e-9)
     )
     yield "chi_with_jitter/bb", lambda: chi_with_jitter(p, 1000, 1e-7, gaas)
     yield "chi_with_jitter/dcg_10ns", lambda: chi_with_jitter(p, 1000, 1e-7, gaas, dcg3(1e-8))
