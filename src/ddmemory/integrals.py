@@ -50,7 +50,6 @@ at one delay.
 from __future__ import annotations
 
 import math
-import sys
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
@@ -678,7 +677,7 @@ def jitter_curve(
         # a node's row 0 + X, X the delay terms, rounds to a few eps (row 0 + |X|),
         # and row 0 + |X| <= 2 row 0 + the delayed row: where the delay cancels
         # most of row 0, that rounding is larger than the quadrature error
-        replay.err += _REWEIGHT_ULPS * sys.float_info.epsilon * (2.0 * chi0 + replay.total)
+        replay.err += _REWEIGHT_ULPS * np.finfo(float).eps * (2.0 * chi0 + replay.total)
         (low_d,), (high_d,) = replay.totals()
         return _assemble(np.array([low_d, low[1]]), np.array([high_d, high[1]]), replay.err, m=m)
 
