@@ -4,8 +4,9 @@
 Writes one line per case to stdout: every entry of the frozen reference
 table (tests/test_reference.py), the plateau and jitter calls, the
 AccuracyError (message, estimate, bound) of each panel-budget exhaustion,
-and the exit code and output of a fixed set of CLI runs. Two checkouts
-agree bit for bit when their dumps do:
+the type and message of every other refusal, and the exit code and output
+of a fixed set of CLI runs. Two checkouts agree bit for bit when their
+dumps do:
 
     PYTHONPATH=src python3 scripts/dump_outputs.py > a.txt   # in each checkout
     cmp a.txt b.txt
@@ -26,6 +27,7 @@ from test_reference import cases  # noqa: E402
 from ddmemory import (  # noqa: E402
     DEFAULT_CONFIG,
     AccuracyError,
+    DDMemoryError,
     PowerLaw,
     bang_bang,
     cdd,
@@ -79,9 +81,13 @@ def _calls():
     yield "jitter_tolerance/cdd4/primitive_1ns", lambda: jitter_tolerance(
         p, 1000, gaas, primitive(1e-9)
     )
-    # an odd base: its read delay continues the last copy's sign
+    # an odd base with finite pulses: refused, as its budget is the comb walk's plateau
     yield "jitter_tolerance/echo/primitive_1ns/16", lambda: jitter_tolerance(
         echo(2e-6), 16, gaas, primitive(1e-9)
+    )
+    # its read delay continues the last copy's sign
+    yield "chi_with_jitter/echo/primitive_1ns/16", lambda: chi_with_jitter(
+        echo(2e-6), 16, 1e-10, gaas, primitive(1e-9)
     )
     yield "chi_with_jitter/bb", lambda: chi_with_jitter(p, 1000, 1e-7, gaas)
     yield "chi_with_jitter/dcg_10ns", lambda: chi_with_jitter(p, 1000, 1e-7, gaas, dcg3(1e-8))
@@ -92,6 +98,9 @@ def _calls():
     yield "chi_with_jitter/udd5/dcg_10ns", lambda: chi_with_jitter(
         u5, 1000, 1e-12, gaas, dcg3(1e-8)
     )
+    # the comb walk lacks the junction cross terms: both refuse
+    yield "chi_plateau_limit/udd5/dcg_10ns", lambda: chi_plateau_limit(u5, gaas, dcg3(1e-8))
+    yield "plateau_report/udd5/dcg_10ns", lambda: plateau_report(u5, gaas, dcg3(1e-8))
     r18 = replace(gaas, rolloff=PowerLaw(18.0))
     yield "m_max_soft_detail/r18", lambda: m_max_soft_detail(p, r18)
     small = replace(DEFAULT_CONFIG, max_panels=64, validate_crossover=False)
@@ -118,6 +127,8 @@ def main() -> None:
             text = repr(call())
         except AccuracyError as exc:
             text = f"{type(exc).__name__}({str(exc)!r}, {exc.estimate!r}, {exc.error_bound!r})"
+        except DDMemoryError as exc:
+            text = f"{type(exc).__name__}({str(exc)!r})"
         print(f"{name}: {text}")
     for args in CLI_RUNS:
         print(f"$ ddmemory {' '.join(args)}\n{_cli(args)}")

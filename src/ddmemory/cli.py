@@ -435,11 +435,9 @@ def plateau_cmd(sequence, tau, duration, pulse, spectrum, t_markov, jitter_budge
 @_spectrum_opt
 @click.option("--threads", type=int, default=None,
               help="Ignored, kept for compatibility; must be >= 1. The search runs in one process.")
-@click.option("--limit", type=int, default=MAX_SLOTS, show_default=True,
-              help="Largest admissible slot count N.")
 @_numeric_opts
 @_out_opts()
-def search_cmd(tau, t_s_values, pulse, spectrum, threads, limit, rel_tol, comb_crossover, output, fmt):
+def search_cmd(tau, t_s_values, pulse, spectrum, threads, rel_tol, comb_crossover, output, fmt):
     """Exhaustive Walsh-family minimum-chi search per storage time."""
     shape = build_pulse(pulse)
     spec = load_preset(spectrum)
@@ -449,9 +447,9 @@ def search_cmd(tau, t_s_values, pulse, spectrum, threads, limit, rel_tol, comb_c
     t_s_list = list(t_s_values)
     doc = _resolved_doc(
         "search", spec=spec, shape=shape, config=config,
-        extra={"tau_s": tau, "t_s_values": t_s_list, "limit": limit},
+        extra={"tau_s": tau, "t_s_values": t_s_list, "limit": MAX_SLOTS},
     )
-    results = search_series(tau, t_s_list, spec, shape, config=config, limit=limit)
+    results = search_series(tau, t_s_list, spec, shape, config=config)
     rows = []
     skipped = 0
     for res in results:

@@ -2,9 +2,8 @@
 
 Each class maps to a distinct CLI exit code so scripted callers can
 tell misuse, domain violations, convergence trouble and resource
-exhaustion apart. require_positive and require_count are the one
-spelling of the two common argument rules; both raise DomainError
-naming the argument.
+exhaustion apart. require_positive, require_nonnegative and require_count
+spell the common argument rules once, each raising DomainError naming it.
 """
 
 from __future__ import annotations
@@ -78,6 +77,12 @@ def require_positive(name: str, x: float) -> None:
     """Raise DomainError naming `name` unless x is finite and > 0."""
     if not (math.isfinite(x) and x > 0):
         raise DomainError(f"{name} must be finite and positive, got {x}")
+
+
+def require_nonnegative(name: str, x: float) -> None:
+    """Raise DomainError naming `name` unless x is finite and >= 0."""
+    if not (math.isfinite(x) and x >= 0):
+        raise DomainError(f"{name} must be finite and nonnegative, got {x}")
 
 
 def require_count(name: str, m: int, least: int = 1) -> None:

@@ -45,6 +45,7 @@ from .sequences import _GRID_RTOL, TimingPattern, min_interval, udd
 
 THETA_SWITCH = 2.0
 N_MOMENTS = 36
+FIT_RESIDUAL_LIMIT = 0.2  # rms log10 misfit above which suppression_order refuses
 
 # vectorized evaluation proceeds in chunks of at most this many complex terms
 _CHUNK_TERMS = 1 << 22
@@ -251,7 +252,7 @@ class SuppressionOrder(NamedTuple):
     residual: float
 
 
-def suppression_order(p: TimingPattern, fit_residual_limit: float = 0.2) -> SuppressionOrder:
+def suppression_order(p: TimingPattern) -> SuppressionOrder:
     """Order of error suppression and leading amplitude of the filter zero.
 
     F behaves as |amplitude|^2 * omega^(2*(alpha+1)) near omega = 0. The
@@ -269,7 +270,7 @@ def suppression_order(p: TimingPattern, fit_residual_limit: float = 0.2) -> Supp
     slope, intercept = np.polyfit(logw, logf, 1)
     residual = float(np.sqrt(np.mean((logf - (slope * logw + intercept)) ** 2)))
     alpha = int(round(slope / 2.0 - 1.0))
-    if residual > fit_residual_limit or abs(slope - 2.0 * (alpha + 1)) > 0.5 or alpha < 0:
+    if residual > FIT_RESIDUAL_LIMIT or abs(slope - 2.0 * (alpha + 1)) > 0.5 or alpha < 0:
         raise SuppressionFitError(
             f"low-frequency behavior is not a clean power law (slope {slope:.3f})",
             float(slope),

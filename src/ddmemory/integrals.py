@@ -57,7 +57,7 @@ from typing import Callable, List, NoReturn, Optional, Tuple
 
 import numpy as np
 
-from .errors import AccuracyError, ConsistencyError, DomainError, require_count
+from .errors import AccuracyError, ConsistencyError, DomainError, require_count, require_nonnegative
 from .filters import dirichlet_factor, dirichlet_ratio
 from .noise import GAUSSIAN, HARD, NoiseSpectrum, evaluate
 from .pulses import BANG_BANG, PulseShape, _unit_pulse_terms, bang_bang, quadrature_components
@@ -153,8 +153,7 @@ class QuadratureConfig:
     def __post_init__(self) -> None:
         if not 0 < self.rel_tol < 1:
             raise DomainError(f"rel_tol must lie in (0, 1), got {self.rel_tol}")
-        if not (math.isfinite(self.abs_floor) and self.abs_floor >= 0):
-            raise DomainError(f"abs_floor must be finite and nonnegative, got {self.abs_floor}")
+        require_nonnegative("abs_floor", self.abs_floor)
         require_count("max_panels", self.max_panels, least=64)
         require_count("comb_crossover", self.comb_crossover, least=16)
 
@@ -285,13 +284,16 @@ def _ladder_and_lobes(w_lo: float, w_hi: float, lobe: float, walk: _Walk) -> np.
 
 
 def _with_breakpoint(edges: np.ndarray, x: float) -> np.ndarray:
+    """edges with x added when strictly inside: an inner edge within 1e-12 moves onto x."""
     if not (edges[0] < x < edges[-1]):
         return edges
     i = int(np.searchsorted(edges, x))
-    if math.isclose(edges[i - 1], x, rel_tol=1e-12) or math.isclose(
-        edges[min(i, len(edges) - 1)], x, rel_tol=1e-12
-    ):
-        return edges
+    for j in (i - 1, i):
+        if math.isclose(edges[j], x, rel_tol=1e-12):
+            if 0 < j < len(edges) - 1:
+                edges = edges.copy()
+                edges[j] = x
+            return edges
     return np.insert(edges, i, x)
 
 
@@ -581,30 +583,25 @@ def chi_repeated(
     A base pattern with odd pulse count restarts each repeat with a junction
     pulse.  With finite-width pulses the direct path takes those through the
     same geometric factor (see _ff_rows_factory); beyond comb_crossover they
-    raise DomainError, as the comb path lacks the junction cross term.
+    raise DomainError (see _comb_applies) before the crossover check runs.
     """
     require_count("repeat count", m)
     shape = shape or bang_bang()
     cfg = config or DEFAULT_CONFIG
     if m == 1:
         return chi(p, spec, shape, cfg)
-    comb_ready = p.end_sign > 0 or shape.kind == BANG_BANG
     if m <= cfg.comb_crossover:
         budget = _chi_direct(p, m, spec, shape, cfg)
-        if m == cfg.comb_crossover and cfg.validate_crossover and comb_ready:
+        if m == cfg.comb_crossover and cfg.validate_crossover and _comb_applies(p, shape):
             _direct_at_crossover[(p, spec, shape, cfg)] = budget
             if len(_direct_at_crossover) > _CROSSOVER_STORE:
                 _direct_at_crossover.popitem(last=False)
         return budget
-    if not comb_ready:
-        raise DomainError(
-            f"pattern {p.label!r} has odd pulse count; with finite-width pulses the "
-            f"comb path does not apply, and m={m} exceeds comb_crossover={cfg.comb_crossover}"
-        )
+    # _chi_comb refuses where the comb walk does not apply, before the crossover check
+    budget = _chi_comb(p, m, spec, shape, cfg)
     agreement: Optional[float] = None
     if cfg.validate_crossover:
         agreement = _crossover_agreement(p, spec, shape, cfg)
-    budget = _chi_comb(p, m, spec, shape, cfg)
     return replace(budget, comb_agreement=agreement)
 
 
@@ -621,11 +618,6 @@ def _chi_direct(
     bound = _filter_bound(p) * m
     budget = integrate_rows(rows, spec, m * p.duration, bound, cfg, label=_label(p, m))
     return _assemble(*budget, m=m)
-
-
-def _require_delay(delta_t: float) -> None:
-    if not (math.isfinite(delta_t) and delta_t >= 0.0):
-        raise DomainError(f"read delay delta_t must be finite and nonnegative, got {delta_t}")
 
 
 def jitter_curve(
@@ -661,7 +653,7 @@ def jitter_curve(
     chi0 = float(low[0] + high[0])
 
     def at(delta_t: float) -> ErrorBudget:
-        _require_delay(delta_t)
+        require_nonnegative("read delay delta_t", delta_t)
 
         def rows(w: np.ndarray) -> np.ndarray:
             return _delay_row(np.delete(basis(w), 1, axis=0), w, delta_t)
@@ -693,7 +685,7 @@ def chi_with_jitter(
     config: Optional[QuadratureConfig] = None,
 ) -> ErrorBudget:
     """Error of m repeats followed by an unrefocused read delay delta_t (see jitter_curve)."""
-    _require_delay(delta_t)  # before the walk
+    require_nonnegative("read delay delta_t", delta_t)  # before the walk
     return jitter_curve(p, m, spec, shape, config)(delta_t)
 
 
@@ -726,6 +718,11 @@ def _crossover_agreement(
             error_bound=abs(comb.chi_total - direct.chi_total),
         )
     return agreement
+
+
+def _comb_applies(p: TimingPattern, shape: PulseShape) -> bool:
+    """False for an odd base with finite pulses: the comb walk lacks its junction cross terms."""
+    return p.end_sign > 0 or shape.kind == BANG_BANG
 
 
 def _chi_comb(
@@ -763,6 +760,15 @@ def _chi_comb(
     g' over (m T_p)^2 are added.  Against bench/oracle.py the bound is
     about twice the true error of CDD4 and UDD4 on gaas.
     """
+    if not _comb_applies(p, shape):
+        need = (
+            "the plateau level needs it" if m is None
+            else f"m={m} exceeds comb_crossover={cfg.comb_crossover}"
+        )
+        raise DomainError(
+            f"pattern {p.label!r} has odd pulse count; with finite-width pulses the "
+            f"comb path does not apply, and {need}"
+        )
     # the comb walk's tail envelope is m + 1 times the base one, twice it for m = None
     scale, base = (m + 1) if m is not None else 2, _filter_bound(p)
     walk = _Walk(spec, cfg, lambda w: scale * _tail_envelope(spec, w, base), _label(p, m))
@@ -840,8 +846,7 @@ def _walk_comb(
         d_max = 0.5 * w1
         edges = np.geomspace(d_min, d_max, 41)
         for crossing in (w_k - spec.omega_c, spec.omega_c - w_k, w_hi - w_k, w_k - w_lo):
-            if d_min < crossing < d_max:
-                edges = _with_breakpoint(edges, crossing)
+            edges = _with_breakpoint(edges, crossing)
         a_i, _, rows_i, err_i, _ = _adaptive_region(pv_rows, edges, walk)
         patch = pv_rows(np.array([d_min]))[:, 0] * d_min
         # a cell centred past the band draws only on its lower half
@@ -919,6 +924,7 @@ def chi_plateau_limit(
     finite parts of every resonance cell, from the same comb walk as large-m
     chi_repeated.  For a hard cutoff meeting the plateau conditions the
     growth vanishes and this is the exact limit.  growth_per_repeat reports
-    the linear term's slope for callers that need the full picture.
+    the linear term's slope for callers that need the full picture.  Raises
+    DomainError where the comb walk does not apply (see _comb_applies).
     """
     return _chi_comb(p, None, spec, shape or bang_bang(), config or DEFAULT_CONFIG)

@@ -33,7 +33,7 @@ from typing import Dict, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import DivergenceError, DomainError, require_count, require_positive
+from .errors import DivergenceError, DomainError, require_count, require_nonnegative, require_positive
 from .filters import passband_max, suppression_order
 from .integrals import (
     ErrorBudget,
@@ -64,6 +64,7 @@ __all__ = [
 
 # coefficient of the level-4 concatenated specialization, 3*pi^6/(5*2^25)
 _CDD4_COEFF = 3.0 * math.pi**6 / (5.0 * 2.0**25)
+JITTER_REL_TOL = 1e-3  # jitter_tolerance stops bisecting at this bracket width, relative
 
 
 @dataclass(frozen=True)
@@ -127,7 +128,7 @@ def check_conditions(
     )
 
 
-def _has_plateau(p: TimingPattern, spec: NoiseSpectrum, shape: PulseShape) -> bool:
+def _has_plateau(p: TimingPattern, spec: NoiseSpectrum, shape: Optional[PulseShape]) -> bool:
     """False for a noiseless spectrum; raises DivergenceError naming a failed condition."""
     if spec.g == 0.0:
         return False
@@ -157,9 +158,8 @@ def chi_asymptotic(
 
     The plateau level chi_plateau_limit on the band clamped at omega_c;
     authoritative for any rolloff.  Raises DivergenceError when a plateau
-    condition fails, naming the inequality.
+    condition fails, naming the inequality; chi_plateau_limit's DomainError passes through.
     """
-    shape = shape or bang_bang()
     w_hi = min(spec.omega_c, spec.omega_max)
     if not _has_plateau(p, spec, shape) or w_hi <= spec.omega_min:
         return ErrorBudget(0.0, 0.0, 0.0, 0.0, 0.0, 1.0, m=None)
@@ -272,7 +272,6 @@ def jitter_tolerance(
     shape: Optional[PulseShape] = None,
     budget_factor: float = 2.0,
     config: Optional[QuadratureConfig] = None,
-    rel_tol: float = 1e-3,
 ) -> float:
     """Largest read delay keeping total error within budget_factor * chi_inf.
 
@@ -282,12 +281,10 @@ def jitter_tolerance(
     each delay.  The reference is the rolloff-aware plateau level
     (chi_plateau_limit), which equals the to-the-cutoff integral for hard
     cutoffs and extends it past the cutoff for soft rolloffs.  Raises
-    DomainError when the error already exceeds the budget at delta_t = 0.
+    DomainError when the error already exceeds the budget at delta_t = 0,
+    or when chi_plateau_limit does (an odd base with finite-width pulses).
     """
     require_positive("budget_factor", budget_factor)
-    if not 0.0 < rel_tol < 1.0:
-        raise DomainError(f"rel_tol must lie in (0, 1), got {rel_tol}")
-    shape = shape or bang_bang()
     budget = budget_factor * chi_plateau_limit(p, spec, shape, config).chi_total
     curve = jitter_curve(p, m, spec, shape, config)
     chi0 = curve(0.0).chi_total
@@ -308,12 +305,9 @@ def jitter_tolerance(
         raise DomainError("read-delay error never reaches the budget; nothing to bisect")
     # hi / 2, the first midpoint from 0, was already found within budget
     lo = 0.5 * hi if doublings else 0.0
-    while hi - lo > rel_tol * hi:
+    while hi - lo > JITTER_REL_TOL * hi:
         mid = 0.5 * (lo + hi)
-        if curve(mid).chi_total > budget:
-            hi = mid
-        else:
-            lo = mid
+        lo, hi = (lo, mid) if curve(mid).chi_total > budget else (mid, hi)
     return 0.5 * (lo + hi)
 
 
@@ -324,8 +318,7 @@ def markovian_limit(t_markov: float, chi_inf: float) -> float:
     and crosses the plateau level chi_inf at t_markov * chi_inf, exactly.
     """
     require_positive("t_markov", t_markov)
-    if not (math.isfinite(chi_inf) and chi_inf >= 0.0):
-        raise DomainError(f"plateau error chi_inf must be finite and nonnegative, got {chi_inf}")
+    require_nonnegative("plateau error chi_inf", chi_inf)
     return t_markov * chi_inf
 
 
@@ -344,7 +337,6 @@ def plateau_report(
     if jitter_budget_factor is not None:
         require_positive("jitter_budget_factor", jitter_budget_factor)
         require_count("jitter_m", jitter_m)
-    shape = shape or bang_bang()
     base = check_conditions(p, spec, shape)
     if not base.all_conditions_met:
         return base

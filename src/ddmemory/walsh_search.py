@@ -22,7 +22,7 @@ from typing import List, Optional, Sequence, Tuple
 from .errors import AccuracyError, DomainError, require_count, require_positive
 from .integrals import ErrorBudget, QuadratureConfig, chi, chi_repeated
 from .noise import NoiseSpectrum
-from .pulses import PulseShape, bang_bang
+from .pulses import PulseShape
 from .sequences import TimingPattern, _grid_signs, _paley_index, _sign_bounds, walsh
 
 __all__ = [
@@ -35,7 +35,7 @@ __all__ = [
     "search_series",
 ]
 
-MAX_SLOTS = 2**12
+MAX_SLOTS = 2**12  # largest slot count N = T_s/tau a search accepts
 
 
 @dataclass(frozen=True)
@@ -77,7 +77,7 @@ class SearchResult:
     detected_structure: Optional[DetectedStructure]
 
 
-def _slot_count(t_s: float, tau: float, limit: int) -> int:
+def _slot_count(t_s: float, tau: float) -> int:
     require_positive("slot width", tau)
     require_positive("storage time", t_s)
     n_float = t_s / tau
@@ -87,18 +87,18 @@ def _slot_count(t_s: float, tau: float, limit: int) -> int:
             f"T_s/tau = {n_float:g} must be a power of two; "
             f"got T_s={t_s:g}, tau={tau:g}"
         )
-    if n > limit:
-        raise DomainError(f"slot count {n} exceeds the search limit {limit}")
+    if n > MAX_SLOTS:
+        raise DomainError(f"slot count {n} exceeds the search limit {MAX_SLOTS}")
     return n
 
 
-def enumerate_walsh(t_s: float, tau: float, limit: int = MAX_SLOTS) -> List[TimingPattern]:
+def enumerate_walsh(t_s: float, tau: float) -> List[TimingPattern]:
     """All N = T_s/tau Walsh patterns of duration T_s, Paley index order.
 
     Indices k >= N/2 are exactly the patterns whose minimal interval is
     tau; lower indices live on coarser grids (k = 0 is free evolution).
     """
-    n = _slot_count(t_s, tau, limit)
+    n = _slot_count(t_s, tau)
     return [walsh(k, t_s, n) for k in range(n)]
 
 
@@ -153,7 +153,6 @@ def best_sequence(
     shape: Optional[PulseShape] = None,
     config: Optional[QuadratureConfig] = None,
     workers: Optional[int] = None,
-    limit: int = MAX_SLOTS,
 ) -> SearchResult:
     """Minimum-chi Walsh pattern at (T_s, tau), deterministically tie-broken.
 
@@ -163,8 +162,7 @@ def best_sequence(
     its detected base block and the repetition-kernel cross-check.
     `workers`, when given, must be a count >= 1 and is otherwise ignored.
     """
-    shape = shape or bang_bang()
-    n = _slot_count(t_s, tau, limit)
+    n = _slot_count(t_s, tau)
     if workers is not None:
         require_count("workers", workers)
     rows: List[CandidateResult] = []
@@ -218,7 +216,6 @@ def search_series(
     spec: NoiseSpectrum,
     shape: Optional[PulseShape] = None,
     config: Optional[QuadratureConfig] = None,
-    limit: int = MAX_SLOTS,
 ) -> List[SearchResult]:
     """Independent best_sequence per storage time, in the given order."""
-    return [best_sequence(t_s, tau, spec, shape, config=config, limit=limit) for t_s in t_s_list]
+    return [best_sequence(t_s, tau, spec, shape, config=config) for t_s in t_s_list]

@@ -163,6 +163,16 @@ class TestExitCodes:
         )
         assert code == 3
 
+    def test_plateau_of_odd_base_with_finite_pulses_is_three(self, capsys):
+        code, out, err = _run(
+            capsys,
+            ["plateau", "--sequence", "udd:5", "--duration", "16e-6", "--spectrum", "gaas",
+             "--pulse", "dcg:1e-08"],
+        )
+        assert code == 3
+        assert out == ""
+        assert "odd pulse count" in err
+
 
 class TestFfCommand:
     def test_low_frequency_slope_is_ten_for_cdd4(self, capsys, tmp_path):
@@ -312,6 +322,13 @@ class TestSearchCommand:
         assert second[6] == "CDD4"
         assert second[7] == "2"
 
+    def test_slot_limit_is_not_an_option(self, capsys):
+        code, out, _ = _run(
+            capsys,
+            ["search", "--tau", "1e-6", "--t-s", "8e-6", "--spectrum", "gaas", "--limit", "8"],
+        )
+        assert code == 2
+        assert out == ""
 
     def test_infinite_storage_time_is_three(self, capsys):
         code, out, err = _run(

@@ -30,7 +30,7 @@ from ddmemory import (
     walsh,
     y_tilde,
 )
-from ddmemory.filters import N_MOMENTS, THETA_SWITCH, dirichlet_ratio
+from ddmemory.filters import FIT_RESIDUAL_LIMIT, N_MOMENTS, THETA_SWITCH, dirichlet_ratio
 
 RNG = np.random.default_rng(20240817)
 
@@ -260,8 +260,11 @@ class TestSuppressionOrder:
         assert abs(fit.amplitude) == pytest.approx(t_p**5 / 2**14, rel=0.01)
 
     def test_fit_residual_limit_enforced(self):
-        with pytest.raises(SuppressionFitError):
-            suppression_order(udd(3, 1e-6), fit_residual_limit=1e-18)
+        # an echo 1.25e-4 T off centre: F turns from omega^2 to omega^4 inside the fit window
+        off_centre = TimingPattern((0.5e-6 + 1.25e-10,), 1e-6, "x")
+        with pytest.raises(SuppressionFitError) as info:
+            suppression_order(off_centre)
+        assert info.value.residual > FIT_RESIDUAL_LIMIT
 
 
 def _udd_moments_reference(n):

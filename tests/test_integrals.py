@@ -318,6 +318,22 @@ def _meets(got, ref, rel_tol=DEFAULT_CONFIG.rel_tol):
     return gap <= max(got.quad_error, rel_tol * got.chi_total) + ref.quad_error
 
 
+class TestCutoffBreakpoint:
+    @pytest.mark.parametrize("side", [-1.0, 1.0], ids=["below", "above"])
+    def test_near_inner_edge_moves_onto_the_cutoff(self, side):
+        x = 2.0
+        edges = np.array([0.5, 1.0, x * (1.0 + side * 4e-13), 3.0, 4.0])
+        out = integrals._with_breakpoint(edges, x)
+        assert x in out
+        assert np.sum(np.abs(out - x) <= 1e-12 * x) == 1
+        assert len(out) == len(edges) and np.all(np.diff(out) > 0)
+        assert edges[2] != x  # the caller's edges are left alone
+
+    def test_cutoff_between_edges_is_inserted(self):
+        out = integrals._with_breakpoint(np.array([1.0, 3.0]), 2.0)
+        assert out.tolist() == [1.0, 2.0, 3.0]
+
+
 _CURVE_BASES = {"cdd4": cdd(4, 1e-6), "echo": echo(2e-6), "udd5": udd(5, 16e-6)}
 _CURVE_SHAPES = {"bb": bang_bang(), "primitive_1ns": primitive(1e-9), "dcg_10ns": dcg3(1e-8)}
 

@@ -15,6 +15,10 @@ One entry was changed by hand since: the full UDD5 readout with DCG
 pulses, whose pulses lower chi by 0.5 %.  It was frozen with chi_pul
 clipped to 0 and chi_bb to chi_total; the excess is now reported signed,
 so it holds the bang-bang chi as chi_bb and the negative difference.
+The chi_low/chi_high split of the three chi_repeated entries at m = 1000
+was re-frozen once the cutoff became a panel edge there: a kernel node
+within 1e-12 of omega_c used to stand in for it, and the panel above that
+node counted below the cutoff.  Their chi_total did not move.
 """
 
 import json

@@ -19,8 +19,8 @@ from ddmemory import (
     search_series,
     walsh,
 )
-from ddmemory import filters
-from ddmemory.walsh_search import _walsh_pulses
+from ddmemory import filters, walsh_search
+from ddmemory.walsh_search import MAX_SLOTS, _walsh_pulses
 
 TAU = 1e-6
 
@@ -41,9 +41,13 @@ class TestEnumerate:
         with pytest.raises(DomainError):
             enumerate_walsh(3 * TAU, TAU)
 
-    def test_limit_enforced(self):
-        with pytest.raises(DomainError):
-            enumerate_walsh(8 * TAU, TAU, limit=4)
+    def test_limit_enforced(self, monkeypatch):
+        def build(*args):
+            raise AssertionError("a pattern was built past the slot limit")
+
+        monkeypatch.setattr(walsh_search, "walsh", build)
+        with pytest.raises(DomainError, match=f"search limit {MAX_SLOTS}"):
+            enumerate_walsh(2 * MAX_SLOTS * TAU, TAU)
 
     @pytest.mark.parametrize(
         "t_s, tau, name",
