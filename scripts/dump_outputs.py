@@ -29,6 +29,7 @@ from ddmemory import (  # noqa: E402
     AccuracyError,
     DDMemoryError,
     PowerLaw,
+    TimingPattern,
     bang_bang,
     cdd,
     chi,
@@ -112,6 +113,14 @@ def _calls():
     yield "exhausted/chi_plateau_limit", lambda: chi_plateau_limit(p, gaas, bb, small)
     yield "exhausted/chi_with_jitter", lambda: chi_with_jitter(p, 1000, 1e-7, gaas, bb, small)
     yield "exhausted/w555_1024/1000", lambda: chi_repeated(walsh(555, 1024e-6, 1024), 1000, gaas)
+    # the comb path's model error at m = 1001, 8.8e-7 chi, misses rel_tol = 1e-9
+    yield "refused/comb_rel_tol", lambda: chi_repeated(
+        cdd(4, 1.26e-6), 1001, gaas, config=replace(DEFAULT_CONFIG, rel_tol=1e-9)
+    )
+    # two pulse times 1e-19 s apart on one slot boundary
+    yield "refused/repeated_grid_bound", lambda: TimingPattern(
+        (0.25e-6, 0.25e-6 + 1e-19, 0.5e-6), 1e-6, "dup", grid=(4, (1, 1, 2))
+    )
 
 
 def _cli(args):

@@ -40,6 +40,7 @@ from .sequences import (
 from .walsh_search import MAX_SLOTS, search_series
 
 FORMATS = ("csv", "json")
+MAX_POINTS = 10**7  # largest --points: grids are allocated whole
 
 
 # -- spec-string parsing -------------------------------------------------------
@@ -269,7 +270,7 @@ def cli() -> None:
 @_seq_opts
 @_pulse_opt
 @click.option("--repeat", type=int, default=1, show_default=True)
-@click.option("--points", type=int, default=2048, show_default=True)
+@click.option("--points", type=click.IntRange(2, MAX_POINTS), default=2048, show_default=True)
 @click.option("--omega-min", type=float, default=None, help="Grid start in rad/s.")
 @click.option("--omega-max", type=float, default=None, help="Grid end in rad/s.")
 @_out_opts()
@@ -281,8 +282,6 @@ def ff_cmd(sequence, tau, duration, pulse, repeat, points, omega_min, omega_max,
     if repeat > 1:
         p = repeat_pattern(p, repeat)
     shape = build_pulse(pulse)
-    if points < 2:
-        raise _usage("--points", f"need at least 2, got {points}")
     w_lo = omega_min if omega_min is not None else 1e-3 / p.duration
     w_hi = omega_max if omega_max is not None else 8.0 * math.pi / min_interval(p)
     if not 0 < w_lo < w_hi:
@@ -335,7 +334,7 @@ def error_cmd(sequence, tau, duration, pulse, spectrum, repeat, rel_tol, comb_cr
 @click.option("--m", "m_values", type=int, multiple=True,
               help="Explicit repeat counts; may be given several times.")
 @click.option("--m-max", type=int, default=1000, show_default=True)
-@click.option("--points", type=int, default=25, show_default=True,
+@click.option("--points", type=click.IntRange(1, MAX_POINTS), default=25, show_default=True,
               help="Log-spaced repeat counts from 1 to --m-max.")
 @_numeric_opts
 @_out_opts()
@@ -350,8 +349,6 @@ def sweep_m_cmd(sequence, tau, duration, pulse, spectrum, m_values, m_max, point
     else:
         if m_max < 1:
             raise _usage("--m-max", f"must be >= 1, got {m_max}")
-        if points < 1:
-            raise _usage("--points", f"need at least 1, got {points}")
         grid = np.unique(np.rint(np.geomspace(1, m_max, points)).astype(int))
         ms = [int(m) for m in grid]
     doc = _resolved_doc("sweep-m", p, spec, shape, config, extra={"m_values": ms})
@@ -365,14 +362,12 @@ def sweep_m_cmd(sequence, tau, duration, pulse, spectrum, m_values, m_max, point
 @_seq_opts
 @_pulse_opt
 @_spectrum_opt
-@click.option("--points", type=int, default=400, show_default=True)
+@click.option("--points", type=click.IntRange(2, MAX_POINTS), default=400, show_default=True)
 @_numeric_opts
 @_out_opts()
 def trace_cmd(sequence, tau, duration, pulse, spectrum, points, rel_tol, comb_crossover, output, fmt):
     """Mid-sequence error chi(t) for t in (0, T_p]."""
     p, shape, spec, config = _problem(sequence, tau, duration, pulse, spectrum, rel_tol, comb_crossover)
-    if points < 2:
-        raise _usage("--points", f"need at least 2, got {points}")
     doc = _resolved_doc("trace", p, spec, shape, config, extra={"points": points})
     ts = np.linspace(p.duration / points, p.duration, points)
     budgets = [chi_during(p, float(t), spec, shape, config) for t in ts]

@@ -19,12 +19,12 @@ For m above a configurable crossover the kernel is replaced by its
 exact period integral (weight 2 pi m/T_p at each resonance) plus the
 de-oscillated local average 1/(2 sin^2(w T_p/2)) and a symmetrized
 finite-part correction per resonance cell, whose O(1/m^2) model error
-joins quad_error; the two evaluation paths are cross-checked at the
-crossover the first time the fast path is used for a given problem.
-When chi_repeated has already evaluated the direct path at the crossover
-for that problem, the check reuses that result instead of integrating it
-again.  With m -> infinity the same comb walk, minus the masses that grow
-with m, is the plateau level chi_plateau_limit.
+joins quad_error and must meet rel_tol.  The two paths are cross-checked
+at the crossover the first time the fast path is used for a given
+problem, against a direct budget memoised per problem that chi_repeated
+at m = comb_crossover also returns.  With m -> infinity the same comb
+walk, minus the masses that grow with m, is the plateau level
+chi_plateau_limit.
 
 Every flavour builds its integrand with one rows factory: the ideal and
 total rows S F / omega^2 of m repeats, or their read-delay basis, times an
@@ -33,9 +33,9 @@ direct chi is one _Walk.band walk up the band (integrate_rows) and every
 comb chi one _walk_comb; each keeps its panel budget, contributions,
 error, tail stop and failure in one _Walk, and one assembler turns the
 per-region totals into an ErrorBudget.  Panel integrals use a 7-point
-Gauss / 15-point Kronrod pair evaluated in batches, and every region
-total is a correctly rounded math.fsum, so results do not depend on
-summation order or thread count.
+Gauss / 15-point Kronrod pair evaluated in batches by one refine routine,
+_refine, and every region total is a correctly rounded math.fsum, so
+results do not depend on summation order or thread count.
 
 A read delay delta after the repeats makes |r_z|^2 the zero-delay row plus
 sin^2(omega delta/2) and sin(omega delta) times two rows that do not depend
@@ -50,7 +50,6 @@ at one delay.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Callable, List, NoReturn, Optional, Tuple
@@ -189,52 +188,34 @@ class ErrorBudget:
     comb_agreement: Optional[float] = None
 
 
-def _panel_nodes(a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """The 15 Kronrod nodes (P, 15) of panels [a_i, b_i], and their half widths (P,)."""
+def _panel_nodes(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The 15 Kronrod nodes (P, 15) of panels [a_i, b_i]."""
     half = 0.5 * (b - a)
-    return 0.5 * (a + b)[:, None] + half[:, None] * _NODES[None, :], half
+    return 0.5 * (a + b)[:, None] + half[:, None] * _NODES[None, :]
 
 
-def _kronrod(vals: np.ndarray, half: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """K15 integrals (R, P) of node values (R, P, 15), and row 0's K15-G7 gap (P,)."""
-    integrals = vals @ _WK15 * half
-    return integrals, np.abs(integrals[0] - vals[0] @ _WG7 * half)
+def _node_values(rows_fn: RowsFn, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """rows_fn at the Kronrod nodes of panels [a_i, b_i], as (R, P, 15)."""
+    vals = rows_fn(_panel_nodes(a, b).ravel())
+    return vals.reshape(vals.shape[0], len(a), 15)
 
 
-def _eval_panels(rows_fn: RowsFn, a: np.ndarray, b: np.ndarray):
-    """Batched G7/K15 on panels [a_i, b_i]: (integrals (R, P), error (P,), nodes (R, P, 15))."""
-    x, half = _panel_nodes(a, b)
-    vals = rows_fn(x.ravel())
-    vals = vals.reshape(vals.shape[0], len(a), 15)
-    return (*_kronrod(vals, half), vals)
+def _refine(rows_fn: RowsFn, a: np.ndarray, b: np.ndarray, vals: np.ndarray, walk: _Walk):
+    """K15 integrals of panels [a_i, b_i] from their node values (R, P, 15), split to tolerance.
 
-
-def _adaptive_region(rows_fn: RowsFn, edges: np.ndarray, walk: _Walk, keep: bool = False):
-    """Refine panels between fixed edges until the K15-G7 gap is within tolerance.
-
-    Returns _refine's (left_edges, right_edges, row_integrals (R, P),
-    total_error, node values), the node values only when keep is set.
+    Panels whose row-0 K15-G7 gap is large are halved, and rows_fn
+    evaluates the halves, until the sum of the gaps is within tolerance of
+    row 0's total.  Each batch of node values, the given ones and each
+    round's halves, is integrated once.  Returns (left_edges, right_edges,
+    row_integrals (R, P), total_error, node values (R, P, 15)), panels
+    sorted by position so downstream sums are order-stable.
     """
-    a = np.asarray(edges[:-1], dtype=float)
-    b = np.asarray(edges[1:], dtype=float)
-    wide = b > a
-    a, b = a[wide], b[wide]
-    if a.size == 0:
-        return a, b, np.zeros((2, 0)), 0.0, None
-    walk.spend(a.size)
-    integrals, err, vals = _eval_panels(rows_fn, a, b)
-    return _refine(rows_fn, a, b, integrals, err, vals if keep else None, walk)
-
-
-def _refine(rows_fn: RowsFn, a, b, integrals, err, vals: Optional[np.ndarray], walk: _Walk):
-    """Split panels until the sum of row 0's K15-G7 gaps is within tolerance of its total.
-
-    rows_fn evaluates the halves of split panels; vals, unless None, are the
-    panels' node values and follow them.  Returns (left_edges, right_edges,
-    row_integrals (R, P), total_error, vals), panels sorted by position so
-    downstream sums are order-stable.
-    """
+    fresh, half = vals, 0.5 * (b - a)
+    integrals, err = np.zeros((len(vals), 0)), np.zeros(0)
     for _ in range(_MAX_REFINE_ROUNDS):
+        k15 = fresh @ _WK15 * half
+        integrals = np.concatenate([integrals, k15], axis=1)
+        err = np.concatenate([err, np.abs(k15[0] - fresh[0] @ _WG7 * half)])
         total = float(np.sum(integrals[0]))
         err_total = float(np.sum(err))
         tol = max(walk.cfg.rel_tol * abs(total), walk.cfg.abs_floor)
@@ -247,20 +228,15 @@ def _refine(rows_fn: RowsFn, a, b, integrals, err, vals: Optional[np.ndarray], w
         mids = 0.5 * (a[split] + b[split])
         new_a = np.concatenate([a[split], mids])
         new_b = np.concatenate([mids, b[split]])
-        new_integrals, new_err, new_vals = _eval_panels(rows_fn, new_a, new_b)
+        fresh, half = _node_values(rows_fn, new_a, new_b), 0.5 * (new_b - new_a)
         a = np.concatenate([a[~split], new_a])
         b = np.concatenate([b[~split], new_b])
-        integrals = np.concatenate([integrals[:, ~split], new_integrals], axis=1)
-        err = np.concatenate([err[~split], new_err])
-        if vals is not None:
-            vals = np.concatenate([vals[:, ~split], new_vals], axis=1)
+        vals = np.concatenate([vals[:, ~split], fresh], axis=1)
+        integrals, err = integrals[:, ~split], err[~split]
     else:
         walk.fail(f"quadrature budget of {walk.cfg.max_panels} panels exhausted")
     order = np.argsort(a, kind="stable")
-    return (
-        a[order], b[order], integrals[:, order], float(np.sum(err)),
-        None if vals is None else vals[:, order],
-    )
+    return a[order], b[order], integrals[:, order], float(np.sum(err)), vals[:, order]
 
 
 def _ladder_and_lobes(w_lo: float, w_hi: float, lobe: float, walk: _Walk) -> np.ndarray:
@@ -365,15 +341,23 @@ class _Walk:
         self.total += float(np.sum(self.rows[-1][0]))
         self.err += err
 
+    def integrate(self, rows_fn: RowsFn, edges: np.ndarray):
+        """Panels between edges, refined to tolerance: _refine's result, under the panel budget."""
+        a = np.asarray(edges[:-1], dtype=float)
+        b = np.asarray(edges[1:], dtype=float)
+        wide = b > a
+        a, b = a[wide], b[wide]
+        self.spend(a.size)
+        return _refine(rows_fn, a, b, _node_values(rows_fn, a, b), self)
+
     def region(self, rows_fn: RowsFn, edges: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Integrate rows_fn between edges, with the cutoff as an extra edge, and add rows 0-1.
 
         Returns the panels' left edges and their row integrals (R, P).
         """
-        edges = _with_breakpoint(edges, self.spec.omega_c)
-        a, b, rows, err, vals = _adaptive_region(rows_fn, edges, self, self.nodes is not None)
+        a, b, rows, err, vals = self.integrate(rows_fn, _with_breakpoint(edges, self.spec.omega_c))
         self.add(a, rows[:2], err)
-        if vals is not None:
+        if self.nodes is not None:
             self.nodes.append((a, b, np.delete(vals, 1, axis=0)))
         return a, rows
 
@@ -575,10 +559,10 @@ def chi_repeated(
     sin^2(w T_p/2); panels are aligned to its nodes.  Beyond the configured
     crossover the resonance-comb path evaluates the same integral from its
     m -> infinity structure (see chi's module notes), after a one-time
-    agreement check between the two paths at the crossover.  A direct
-    result at m = comb_crossover, from an earlier call with the same
-    arguments, serves that check once, so stepping up in m through the
-    crossover integrates the direct path there only once.
+    agreement check between the two paths at the crossover.  That check
+    and a call at m = comb_crossover share one memoised direct budget per
+    problem.  A comb result with quad_error > max(rel_tol * chi_total,
+    abs_floor) raises AccuracyError, as a direct one that misses does.
 
     A base pattern with odd pulse count restarts each repeat with a junction
     pulse.  With finite-width pulses the direct path takes those through the
@@ -590,15 +574,16 @@ def chi_repeated(
     cfg = config or DEFAULT_CONFIG
     if m == 1:
         return chi(p, spec, shape, cfg)
+    if m == cfg.comb_crossover and cfg.validate_crossover and _comb_applies(p, shape):
+        return _direct_at_crossover(p, spec, shape, cfg)
     if m <= cfg.comb_crossover:
-        budget = _chi_direct(p, m, spec, shape, cfg)
-        if m == cfg.comb_crossover and cfg.validate_crossover and _comb_applies(p, shape):
-            _direct_at_crossover[(p, spec, shape, cfg)] = budget
-            if len(_direct_at_crossover) > _CROSSOVER_STORE:
-                _direct_at_crossover.popitem(last=False)
-        return budget
+        return _chi_direct(p, m, spec, shape, cfg)
     # _chi_comb refuses where the comb walk does not apply, before the crossover check
     budget = _chi_comb(p, m, spec, shape, cfg)
+    bound = max(cfg.rel_tol * budget.chi_total, cfg.abs_floor)
+    if budget.quad_error > bound:
+        msg = f"comb path error bound {budget.quad_error:.3e} exceeds the tolerance {bound:.3e}"
+        raise AccuracyError(msg + _label(p, m), budget.chi_total, budget.quad_error)
     agreement: Optional[float] = None
     if cfg.validate_crossover:
         agreement = _crossover_agreement(p, spec, shape, cfg)
@@ -660,9 +645,8 @@ def jitter_curve(
 
         replay = _Walk(spec, cfg, walk.tail, walk.label, walk.panels, rows=[np.zeros((1, 0))])
         for a, b, vals in walk.nodes:
-            x, half = _panel_nodes(a, b)
-            integrals, err = _kronrod(_delay_row(vals, x, delta_t), half)
-            a, _, integrals, err, _ = _refine(rows, a, b, integrals, err, None, replay)
+            delayed = _delay_row(vals, _panel_nodes(a, b), delta_t)
+            a, _, integrals, err, _ = _refine(rows, a, b, delayed, replay)
             replay.add(a, integrals, err)
         if w_stop < _band_top(spec) and not replay.stop(w_stop):
             replay.climb(rows, w_stop, lobe)
@@ -689,11 +673,15 @@ def chi_with_jitter(
     return jitter_curve(p, m, spec, shape, config)(delta_t)
 
 
-# direct budgets at m = comb_crossover from chi_repeated, oldest first, each
-# taken out by the first crossover check of its key; _chi_direct is
-# deterministic, so a stored budget is the one the check would compute
-_CROSSOVER_STORE = 64
-_direct_at_crossover: OrderedDict[tuple, ErrorBudget] = OrderedDict()
+_CROSSOVER_STORE = 64  # problems whose crossover budget and agreement are kept
+
+
+@lru_cache(maxsize=_CROSSOVER_STORE)
+def _direct_at_crossover(
+    p: TimingPattern, spec: NoiseSpectrum, shape: PulseShape, cfg: QuadratureConfig
+) -> ErrorBudget:
+    """The direct budget at m = comb_crossover, shared by chi_repeated and the crossover check."""
+    return _chi_direct(p, cfg.comb_crossover, spec, shape, cfg)
 
 
 @lru_cache(maxsize=_CROSSOVER_STORE)
@@ -701,9 +689,7 @@ def _crossover_agreement(
     p: TimingPattern, spec: NoiseSpectrum, shape: PulseShape, cfg: QuadratureConfig
 ) -> float:
     m0 = cfg.comb_crossover
-    direct = _direct_at_crossover.pop((p, spec, shape, cfg), None)
-    if direct is None:
-        direct = _chi_direct(p, m0, spec, shape, cfg)
+    direct = _direct_at_crossover(p, spec, shape, cfg)
     comb = _chi_comb(p, m0, spec, shape, cfg)
     scale = max(direct.chi_total, cfg.abs_floor)
     agreement = abs(comb.chi_total - direct.chi_total) / scale
@@ -847,7 +833,7 @@ def _walk_comb(
         edges = np.geomspace(d_min, d_max, 41)
         for crossing in (w_k - spec.omega_c, spec.omega_c - w_k, w_hi - w_k, w_k - w_lo):
             edges = _with_breakpoint(edges, crossing)
-        a_i, _, rows_i, err_i, _ = _adaptive_region(pv_rows, edges, walk)
+        a_i, _, rows_i, err_i, _ = walk.integrate(pv_rows, edges)
         patch = pv_rows(np.array([d_min]))[:, 0] * d_min
         # a cell centred past the band draws only on its lower half
         walk.add(w_k if w_k <= w_hi else w_k - 0.5 * w1, rows_i.sum(axis=1) + patch, err_i)

@@ -74,8 +74,10 @@ class TimingPattern:
             object.__setattr__(self, "grid", (n_slots, bounds))
             if len(bounds) != len(self.pulse_times):
                 raise DomainError("grid boundary count does not match pulse count")
-            if any(not 0 < b < n_slots for b in bounds):
-                raise DomainError("grid boundaries must be interior slot indices")
+            if not all(lo < hi for lo, hi in zip((0, *bounds), (*bounds, n_slots))):
+                raise DomainError(
+                    f"grid boundaries must increase strictly within (0, n_slots), got {self.grid!r}"
+                )
             if not _on_grid(self.pulse_times, self.duration, self.grid):
                 raise DomainError("pulse times do not lie on the grid's slot boundaries")
         object.__setattr__(self, "walsh_index", _paley_index(self.grid))
@@ -151,6 +153,15 @@ def carr_purcell(tau: float) -> TimingPattern:
     return cdd(2, tau)
 
 
+def _check_walsh(k: int, n_slots: int) -> None:
+    """Raise DomainError unless n_slots is a power of two and k an integer in [0, n_slots)."""
+    require_count("slot count", n_slots)
+    if n_slots & (n_slots - 1):
+        raise DomainError(f"slot count must be a power of two, got {n_slots}")
+    if not (isinstance(k, numbers.Integral) and not isinstance(k, bool) and 0 <= k < n_slots):
+        raise DomainError(f"Walsh index must be an integer in [0, {n_slots}), got {k!r}")
+
+
 def walsh_signs(k: int, n_slots: int) -> list[int]:
     """Per-slot signs of the Paley-ordered Walsh function w_k.
 
@@ -159,19 +170,26 @@ def walsh_signs(k: int, n_slots: int) -> list[int]:
     is the parity of k & reverse(j), or equally of reverse(k) & j.
     k = 2**q - 1 gives the Thue-Morse pattern.
     """
-    require_count("slot count", n_slots)
-    if n_slots & (n_slots - 1):
-        raise DomainError(f"slot count must be a power of two, got {n_slots}")
-    if not (isinstance(k, numbers.Integral) and not isinstance(k, bool) and 0 <= k < n_slots):
-        raise DomainError(f"Walsh index must be an integer in [0, {n_slots}), got {k!r}")
+    _check_walsh(k, n_slots)
     q = int(n_slots).bit_length() - 1
     rev_k = int(format(int(k), f"0{q}b")[::-1], 2)
     return [-1 if (rev_k & j).bit_count() & 1 else 1 for j in range(n_slots)]
 
 
-def _sign_bounds(signs: list[int]) -> tuple[int, ...]:
-    """Flip boundaries of per-slot signs: a pulse sits wherever the sign changes."""
-    return tuple(j for j in range(1, len(signs)) if signs[j] != signs[j - 1])
+def _walsh_pulses(k: int) -> int:
+    """Pulse count of Paley w_k on any grid: the inverse Gray code g of k.
+
+    On 2**q slots the sign of w_k flips at boundary j, 2**t = j & -j its
+    lowest bit, when bits q-1-t and up of k have odd parity (see
+    walsh_signs), that is when bit q-1-t of g is set.  That bit,
+    2**q // (2 (j & -j)), is boundary j's class, and a class holds as many
+    boundaries as its value, so w_k flips at g boundaries.
+    """
+    n = 0
+    while k:
+        n ^= k
+        k >>= 1
+    return n
 
 
 def _grid_signs(p: TimingPattern) -> Optional[list[int]]:
@@ -189,14 +207,19 @@ def _on_grid(times: tuple[float, ...], duration: float, grid: tuple[int, tuple[i
 
 
 def _paley_index(grid: Optional[tuple[int, tuple[int, ...]]]) -> Optional[int]:
-    """Index k whose Walsh signs flip exactly at the grid's boundaries; None if no k does."""
+    """Index k whose Walsh signs flip exactly at the grid's boundaries; None if no k does.
+
+    The grid is w_k when its boundaries are every boundary of the classes
+    they fall in (see _walsh_pulses): as many as the OR g of those classes.
+    Then g is the inverse Gray code of k, and k = g ^ (g >> 1).
+    """
     if grid is None or grid[0] & (grid[0] - 1):
         return None
     n_slots, bounds = grid
-    q = n_slots.bit_length() - 1
-    # the sign of slot 2**b, the parity of the flips up to it, is bit (q-1-b) of the only candidate
-    k = sum(1 << (q - 1 - b) for b in range(q) if bisect_right(bounds, 1 << b) & 1)
-    return k if _sign_bounds(walsh_signs(k, n_slots)) == bounds else None
+    g = 0
+    for j in bounds:
+        g |= n_slots // (2 * (j & -j))
+    return g ^ (g >> 1) if len(bounds) == g else None
 
 
 def walsh(k: int, t_s: float, n_slots: int) -> TimingPattern:
@@ -205,10 +228,12 @@ def walsh(k: int, t_s: float, n_slots: int) -> TimingPattern:
 
 
 def _walsh(k: int, t_s: float, n_slots: int, label: str) -> TimingPattern:
-    """walsh(k, t_s, n_slots) under the given label, built and indexed once."""
+    """walsh(k, t_s, n_slots) under the given label, its flips read off _walsh_pulses(k)."""
     require_positive("duration", t_s)
     _check_size(n_slots, "slots")
-    bounds = _sign_bounds(walsh_signs(k, n_slots))
+    _check_walsh(k, n_slots)
+    g = _walsh_pulses(k)
+    bounds = tuple(j for j in range(1, n_slots) if g & (n_slots // (2 * (j & -j))))
     slot = t_s / n_slots
     times = tuple(b * slot for b in bounds)
     return TimingPattern(times, t_s, label, grid=(n_slots, bounds))

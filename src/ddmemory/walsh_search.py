@@ -23,7 +23,7 @@ from .errors import AccuracyError, DomainError, require_count, require_positive
 from .integrals import ErrorBudget, QuadratureConfig, chi, chi_repeated
 from .noise import NoiseSpectrum
 from .pulses import PulseShape
-from .sequences import TimingPattern, _grid_signs, _paley_index, _sign_bounds, walsh
+from .sequences import TimingPattern, _grid_signs, _paley_index, _walsh_pulses, walsh
 
 __all__ = [
     "CandidateResult",
@@ -102,9 +102,8 @@ def enumerate_walsh(t_s: float, tau: float) -> List[TimingPattern]:
     return [walsh(k, t_s, n) for k in range(n)]
 
 
-def _base_from_signs(signs: Sequence[int], duration: float) -> TimingPattern:
-    q = len(signs)
-    bounds = _sign_bounds(signs)
+def _base_block(q: int, bounds: Tuple[int, ...], duration: float) -> TimingPattern:
+    """The grid pattern of q slots flipping at bounds, labeled by its Walsh index if any."""
     times = tuple(b * duration / q for b in bounds)
     k = _paley_index((q, bounds))
     if k is None:
@@ -132,18 +131,9 @@ def detect_structure(p: TimingPattern) -> Optional[Tuple[TimingPattern, int]]:
         if n % q:
             continue
         if all(signs[j] == signs[j % q] for j in range(n)):
-            base = _base_from_signs(signs[:q], p.duration * q / n)
+            base = _base_block(q, tuple(b for b in p.grid[1] if b < q), p.duration * q / n)
             return base, n // q
     return None
-
-
-def _walsh_pulses(k: int) -> int:
-    """Pulse count of Paley w_k on any grid: the inverse Gray code of k."""
-    n = 0
-    while k:
-        n ^= k
-        k >>= 1
-    return n
 
 
 def best_sequence(

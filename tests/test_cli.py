@@ -281,6 +281,22 @@ class TestSweepAndTrace:
         assert "--points" in err
         assert out == ""
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["ff", "--sequence", "cdd:2", "--tau", "1e-6"],
+            ["trace", "--sequence", "echo", "--tau", "1e-6", "--spectrum", "gaas"],
+            ["sweep-m", "--sequence", "cdd:4", "--tau", "1e-6", "--spectrum", "gaas"],
+        ],
+        ids=["ff", "trace", "sweep-m"],
+    )
+    def test_oversized_points_is_a_usage_error(self, capsys, args):
+        # refused while parsing, before a grid of that size is allocated
+        code, out, err = _run(capsys, [*args, "--points", "10000000000000"])
+        assert code == 2
+        assert "--points" in err and "x<=10000000" in err
+        assert out == ""
+
     def test_sweep_rows_scale_storage_time(self, capsys):
         code, out, _ = _run(
             capsys,

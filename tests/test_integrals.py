@@ -184,14 +184,15 @@ class TestRepetitionKernel:
         m0 = DEFAULT_CONFIG.comb_crossover
         with pytest.raises(DomainError, match="odd pulse count"):
             chi_repeated(echo(2e-6), m0 + 1, gaas, primitive(1e-9))
-        # no comb call could take up a direct budget at the crossover
+        # no comb call could use a direct budget at the crossover: none is memoised
         chi_repeated(echo(2e-6), m0, gaas, primitive(1e-9))
-        assert not integrals._direct_at_crossover
+        assert integrals._direct_at_crossover.cache_info().currsize == 0
 
 
 class TestCombPath:
     def test_comb_agrees_with_direct_summation(self, gaas):
-        cfg = replace(DEFAULT_CONFIG, comb_crossover=64)
+        # the comb path's model error at m = 200 is about 9.2e-6 chi
+        cfg = replace(DEFAULT_CONFIG, comb_crossover=64, rel_tol=1e-5)
         base = cdd(4, 1e-6)
         comb = chi_repeated(base, 200, gaas, bang_bang(), cfg)
         direct = chi_repeated(base, 200, gaas, bang_bang())
@@ -199,6 +200,20 @@ class TestCombPath:
         assert comb.chi_total == pytest.approx(direct.chi_total, rel=1e-3)
         assert comb.comb_agreement is not None and comb.comb_agreement < 0.01
         assert comb.growth_per_repeat is not None and comb.growth_per_repeat >= 0.0
+
+    @pytest.mark.parametrize(
+        "m, crossover, rel_tol",
+        [(200, 64, 1e-6), (1001, 1000, 1e-9)],
+        ids=["m200", "m1001"],
+    )
+    def test_comb_error_above_rel_tol_raises(self, gaas, m, crossover, rel_tol):
+        cfg = replace(DEFAULT_CONFIG, comb_crossover=crossover, rel_tol=rel_tol)
+        p = cdd(4, 1.26e-6)
+        with pytest.raises(AccuracyError, match=rf"for 'CDD4' repeated {m} times") as info:
+            chi_repeated(p, m, gaas, bang_bang(), cfg)
+        assert info.value.error_bound > rel_tol * info.value.estimate
+        unchecked = integrals._chi_comb(p, m, gaas, bang_bang(), cfg)
+        assert (info.value.estimate, info.value.error_bound) == (unchecked.chi_total, unchecked.quad_error)
 
     def test_large_m_saturates_at_plateau_limit(self, gaas):
         base = cdd(4, 1e-6)
@@ -208,8 +223,8 @@ class TestCombPath:
 
 
 class TestCrossoverReuse:
-    """The comb path's first crossover check takes the direct m0 budget that
-    chi_repeated has just computed, instead of integrating it again."""
+    """The direct budget at m0 = comb_crossover is memoised per problem: the
+    comb path's first crossover check and chi_repeated at m0 share it."""
 
     M0 = DEFAULT_CONFIG.comb_crossover
 
@@ -231,38 +246,33 @@ class TestCrossoverReuse:
         comb = chi_repeated(cdd(4, 1e-6), 62_500, gaas)
         assert comb.comb_path and comb.comb_agreement is not None
         assert calls == [self.M0]
-        assert not integrals._direct_at_crossover
 
     def test_reused_check_gives_the_cold_budget(self, gaas):
         p = cdd(4, 1e-6)
         chi_repeated(p, self.M0, gaas)
         reused = chi_repeated(p, 62_500, gaas)
         integrals._crossover_agreement.cache_clear()
+        integrals._direct_at_crossover.cache_clear()
         cold = chi_repeated(p, 62_500, gaas)
         assert reused.comb_agreement == cold.comb_agreement
         assert dataclasses.astuple(reused) == dataclasses.astuple(cold)
 
-    def test_direct_calls_always_integrate(self, gaas, monkeypatch):
+    def test_second_m0_call_integrates_nothing(self, gaas, monkeypatch):
+        p = cdd(4, 1e-6)
+        first = chi_repeated(p, self.M0, gaas)
         calls = self._count_direct(monkeypatch)
-        first = chi_repeated(cdd(4, 1e-6), self.M0, gaas)
-        again = chi_repeated(cdd(4, 1e-6), self.M0, gaas)
-        assert calls == [self.M0, self.M0]
-        assert again == first
+        again = chi_repeated(p, self.M0, gaas)
+        assert calls == []
+        assert again == first == integrals._chi_direct(p, self.M0, gaas, bang_bang(), DEFAULT_CONFIG)
 
     def test_without_validation_nothing_is_stored(self, gaas):
         cfg = replace(DEFAULT_CONFIG, validate_crossover=False)
         chi_repeated(cdd(4, 1e-6), self.M0, gaas, bang_bang(), cfg)
-        assert not integrals._direct_at_crossover
+        assert integrals._direct_at_crossover.cache_info().currsize == 0
 
-    def test_store_keeps_the_newest_64(self, gaas, monkeypatch):
-        monkeypatch.setattr(integrals, "_chi_direct", lambda p, m, *rest: p.duration)
-        cfg = replace(DEFAULT_CONFIG, comb_crossover=16)
-        patterns = [echo((1 + k) * 1e-6) for k in range(80)]
-        for p in patterns:
-            chi_repeated(p, 16, gaas, bang_bang(), cfg)
-            assert len(integrals._direct_at_crossover) <= 64
-        kept = [key[0] for key in integrals._direct_at_crossover]
-        assert kept == patterns[-64:]
+    def test_memo_keeps_as_many_problems_as_the_agreement_cache(self):
+        assert integrals._direct_at_crossover.cache_parameters() == {"maxsize": 64, "typed": False}
+        assert integrals._crossover_agreement.cache_parameters() == {"maxsize": 64, "typed": False}
 
     @pytest.mark.parametrize("warm", [False, True], ids=["cold", "reused"])
     def test_disagreement_still_raises(self, gaas, monkeypatch, warm):
@@ -359,13 +369,13 @@ class TestJitterCurve:
         p, delta_t = cdd(4, 8e-6), 8 * 128e-6
         curve = jitter_curve(p, 1, gaas)
         evaluated = []
-        original = integrals._eval_panels
+        original = integrals._node_values
 
         def counted(rows_fn, a, b):
             evaluated.append(len(a))
             return original(rows_fn, a, b)
 
-        monkeypatch.setattr(integrals, "_eval_panels", counted)
+        monkeypatch.setattr(integrals, "_node_values", counted)
         got = curve(delta_t)
         monkeypatch.undo()
         assert 0 < sum(evaluated) < 100

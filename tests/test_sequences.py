@@ -334,6 +334,17 @@ class TestGrid:
         with pytest.raises(DomainError, match="grid"):
             TimingPattern((0.3e-6,), 1e-6, "x", grid=(2, (1,)))
 
+    def test_repeated_grid_bound_is_refused(self):
+        # two times 1e-19 apart round to the same slot boundary
+        with pytest.raises(DomainError, match=r"grid boundaries must increase strictly .*, got \(4, \(1, 1, 2\)\)"):
+            TimingPattern((0.25e-6, 0.25e-6 + 1e-19, 0.5e-6), 1e-6, "dup", grid=(4, (1, 1, 2)))
+
+    @pytest.mark.parametrize("n_slots", [0, -4])
+    def test_grid_without_slots_is_refused(self, n_slots):
+        # zero slots divided by zero while checking the times
+        with pytest.raises(DomainError, match="grid boundaries"):
+            TimingPattern((), 1e-6, "x", grid=(n_slots, ()))
+
     def test_concat_of_unequal_slots_drops_the_grid(self):
         assert concat(cdd(2, 1e-6), cdd(2, 2e-6)).grid is None
         assert concat(cdd(2, 1e-6), cdd(2, 1e-6)).grid == (8, (1, 3, 5, 7))

@@ -7,6 +7,8 @@ sum above omega*T_p = 2, to the rounding of that sum, and with the Taylor
 series below it.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,7 +26,7 @@ from ddmemory import (
     walsh,
     walsh_signs,
 )
-from ddmemory import filters
+from ddmemory import filters, sequences
 from ddmemory.walsh_search import _grid_signs, detect_structure
 
 EPS = np.finfo(float).eps
@@ -102,6 +104,28 @@ def test_paley_index_is_the_only_walsh_function_on_the_grid(ns):
     p = TimingPattern(tuple(b * TAU for b in bounds), n * TAU, "grid", grid=(n, bounds))
     matches = [k for k in range(n) if _grid_signs(p) == walsh_signs(k, n)]
     assert matches == ([] if p.walsh_index is None else [p.walsh_index])
+
+
+def _flips(signs):
+    return tuple(j for j in range(1, len(signs)) if signs[j] != signs[j - 1])
+
+
+@pytest.mark.parametrize("q", range(11))
+def test_closed_form_bounds_and_index_match_the_signs_for_every_k(q):
+    n = 2**q
+    for k in range(n):
+        p = walsh(k, n * TAU, n)
+        assert (p.grid[1], p.walsh_index) == (_flips(walsh_signs(k, n)), k)
+
+
+@pytest.mark.parametrize("q", range(5))
+def test_closed_form_index_of_every_grid_subset(q):
+    # every set of flip boundaries on up to 16 slots: Walsh exactly when a k has those flips
+    n = 2**q
+    walsh_of = {_flips(walsh_signs(k, n)): k for k in range(n)}
+    for r in range(n):
+        for bounds in itertools.combinations(range(1, n), r):
+            assert sequences._paley_index((n, bounds)) == walsh_of.get(bounds)
 
 
 @given(walsh_indices, st.integers(0, 3))
