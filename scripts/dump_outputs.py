@@ -28,6 +28,7 @@ from ddmemory import (  # noqa: E402
     DEFAULT_CONFIG,
     AccuracyError,
     DDMemoryError,
+    HARD,
     PowerLaw,
     TimingPattern,
     bang_bang,
@@ -104,6 +105,13 @@ def _calls():
     yield "plateau_report/udd5/dcg_10ns", lambda: plateau_report(u5, gaas, dcg3(1e-8))
     r18 = replace(gaas, rolloff=PowerLaw(18.0))
     yield "m_max_soft_detail/r18", lambda: m_max_soft_detail(p, r18)
+    # the comb path where h jumps (hard cutoff) or kinks (power law) inside its
+    # de-oscillated parts, so the bound's break terms enter
+    for spec_name, spec in (("hard", replace(gaas, rolloff=HARD)), ("r18", r18)):
+        for shape_name, shape in (("bb", bang_bang()), ("dcg_10ns", dcg3(1e-8))):
+            yield f"chi_repeated/{spec_name}/{shape_name}/10000", (
+                lambda spec=spec, shape=shape: chi_repeated(p, 10**4, spec, shape)
+            )
     small = replace(DEFAULT_CONFIG, max_panels=64, validate_crossover=False)
     tight = replace(small, rel_tol=1e-12)
     bb = bang_bang()

@@ -118,7 +118,7 @@ def _quad_config(rel_tol: Optional[float], crossover: Optional[int]) -> Quadratu
     return dataclasses.replace(DEFAULT_CONFIG, **kwargs)
 
 
-def _problem(sequence, tau, duration, pulse, spectrum, rel_tol, comb_crossover):
+def _problem(sequence, tau, duration, pulse, spectrum, rel_tol, comb_crossover=None):
     """(pattern, pulse shape, spectrum, quadrature config) from the shared options."""
     p = build_sequence(sequence, tau, duration)
     shape = build_pulse(pulse)
@@ -240,13 +240,15 @@ def _spectrum_opt(f):
     )(f)
 
 
+_rel_tol_opt = click.option("--rel-tol", type=float, default=None, help="Quadrature relative tolerance.")
+
+
 def _numeric_opts(f):
     f = click.option(
         "--comb-crossover", type=int, default=None,
         help=f"Repeat count above which the comb path takes over (default {DEFAULT_CONFIG.comb_crossover}).",
     )(f)
-    f = click.option("--rel-tol", type=float, default=None, help="Quadrature relative tolerance.")(f)
-    return f
+    return _rel_tol_opt(f)
 
 
 def _out_opts(fmt_default: str = "csv"):
@@ -363,11 +365,11 @@ def sweep_m_cmd(sequence, tau, duration, pulse, spectrum, m_values, m_max, point
 @_pulse_opt
 @_spectrum_opt
 @click.option("--points", type=click.IntRange(2, MAX_POINTS), default=400, show_default=True)
-@_numeric_opts
+@_rel_tol_opt
 @_out_opts()
-def trace_cmd(sequence, tau, duration, pulse, spectrum, points, rel_tol, comb_crossover, output, fmt):
+def trace_cmd(sequence, tau, duration, pulse, spectrum, points, rel_tol, output, fmt):
     """Mid-sequence error chi(t) for t in (0, T_p]."""
-    p, shape, spec, config = _problem(sequence, tau, duration, pulse, spectrum, rel_tol, comb_crossover)
+    p, shape, spec, config = _problem(sequence, tau, duration, pulse, spectrum, rel_tol)
     doc = _resolved_doc("trace", p, spec, shape, config, extra={"points": points})
     ts = np.linspace(p.duration / points, p.duration, points)
     budgets = [chi_during(p, float(t), spec, shape, config) for t in ts]
@@ -385,12 +387,12 @@ def trace_cmd(sequence, tau, duration, pulse, spectrum, points, rel_tol, comb_cr
 @click.option("--jitter-budget-factor", type=float, default=None,
               help="Allowed chi growth factor; adds the jitter tolerance.")
 @click.option("--jitter-m", type=int, default=1000, show_default=True)
-@_numeric_opts
+@_rel_tol_opt
 @_out_opts("json")
 def plateau_cmd(sequence, tau, duration, pulse, spectrum, t_markov, jitter_budget_factor,
-                jitter_m, rel_tol, comb_crossover, output, fmt):
+                jitter_m, rel_tol, output, fmt):
     """Coherence-plateau report: conditions, chi_infinity, lifetime bounds."""
-    p, shape, spec, config = _problem(sequence, tau, duration, pulse, spectrum, rel_tol, comb_crossover)
+    p, shape, spec, config = _problem(sequence, tau, duration, pulse, spectrum, rel_tol)
     report = plateau_report(
         p, spec, shape,
         t_markov=t_markov,

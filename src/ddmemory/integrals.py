@@ -27,15 +27,16 @@ walk, minus the masses that grow with m, is the plateau level
 chi_plateau_limit.
 
 Every flavour builds its integrand with one rows factory: the ideal and
-total rows S F / omega^2 of m repeats, or their read-delay basis, times an
-optional kernel (the de-oscillated 1/(2 sin^2(omega T_p/2))).  Every
-direct chi is one _Walk.band walk up the band (integrate_rows) and every
-comb chi one _walk_comb; each keeps its panel budget, contributions,
-error, tail stop and failure in one _Walk, and one assembler turns the
-per-region totals into an ErrorBudget.  Panel integrals use a 7-point
-Gauss / 15-point Kronrod pair evaluated in batches by one refine routine,
-_refine, and every region total is a correctly rounded math.fsum, so
-results do not depend on summation order or thread count.
+total rows S F / omega^2 of m repeats, times the Dirichlet kernel, or
+their read-delay basis; the comb walk weights the single-run rows with
+_deosc, the one de-oscillated kernel.  Every direct chi is one _Walk.band
+walk up the band (integrate_rows) and every comb chi one _chi_comb; each
+keeps its panel budget, filter bound, contributions, error, tail stop and
+failure in one _Walk, and one assembler turns the per-region totals into
+an ErrorBudget.  Panel integrals use a 7-point Gauss / 15-point Kronrod
+pair evaluated in batches by one refine routine, _refine, and every region
+total is a correctly rounded math.fsum, so results do not depend on
+summation order or thread count.
 
 A read delay delta after the repeats makes |r_z|^2 the zero-delay row plus
 sin^2(omega delta/2) and sin(omega delta) times two rows that do not depend
@@ -288,15 +289,6 @@ def _filter_bound(p: TimingPattern) -> float:
     return 4.0 * (p.n_pulses + 1) ** 2
 
 
-def _tail_envelope(spec: NoiseSpectrum, w_from: float, ff_bound: float) -> float:
-    """Upper estimate of ff_bound * integral of S/w^2 over [w_from, omega_max]."""
-    if w_from >= spec.omega_max:
-        return 0.0
-    grid = np.geomspace(w_from, spec.omega_max, 257)
-    s = evaluate(spec, grid)
-    return 2.0 * ff_bound * float(np.trapezoid(s / grid**2, grid))
-
-
 @dataclass
 class _Walk:
     """State of one band walk: panel budget, contributions, running error and tail stop.
@@ -311,7 +303,7 @@ class _Walk:
 
     spec: NoiseSpectrum
     cfg: QuadratureConfig
-    tail: Callable[[float], float]  # bound of what the walk would still add above w
+    ff_bound: float  # bounds row 0 * w^2 / S(w): certifies the tail
     label: str = ""  # names the pattern in failure messages
     panels: int = 0
     total: float = 0.0  # running sum of row 0, for tail checks
@@ -319,6 +311,13 @@ class _Walk:
     at: List[np.ndarray] = field(default_factory=lambda: [np.zeros(0)])
     rows: List[np.ndarray] = field(default_factory=lambda: [np.zeros((2, 0))])
     nodes: Optional[List[Tuple[np.ndarray, np.ndarray, np.ndarray]]] = None
+
+    def tail(self, w: float) -> float:
+        """Bound of what the walk would still add above w: twice ff_bound * integral of S/w^2."""
+        if w >= self.spec.omega_max:
+            return 0.0
+        grid = np.geomspace(w, self.spec.omega_max, 257)
+        return 2.0 * self.ff_bound * float(np.trapezoid(evaluate(self.spec, grid) / grid**2, grid))
 
     def check(self, count: int) -> None:
         """Fail if count more panels would overrun the budget."""
@@ -415,15 +414,14 @@ def _ff_rows_factory(
     spec: NoiseSpectrum,
     m: int = 1,
     basis: bool = False,
-    kernel: Optional[RowsFn] = None,
 ) -> RowsFn:
     """Rows [S*F_total/w^2, S*F_ideal/w^2] of p repeated m times, or their read-delay basis.
 
     With G = e^{i(m-1)theta} sin(m theta)/sin(theta), theta = w T_p/2, and b, c_y what
     one pulse of phasor 1 adds, the junction pulses of an odd base make
     r_z = G (omega*y_p + dz) + b (G - 1) and r_y = G r_y_p + c_y (G - 1).  Without
-    junctions the rows are the base rows times |G|^2.  A given kernel(w)
-    multiplies every row.
+    junctions the rows are the base rows times the Dirichlet kernel |G|^2; the comb
+    walk weights the m = 1 rows with the de-oscillated kernel _deosc instead.
 
     A read delay delta adds D (1 - e^{i w delta}) to r_z = R, D = end_sign e^{i w m T_p},
     so |r_z|^2 = |R|^2 + 4 sin^2(w delta/2) (1 + Re conj(R) D) + 2 sin(w delta) Im conj(R) D.
@@ -436,8 +434,6 @@ def _ff_rows_factory(
     def rows(w: np.ndarray) -> np.ndarray:
         base, dz, ry = quadrature_components(p, shape, w)
         weight = evaluate(spec, w) / w**2
-        if kernel is not None:
-            weight = weight * kernel(w)
         junction = m > 1 and dz is not None and p.end_sign < 0
         if not (basis or junction):
             f_bb = np.abs(base) ** 2
@@ -520,7 +516,7 @@ def integrate_rows(
     names the pattern in a failure message.  Returns (low, high, error),
     low/high the per-row sums below/above the cutoff.
     """
-    walk = _Walk(spec, config or DEFAULT_CONFIG, lambda w: _tail_envelope(spec, w, ff_bound), label)
+    walk = _Walk(spec, config or DEFAULT_CONFIG, ff_bound, label)
     walk.band(rows_fn, t_osc)
     return (*walk.totals(), walk.err)
 
@@ -631,7 +627,7 @@ def jitter_curve(
     basis = _ff_rows_factory(p, shape or bang_bang(), spec, m, basis=True)
     # 2 (n+1) per repeat plus 2 for the delay phasor, squared and doubled, at every delay
     bound = 2 * (math.sqrt(_filter_bound(p)) * m + 2) ** 2
-    walk = _Walk(spec, cfg, lambda w: _tail_envelope(spec, w, bound), _label(p, m), nodes=[])
+    walk = _Walk(spec, cfg, bound, _label(p, m), nodes=[])
     lobe = math.pi / (m * p.duration)
     w_stop = walk.band(basis, m * p.duration)
     low, high = walk.totals()
@@ -643,7 +639,7 @@ def jitter_curve(
         def rows(w: np.ndarray) -> np.ndarray:
             return _delay_row(np.delete(basis(w), 1, axis=0), w, delta_t)
 
-        replay = _Walk(spec, cfg, walk.tail, walk.label, walk.panels, rows=[np.zeros((1, 0))])
+        replay = _Walk(spec, cfg, walk.ff_bound, walk.label, walk.panels, rows=[np.zeros((1, 0))])
         for a, b, vals in walk.nodes:
             delayed = _delay_row(vals, _panel_nodes(a, b), delta_t)
             a, _, integrals, err, _ = _refine(rows, a, b, delayed, replay)
@@ -723,8 +719,8 @@ def _chi_comb(
     Decomposition over the band, with h = S F / w^2:
       (a) exact kernel panels for the first D-nodes above omega_min,
           where the envelope still varies steeply;
-      (b) the de-oscillated average h/(2 sin^2(w T_p/2)) up to the first
-          resonance cell boundary pi/T_p;
+      (b) the de-oscillated average h/(2 sin^2(w T_p/2)) (h times _deosc)
+          up to the first resonance cell boundary pi/T_p;
       (c) per resonance cell k: the exact period mass m (2 pi/T_p) h(w_k)
           plus the symmetrized finite part of the remainder.
     Parts (a)+(b)+finite parts are the plateau value; the cell masses grow
@@ -755,29 +751,20 @@ def _chi_comb(
             f"pattern {p.label!r} has odd pulse count; with finite-width pulses the "
             f"comb path does not apply, and {need}"
         )
-    # the comb walk's tail envelope is m + 1 times the base one, twice it for m = None
-    scale, base = (m + 1) if m is not None else 2, _filter_bound(p)
-    walk = _Walk(spec, cfg, lambda w: scale * _tail_envelope(spec, w, base), _label(p, m))
-    growth = _walk_comb(p, m, spec, shape, walk)
-    return _assemble(*walk.totals(), walk.err, m=m, growth=growth, comb_path=True)
-
-
-def _walk_comb(
-    p: TimingPattern,
-    m: Optional[int],
-    spec: NoiseSpectrum,
-    shape: PulseShape,
-    walk: _Walk,
-) -> float:
-    """_chi_comb's band walk; returns growth_per_repeat."""
+    # the comb walk's filter bound is m + 1 times the base one, twice it for m = None
+    walk = _Walk(spec, cfg, ((m + 1) if m is not None else 2) * _filter_bound(p), _label(p, m))
     t_p = p.duration
     w_lo, w_hi = spec.omega_min, _band_top(spec)
     if not w_lo < w_hi:
-        return 0.0
+        return _assemble(*walk.totals(), walk.err, m=m, growth=0.0, comb_path=True)
     h_rows = _ff_rows_factory(p, shape, spec)
+
+    def deosc_rows(w: np.ndarray) -> np.ndarray:
+        return h_rows(w) * _deosc(t_p, w)
+
     half_res = math.pi / t_p  # lower edge of the first resonance cell
     mt = None if m is None else m * t_p
-    # model error terms (see _chi_comb): the signed edge terms g' cos(mt x)
+    # model error terms (see the docstring): the signed edge terms g' cos(mt x)
     # and the variation of g' within each de-oscillated part
     ends = variation = 0.0
 
@@ -797,11 +784,10 @@ def _walk_comb(
         n_geo = max(2, int(math.ceil(_LADDER_PER_DECADE * math.log10(w_b / deosc_start))))
         geo = np.geomspace(deosc_start, w_b, n_geo + 1)
         edges = np.unique(np.concatenate([geo, np.linspace(max(deosc_start, 0.5 * w_b), w_b, 17)]))
-        deosc = _ff_rows_factory(p, shape, spec, kernel=lambda w: 0.5 / np.sin(0.5 * t_p * w) ** 2)
-        a_b, rows_b = walk.region(deosc, edges)
+        a_b, rows_b = walk.region(deosc_rows, edges)
         if mt is not None:
             dx = 1e-6 * (w_b - deosc_start)
-            lo, hi = _slope(deosc, deosc_start, dx), _slope(deosc, w_b, -dx)
+            lo, hi = _slope(deosc_rows, deosc_start, dx), _slope(deosc_rows, w_b, -dx)
             ends += lo * math.cos(mt * deosc_start) - hi * math.cos(mt * w_b)
             variation += _slope_variation(a_b, rows_b[0], w_b, lo, hi)
 
@@ -824,9 +810,7 @@ def _walk_comb(
             ok = lower_w > 0
             if ok.any():
                 lower[:, ok] = h_rows(lower_w[ok])
-            return (upper + lower - 2.0 * h_center[:, None]) / (
-                2.0 * np.sin(0.5 * t_p * delta) ** 2
-            )
+            return (upper + lower - 2.0 * h_center[:, None]) * _deosc(t_p, delta)
 
         d_min = 1e-6 * w1
         d_max = 0.5 * w1
@@ -857,9 +841,14 @@ def _walk_comb(
         breaks = [w for w in sorted(breaks) if deosc_start < w <= top]
         if deosc_start == w_lo:
             breaks.append(w_lo)
-        walk.err += sum(_break_bound(h_rows, w, t_p, mt) for w in breaks)
+        walk.err += sum(_break_bound(deosc_rows, w, mt) for w in breaks)
         walk.err += (abs(ends) + variation) / mt**2
-    return float(growth_rows[0])
+    return _assemble(*walk.totals(), walk.err, m=m, growth=float(growth_rows[0]), comb_path=True)
+
+
+def _deosc(t_p: float, x: np.ndarray) -> np.ndarray:
+    """1/(2 sin^2(t_p x/2)): the de-oscillated kernel, the Dirichlet kernel's local average."""
+    return 0.5 / np.sin(0.5 * t_p * x) ** 2
 
 
 def _slope(rows_fn: RowsFn, x: float, dx: float) -> float:
@@ -883,16 +872,17 @@ def _slope_variation(
     return float(np.abs(np.diff(slopes)).sum())
 
 
-def _break_bound(h_rows: RowsFn, w: float, t_p: float, mt: float) -> float:
+def _break_bound(g_rows: RowsFn, w: float, mt: float) -> float:
     """Model error where h jumps or kinks at w, which need not be a kernel node.
 
     Integrating g cos(mt x) by parts across w leaves the jump of
-    g = h/(2 sin^2(w T_p/2)) times sin(mt w)/mt, and the jump of g' times
-    cos(mt w)/mt^2, charged here at |cos| = 1.
+    g = h/(2 sin^2(w T_p/2)), row 0 of the region-(b) rows g_rows, times
+    sin(mt w)/mt, and the jump of g' times cos(mt w)/mt^2, charged here at
+    |cos| = 1.
     """
     d = 1e-6 * w
     x = w + d * np.array([-2.0, -1.0, 1.0, 2.0])
-    g = h_rows(x)[0] * 0.5 / np.sin(0.5 * t_p * x) ** 2
+    g = g_rows(x)[0]
     kink = (g[3] - g[2] - g[1] + g[0]) / d
     return abs((g[2] - g[1]) * math.sin(mt * w)) / mt + abs(kink) / mt**2
 

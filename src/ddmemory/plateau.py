@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Dict, NamedTuple, Optional
+from typing import Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -114,8 +114,7 @@ def check_conditions(
     cond_bb = ConditionCheck(margin_bb > 0.0, margin_bb)
     cond_pul: Optional[ConditionCheck] = None
     if shape.kind != BANG_BANG and p.n_pulses > 0:
-        alpha_pul = pulse_order(p, shape).alpha
-        margin_pul = spec.s + 2.0 * alpha_pul - 1.0
+        margin_pul = spec.s + 2.0 * _pulse_term(p, shape)[0] - 1.0
         cond_pul = ConditionCheck(margin_pul > 0.0, margin_pul)
     x = p.duration * spec.omega_c / (2.0 * math.pi)
     cond_res = ResonanceCheck(x < 1.0, x)
@@ -126,6 +125,14 @@ def check_conditions(
         condition_resonance=cond_res,
         all_conditions_met=met,
     )
+
+
+def _pulse_term(p: TimingPattern, shape: PulseShape) -> Tuple[int, complex]:
+    """(alpha_pul, A_pul): the closed form, or the fitted pair where the fit finds
+    another order (odd switching parity lowers it by one)."""
+    po = pulse_order(p, shape)
+    order = round(po.alpha_fit)
+    return (po.alpha, po.amplitude) if order == po.alpha else (order, po.amplitude_fit)
 
 
 def _has_plateau(p: TimingPattern, spec: NoiseSpectrum, shape: Optional[PulseShape]) -> bool:
@@ -192,8 +199,7 @@ def chi_infinity_leading_order(
     fit = suppression_order(p)
     total = term(fit.alpha, fit.amplitude)
     if shape.kind != BANG_BANG and p.n_pulses > 0:
-        po = pulse_order(p, shape)
-        total += term(po.alpha, po.amplitude)
+        total += term(*_pulse_term(p, shape))
     return total
 
 

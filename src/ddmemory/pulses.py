@@ -270,7 +270,7 @@ class PulseOrder(NamedTuple):
     alpha, amplitude      closed-form order and prefactor for the shape
     alpha_fit             exponent recovered from a log-log fit of the
                           dominant quadrature of this specific pattern
-    amplitude_fit         prefactor recovered from the same fit
+    amplitude_fit         prefactor from the same fit, at order round(alpha_fit)
     mismatch              |amplitude_fit - amplitude| / |amplitude|
     warning               None, or a note when fit and closed form disagree
     """
@@ -321,11 +321,12 @@ def pulse_order(p: TimingPattern, shape: PulseShape) -> PulseOrder:
     slope = float(np.polyfit(np.log(grid), np.log(mags), 1)[0])
     alpha_fit = slope - 1.0
 
-    # Richardson step kills the O(omega) correction in q(omega)/omega^(alpha+1)
+    # Richardson step at the fitted order kills the O(omega) correction in q(omega)/omega^(order+1)
+    order = round(alpha_fit)
     w1 = grid[0]
     q1, q2 = dominant[0], dominant[-1]
-    a1 = q1 / w1 ** (alpha + 1)
-    a2 = q2 / (2 * w1) ** (alpha + 1)
+    a1 = q1 / w1 ** (order + 1)
+    a2 = q2 / (2 * w1) ** (order + 1)
     amplitude_fit = complex(2.0 * a1 - a2)
     mismatch = abs(amplitude_fit - amplitude) / abs(amplitude)
 

@@ -98,8 +98,8 @@ def _check_size(count: int, what: str) -> None:
         raise ResourceLimitError(f"pattern would have {count} {what} (limit {MAX_REPEAT_PULSES})")
 
 
-def free_evolution(duration: float, label: str = "free") -> TimingPattern:
-    return TimingPattern((), duration, label, grid=(1, ()))
+def free_evolution(duration: float) -> TimingPattern:
+    return TimingPattern((), duration, "free", grid=(1, ()))
 
 
 def echo(duration: float) -> TimingPattern:

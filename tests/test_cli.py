@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -163,15 +164,31 @@ class TestExitCodes:
         )
         assert code == 3
 
-    def test_plateau_of_odd_base_with_finite_pulses_is_three(self, capsys):
+    def test_plateau_of_odd_base_with_finite_pulses_is_three(self, capsys, tmp_path, gaas):
+        from ddmemory import spectrum_to_json
+
+        # s = 1 meets the fitted pulse-order condition, so the comb walk refuses
+        path = tmp_path / "s1.json"
+        path.write_text(json.dumps(spectrum_to_json(replace(gaas, s=1.0))))
         code, out, err = _run(
             capsys,
-            ["plateau", "--sequence", "udd:5", "--duration", "16e-6", "--spectrum", "gaas",
+            ["plateau", "--sequence", "udd:5", "--duration", "16e-6", "--spectrum", str(path),
              "--pulse", "dcg:1e-08"],
         )
         assert code == 3
         assert out == ""
         assert "odd pulse count" in err
+
+    def test_plateau_of_odd_base_on_gaas_reads_the_fitted_pulse_order(self, capsys):
+        code, out, _ = _run(
+            capsys,
+            ["plateau", "--sequence", "udd:5", "--duration", "16e-6", "--spectrum", "gaas",
+             "--pulse", "dcg:1e-08"],
+        )
+        assert code == 0
+        conditions = json.loads(out)["report"]["conditions"]
+        assert conditions["lowfreq_pulse"] == {"passed": False, "margin": -1.0}
+        assert conditions["all_met"] is False
 
 
 class TestFfCommand:
@@ -308,6 +325,24 @@ class TestSweepAndTrace:
         assert columns == ["m", "t_s", "chi", "coherence"]
         assert float(rows[0][1]) == pytest.approx(16e-6)
         assert float(rows[1][1]) == pytest.approx(64e-6)
+
+    @pytest.mark.parametrize("command", ["trace", "plateau"])
+    def test_crossover_option_is_not_taken_where_nothing_repeats(self, capsys, command):
+        # trace runs single blocks and plateau the m -> infinity comb walk
+        args = [command, "--sequence", "echo", "--tau", "1e-6", "--spectrum", "gaas"]
+        code, out, err = _run(capsys, [*args, "--comb-crossover", "100"])
+        assert code == 2
+        assert "--comb-crossover" in err
+        assert out == ""
+
+    def test_trace_header_echoes_the_default_crossover(self, capsys):
+        code, out, _ = _run(
+            capsys,
+            ["trace", "--sequence", "echo", "--tau", "1e-6", "--spectrum", "gaas", "--points", "2"],
+        )
+        assert code == 0
+        config, _, _ = _parse_csv(out)
+        assert config["quadrature"]["comb_crossover"] == 1000
 
     def test_trace_ends_at_duration(self, capsys):
         code, out, _ = _run(

@@ -159,13 +159,27 @@ COMB_PATTERNS = {
 }
 
 
-@pytest.mark.parametrize("m", [DEFAULT_CONFIG.comb_crossover + 1, 10**4])
-@pytest.mark.parametrize("name", sorted(COMB_PATTERNS))
-def test_comb_error_bound_holds_and_meets_rel_tol(name, m):
+_COMB_M = (DEFAULT_CONFIG.comb_crossover + 1, 10**4)
+# every pattern on gaas, whose Gaussian rolloff leaves h smooth; CDD4 at two
+# slot widths on the hard cutoff (a jump of h), the r = 18 power law (a
+# kink) and yb, where the bound's break terms enter
+COMB_CASES = [
+    pytest.param(name, m, "gaas", id=f"{name}-{m}") for m in _COMB_M for name in sorted(COMB_PATTERNS)
+] + [
+    pytest.param(name, m, spec_name, id=f"{name}-{m}-{spec_name}")
+    for spec_name in ("gaas_hard", "gaas_r18", "yb")
+    for m in _COMB_M
+    for name in ("cdd4_1.0us", "cdd4_1.26us")
+]
+
+
+@pytest.mark.parametrize("name, m, spec_name", COMB_CASES)
+def test_comb_error_bound_holds_and_meets_rel_tol(name, m, spec_name):
     p, ref_p, shapes = COMB_PATTERNS[name]
-    refs = oracle.chi_refs(ref_p, _GAAS, tuple(shapes.values()), m)
+    spec = SPECTRA[spec_name]
+    refs = oracle.chi_refs(ref_p, spec, tuple(shapes.values()), m)
     for (shape_name, shape), ref in zip(shapes.items(), refs):
-        b = chi_repeated(p, m, _GAAS, shape)
+        b = chi_repeated(p, m, spec, shape)
         assert b.comb_path, shape_name
         assert abs(b.chi_total - ref.value) <= b.quad_error + ref.error, (
             f"{shape_name}: chi {b.chi_total!r} +- {b.quad_error!r} vs reference {ref.value!r}"

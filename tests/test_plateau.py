@@ -29,6 +29,7 @@ from ddmemory import (
     markovian_limit,
     plateau_report,
     primitive,
+    pulse_order,
     repeat_pattern,
     udd,
 )
@@ -327,26 +328,59 @@ class TestOddBaseFinitePulses:
 
     The comb walk lacks the junction pulses' cross terms: for UDD5 with
     10 ns DCG pulses it would put the plateau 443 times above the direct
-    chi_repeated.
+    chi_repeated.  On gaas (s = -2) the plateau conditions fail first: odd
+    switching parity lowers the fitted pulse order from 2 to 1, so
+    s + 2 alpha_pul - 1 = -1.  With s = 1 they pass and the refusal shows.
     """
 
     U5 = udd(5, 16e-6)
+    CALLS = {
+        "chi_plateau_limit": lambda p, spec, shape: chi_plateau_limit(p, spec, shape),
+        "chi_asymptotic": lambda p, spec, shape: chi_asymptotic(p, spec, shape),
+        "m_max_soft_detail": lambda p, spec, shape: m_max_soft_detail(
+            p, replace(spec, rolloff=PowerLaw(18.0)), shape
+        ),
+        "jitter_tolerance": lambda p, spec, shape: jitter_tolerance(p, 1000, spec, shape),
+        "plateau_report": lambda p, spec, shape: plateau_report(p, spec, shape),
+    }
 
-    @pytest.mark.parametrize(
-        "call",
-        [
-            lambda p, spec, shape: chi_plateau_limit(p, spec, shape),
-            lambda p, spec, shape: chi_asymptotic(p, spec, shape),
-            lambda p, spec, shape: m_max_soft_detail(p, replace(spec, rolloff=PowerLaw(18.0)), shape),
-            lambda p, spec, shape: jitter_tolerance(p, 1000, spec, shape),
-            lambda p, spec, shape: plateau_report(p, spec, shape),
-        ],
-        ids=["chi_plateau_limit", "chi_asymptotic", "m_max_soft_detail", "jitter_tolerance",
-             "plateau_report"],
-    )
-    def test_comb_resting_call_is_refused(self, gaas, call):
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    def test_comb_resting_call_is_refused(self, gaas, name):
         with pytest.raises(DomainError, match="odd pulse count"):
-            call(self.U5, gaas, dcg3(1e-8))
+            self.CALLS[name](self.U5, replace(gaas, s=1.0), dcg3(1e-8))
+
+    @pytest.mark.parametrize("name", ["chi_asymptotic", "m_max_soft_detail"])
+    def test_fitted_pulse_order_fails_on_gaas(self, gaas, name):
+        with pytest.raises(DivergenceError, match="alpha_pul"):
+            self.CALLS[name](self.U5, gaas, dcg3(1e-8))
+
+    def test_leading_order_fails_on_gaas(self, gaas_hard):
+        with pytest.raises(DivergenceError, match="alpha_pul"):
+            chi_infinity_leading_order(self.U5, gaas_hard, dcg3(1e-8))
+
+    def test_leading_order_sums_the_fitted_pulse_term(self, gaas_hard):
+        spec, shape = replace(gaas_hard, s=1.0), dcg3(1e-8)
+        po = pulse_order(self.U5, shape)
+        assert po.alpha == 2 and round(po.alpha_fit) == 1
+        # order 1 and s = 1: 2 g |A_fit|^2 omega_c^(s+1) omega_c^(-s) / (T_p^2 (s+1))
+        expected = spec.g * abs(po.amplitude_fit) ** 2 * spec.omega_c / self.U5.duration**2
+        pulse = chi_infinity_leading_order(self.U5, spec, shape) - chi_infinity_leading_order(self.U5, spec)
+        assert pulse / expected == pytest.approx(1.0, rel=1e-12)
+
+    def test_leading_order_and_conditions_read_one_order(self, gaas_hard):
+        # primitive pulses on an odd base fit order 0: margin s - 1 = 0 fails for both
+        spec, shape = replace(gaas_hard, s=1.0), primitive(1e-9)
+        assert check_conditions(self.U5, spec, shape).condition_lowfreq_pul.margin == 0.0
+        with pytest.raises(DivergenceError, match="alpha_pul"):
+            chi_infinity_leading_order(self.U5, spec, shape)
+
+    @pytest.mark.parametrize("p", [U5, cdd(3, 1e-6)], ids=["udd5", "cdd3"])
+    def test_report_reads_the_fitted_pulse_order(self, gaas, p):
+        rep = plateau_report(p, gaas, dcg3(1e-8))
+        assert not rep.condition_lowfreq_pul.passed
+        assert rep.condition_lowfreq_pul.margin == -1.0
+        assert not rep.all_conditions_met
+        assert rep.chi_infinity is None
 
     def test_bang_bang_plateau_is_kept(self, gaas):
         limit = chi_plateau_limit(self.U5, gaas).chi_total

@@ -165,12 +165,12 @@ def test_matches_reference(name):
     got = record(cases()[name]())
     ref = REFERENCE[name]
     if isinstance(ref, float):
-        assert got == pytest.approx(ref, rel=REL)
+        assert got == pytest.approx(ref, rel=REL, abs=0.0)
         return
     if isinstance(ref, list):
         assert [g is None for g in got] == [r is None for r in ref]
         assert [g for g in got if g is not None] == pytest.approx(
-            [r for r in ref if r is not None], rel=REL
+            [r for r in ref if r is not None], rel=REL, abs=0.0
         )
         return
     assert got.keys() == ref.keys()
