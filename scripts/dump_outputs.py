@@ -44,6 +44,8 @@ from ddmemory import (  # noqa: E402
     m_max_soft_detail,
     plateau_report,
     primitive,
+    pulse_order,
+    suppression_order,
     udd,
     walsh,
 )
@@ -125,6 +127,11 @@ def _calls():
     yield "refused/comb_rel_tol", lambda: chi_repeated(
         cdd(4, 1.26e-6), 1001, gaas, config=replace(DEFAULT_CONFIG, rel_tol=1e-9)
     )
+    # the fit reads |omega*y|, which does not underflow on its grid up to N_MOMENTS - 1
+    for n in (28, 35, 36):
+        yield f"suppression_order/udd{n}", lambda n=n: suppression_order(udd(n, 1e-6))
+    # a 4 ns DCG footprint in a 1 ns half-interval
+    yield "refused/pulse_order_footprint", lambda: pulse_order(echo(2e-9), dcg3(1e-9))
     # two pulse times 1e-19 s apart on one slot boundary
     yield "refused/repeated_grid_bound", lambda: TimingPattern(
         (0.25e-6, 0.25e-6 + 1e-19, 0.5e-6), 1e-6, "dup", grid=(4, (1, 1, 2))

@@ -107,22 +107,17 @@ def build_pulse(spec: str) -> PulseShape:
     raise _usage("--pulse", f"unknown pulse kind {name!r} in {spec!r}")
 
 
-def _quad_config(rel_tol: Optional[float], crossover: Optional[int]) -> QuadratureConfig:
-    kwargs = {}
-    if rel_tol is not None:
-        kwargs["rel_tol"] = rel_tol
-    if crossover is not None:
-        kwargs["comb_crossover"] = crossover
-    if not kwargs:
+def _quad_config(rel_tol: Optional[float]) -> QuadratureConfig:
+    if rel_tol is None:
         return DEFAULT_CONFIG
-    return dataclasses.replace(DEFAULT_CONFIG, **kwargs)
+    return dataclasses.replace(DEFAULT_CONFIG, rel_tol=rel_tol)
 
 
-def _problem(sequence, tau, duration, pulse, spectrum, rel_tol, comb_crossover=None):
+def _problem(sequence, tau, duration, pulse, spectrum, rel_tol):
     """(pattern, pulse shape, spectrum, quadrature config) from the shared options."""
     p = build_sequence(sequence, tau, duration)
     shape = build_pulse(pulse)
-    return p, shape, load_preset(spectrum), _quad_config(rel_tol, comb_crossover)
+    return p, shape, load_preset(spectrum), _quad_config(rel_tol)
 
 
 # -- resolved-config echo ------------------------------------------------------
@@ -243,14 +238,6 @@ def _spectrum_opt(f):
 _rel_tol_opt = click.option("--rel-tol", type=float, default=None, help="Quadrature relative tolerance.")
 
 
-def _numeric_opts(f):
-    f = click.option(
-        "--comb-crossover", type=int, default=None,
-        help=f"Repeat count above which the comb path takes over (default {DEFAULT_CONFIG.comb_crossover}).",
-    )(f)
-    return _rel_tol_opt(f)
-
-
 def _out_opts(fmt_default: str = "csv"):
     def add(f):
         f = click.option("--format", "fmt", type=click.Choice(list(FORMATS)), default=fmt_default, show_default=True)(f)
@@ -313,11 +300,11 @@ def ff_cmd(sequence, tau, duration, pulse, repeat, points, omega_min, omega_max,
 @_spectrum_opt
 @click.option("--repeat", type=int, default=1, show_default=True,
               help="Evaluate the pattern repeated m times (kernel route).")
-@_numeric_opts
+@_rel_tol_opt
 @_out_opts()
-def error_cmd(sequence, tau, duration, pulse, spectrum, repeat, rel_tol, comb_crossover, output, fmt):
+def error_cmd(sequence, tau, duration, pulse, spectrum, repeat, rel_tol, output, fmt):
     """Decoupling error chi and coherence for one pattern."""
-    p, shape, spec, config = _problem(sequence, tau, duration, pulse, spectrum, rel_tol, comb_crossover)
+    p, shape, spec, config = _problem(sequence, tau, duration, pulse, spectrum, rel_tol)
     if repeat < 1:
         raise _usage("--repeat", f"must be >= 1, got {repeat}")
     budget = chi_repeated(p, repeat, spec, shape, config)
@@ -338,12 +325,12 @@ def error_cmd(sequence, tau, duration, pulse, spectrum, repeat, rel_tol, comb_cr
 @click.option("--m-max", type=int, default=1000, show_default=True)
 @click.option("--points", type=click.IntRange(1, MAX_POINTS), default=25, show_default=True,
               help="Log-spaced repeat counts from 1 to --m-max.")
-@_numeric_opts
+@_rel_tol_opt
 @_out_opts()
 def sweep_m_cmd(sequence, tau, duration, pulse, spectrum, m_values, m_max, points,
-                rel_tol, comb_crossover, output, fmt):
+                rel_tol, output, fmt):
     """chi versus repeat count m for a repeated base pattern."""
-    p, shape, spec, config = _problem(sequence, tau, duration, pulse, spectrum, rel_tol, comb_crossover)
+    p, shape, spec, config = _problem(sequence, tau, duration, pulse, spectrum, rel_tol)
     if m_values:
         ms = sorted(set(m_values))
         if ms[0] < 1:
@@ -432,13 +419,13 @@ def plateau_cmd(sequence, tau, duration, pulse, spectrum, t_markov, jitter_budge
 @_spectrum_opt
 @click.option("--threads", type=int, default=None,
               help="Ignored, kept for compatibility; must be >= 1. The search runs in one process.")
-@_numeric_opts
+@_rel_tol_opt
 @_out_opts()
-def search_cmd(tau, t_s_values, pulse, spectrum, threads, rel_tol, comb_crossover, output, fmt):
+def search_cmd(tau, t_s_values, pulse, spectrum, threads, rel_tol, output, fmt):
     """Exhaustive Walsh-family minimum-chi search per storage time."""
     shape = build_pulse(pulse)
     spec = load_preset(spectrum)
-    config = _quad_config(rel_tol, comb_crossover)
+    config = _quad_config(rel_tol)
     if threads is not None and threads < 1:
         raise _usage("--threads", f"must be >= 1, got {threads}")
     t_s_list = list(t_s_values)

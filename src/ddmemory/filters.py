@@ -28,6 +28,10 @@ rounded division for patterns on a uniform slot grid; from an exact
 closed form for Uhrig's times, which are recognised from the pulse times
 themselves; and by compensated float sums otherwise. In all three cases
 the multiplicity of the zero survives in double precision.
+
+suppression_order reads the order alpha and amplitude A of that zero,
+F ~ |A|^2 omega^(2(alpha+1)), off _power_law_fit of |omega*y| near 0;
+pulses.pulse_order runs the same fit on the dominant pulse quadrature.
 """
 
 from __future__ import annotations
@@ -245,6 +249,30 @@ def dirichlet_factor(m: int, t_p: float, omega):
     return _scalar_like(omega, dirichlet_ratio(m, _omega_array(omega) * (t_p / 2.0)) ** 2)
 
 
+def _power_law_fit(q, t_p: float) -> tuple[int, complex, float, float]:
+    """(order, amplitude, slope, residual) of q(omega) ~ amplitude * omega^(order+1) near 0.
+
+    Fits log10|q| against log10(omega) on the decade grid omega in
+    [1e-4, 1e-2]/t_p and rounds slope - 1 to the order; residual is the rms
+    misfit in log10. The amplitude is q(omega)/omega^(order+1) at the
+    smallest grid point, Richardson-refined with the 2x point to cancel the
+    linear correction. Raises SuppressionFitError where |q| vanishes.
+    """
+    grid = np.logspace(-4, -2, 25) / t_p
+    vals = q(np.append(grid, 2.0 * grid[0]))
+    mags = np.abs(vals[:-1])
+    if not np.all(mags > 0.0):
+        raise SuppressionFitError("low-frequency term vanished on the fit grid", math.nan, math.inf)
+    logw = np.log10(grid)
+    logq = np.log10(mags)
+    slope, intercept = np.polyfit(logw, logq, 1)
+    residual = float(np.sqrt(np.mean((logq - (slope * logw + intercept)) ** 2)))
+    order = int(round(slope - 1.0))
+    w0 = grid[0]
+    amplitude = 2.0 * vals[0] / w0 ** (order + 1) - vals[-1] / (2.0 * w0) ** (order + 1)
+    return order, complex(amplitude), float(slope), residual
+
+
 class SuppressionOrder(NamedTuple):
     alpha: int
     amplitude: complex
@@ -256,31 +284,19 @@ def suppression_order(p: TimingPattern) -> SuppressionOrder:
     """Order of error suppression and leading amplitude of the filter zero.
 
     F behaves as |amplitude|^2 * omega^(2*(alpha+1)) near omega = 0. The
-    order comes from an integer-rounded log-log slope on the decade grid
-    omega in [1e-4, 1e-2]/T_p; the amplitude is y(omega)/omega^alpha at
-    the smallest grid point, Richardson-refined with the 2x point to
-    cancel the linear correction.
+    order and amplitude are _power_law_fit's of omega*y, whose log needs
+    half the range of F's and so does not underflow before N_MOMENTS;
+    slope and residual are reported for log10 F, twice the fitted ones.
     """
-    grid = np.logspace(-4, -2, 25) / p.duration
-    f_vals = filter_fn(p, grid)
-    if np.any(f_vals <= 0.0):
-        raise SuppressionFitError("filter vanished on the fit grid", math.nan, math.inf)
-    logw = np.log10(grid)
-    logf = np.log10(f_vals)
-    slope, intercept = np.polyfit(logw, logf, 1)
-    residual = float(np.sqrt(np.mean((logf - (slope * logw + intercept)) ** 2)))
-    alpha = int(round(slope / 2.0 - 1.0))
+    alpha, amplitude, slope, residual = _power_law_fit(lambda w: omega_y_tilde(p, w), p.duration)
+    slope, residual = 2.0 * slope, 2.0 * residual
     if residual > FIT_RESIDUAL_LIMIT or abs(slope - 2.0 * (alpha + 1)) > 0.5 or alpha < 0:
         raise SuppressionFitError(
             f"low-frequency behavior is not a clean power law (slope {slope:.3f})",
-            float(slope),
+            slope,
             residual,
         )
-    w0 = grid[0]
-    a1 = complex(omega_y_tilde(p, w0)) / w0 ** (alpha + 1)
-    a2 = complex(omega_y_tilde(p, 2.0 * w0)) / (2.0 * w0) ** (alpha + 1)
-    amplitude = 2.0 * a1 - a2
-    return SuppressionOrder(alpha, amplitude, float(slope), residual)
+    return SuppressionOrder(alpha, amplitude, slope, residual)
 
 
 def passband_max(p: TimingPattern) -> float:

@@ -493,7 +493,7 @@ def _assemble(
         chi_high=chi_high,
         coherence=math.exp(-chi_total),
         m=m,
-        quad_error=err,
+        quad_error=float(err),
         growth_per_repeat=growth,
         comb_path=comb_path,
     )

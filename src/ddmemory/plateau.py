@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Dict, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -108,31 +108,35 @@ def check_conditions(
     p: TimingPattern, spec: NoiseSpectrum, shape: Optional[PulseShape] = None
 ) -> PlateauReport:
     """Evaluate the three plateau inequalities with margins, nothing else."""
-    shape = shape or bang_bang()
-    alpha_p = suppression_order(p).alpha
-    margin_bb = spec.s + 2.0 * alpha_p - 1.0
-    cond_bb = ConditionCheck(margin_bb > 0.0, margin_bb)
-    cond_pul: Optional[ConditionCheck] = None
-    if shape.kind != BANG_BANG and p.n_pulses > 0:
-        margin_pul = spec.s + 2.0 * _pulse_term(p, shape)[0] - 1.0
-        cond_pul = ConditionCheck(margin_pul > 0.0, margin_pul)
+    lowfreq = {}
+    for name, alpha, _ in _leading_terms(p, shape or bang_bang()):
+        margin = spec.s + 2.0 * alpha - 1.0
+        lowfreq[name] = ConditionCheck(margin > 0.0, margin)
     x = p.duration * spec.omega_c / (2.0 * math.pi)
     cond_res = ResonanceCheck(x < 1.0, x)
-    met = cond_bb.passed and cond_res.passed and (cond_pul is None or cond_pul.passed)
     return PlateauReport(
-        condition_lowfreq_bb=cond_bb,
-        condition_lowfreq_pul=cond_pul,
+        condition_lowfreq_bb=lowfreq["alpha_p"],
+        condition_lowfreq_pul=lowfreq.get("alpha_pul"),
         condition_resonance=cond_res,
-        all_conditions_met=met,
+        all_conditions_met=cond_res.passed and all(c.passed for c in lowfreq.values()),
     )
 
 
-def _pulse_term(p: TimingPattern, shape: PulseShape) -> Tuple[int, complex]:
-    """(alpha_pul, A_pul): the closed form, or the fitted pair where the fit finds
-    another order (odd switching parity lowers it by one)."""
-    po = pulse_order(p, shape)
-    order = round(po.alpha_fit)
-    return (po.alpha, po.amplitude) if order == po.alpha else (order, po.amplitude_fit)
+def _leading_terms(p: TimingPattern, shape: PulseShape) -> List[Tuple[str, int, complex]]:
+    """(name, order, amplitude) of each low-frequency filter term |A|^2 omega^(2(a+1)).
+
+    alpha_p, the ideal filter's (suppression_order); then, with finite
+    pulses, alpha_pul: pulse_order's closed form, or its fitted pair where
+    the fit finds another order (odd switching parity lowers it by one).
+    """
+    fit = suppression_order(p)
+    terms = [("alpha_p", fit.alpha, fit.amplitude)]
+    if shape.kind != BANG_BANG and p.pulse_times:
+        po = pulse_order(p, shape)
+        order = round(po.alpha_fit)
+        pair = (po.alpha, po.amplitude) if order == po.alpha else (order, po.amplitude_fit)
+        terms.append(("alpha_pul", *pair))
+    return terms
 
 
 def _has_plateau(p: TimingPattern, spec: NoiseSpectrum, shape: Optional[PulseShape]) -> bool:
@@ -186,20 +190,14 @@ def chi_infinity_leading_order(
     shape = shape or bang_bang()
     if not _has_plateau(p, spec, shape):
         return 0.0
-    t_p = p.duration
-
-    def term(alpha: int, amplitude: complex) -> float:
+    total = 0.0
+    for _, alpha, amplitude in _leading_terms(p, shape):
         power = spec.s + 2.0 * alpha - 1.0
-        return (
+        total += (
             2.0 * spec.g * abs(amplitude) ** 2 * spec.omega_c**power
             * spec.omega_c ** (-spec.s)
-            / (t_p**2 * power)
+            / (p.duration**2 * power)
         )
-
-    fit = suppression_order(p)
-    total = term(fit.alpha, fit.amplitude)
-    if shape.kind != BANG_BANG and p.n_pulses > 0:
-        total += term(*_pulse_term(p, shape))
     return total
 
 

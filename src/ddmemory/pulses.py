@@ -23,6 +23,10 @@ The pulses enter the whole sequence through u_p = sum_l (-1)^l e^{i omega t_l}
 over the pulse centers, read off the ideal transform by its vertex form
 omega*y = 1 + 2 u_p + (-1)^(n+1) e^{i omega T_p}: O(1) per frequency on top
 of omega*y, with that transform's accuracy (Walsh product or Taylor series).
+
+pulse_order gives the closed-form low-frequency order of the pulse
+contribution and checks it against filters._power_law_fit of the dominant
+quadrature, taken from quadrature_components like every filter here.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from typing import NamedTuple, Optional, Tuple, Union
 import numpy as np
 
 from .errors import DomainError, require_positive
-from .filters import _omega_array, _scalar_like, omega_y_tilde
+from .filters import _omega_array, _power_law_fit, _scalar_like, omega_y_tilde
 from .sequences import TimingPattern
 
 __all__ = [
@@ -59,10 +63,6 @@ DCG3 = "dcg3"
 
 _KINDS = (BANG_BANG, PRIMITIVE, DCG3)
 
-# log-spaced fit window for pulse_order, in units of 1/T_p
-_FIT_LO = 1e-4
-_FIT_HI = 1e-2
-_FIT_POINTS = 25
 _MISMATCH_WARN = 0.10
 
 
@@ -207,15 +207,6 @@ def _unit_pulse_terms(shape: PulseShape, omega: np.ndarray) -> Tuple[np.ndarray,
     return -4.0 * np.sin(0.25 * shape.tau_pi * omega) ** 2 - half * rz_pul, -half * ry_pul
 
 
-def _pulse_terms(
-    p: TimingPattern, shape: PulseShape, omega: np.ndarray, base: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Additive pulse-induced parts (r_z - base, r_y), with base = omega*y_tilde."""
-    u_p = _pulse_phasor(p, omega, base)
-    b, c_y = _unit_pulse_terms(shape, omega)
-    return b * u_p, c_y * u_p
-
-
 def quadrature_components(
     p: TimingPattern, shape: PulseShape, omega: np.ndarray
 ) -> Tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]:
@@ -223,16 +214,18 @@ def quadrature_components(
 
     Splitting the ideal part from the pulse-induced parts lets callers form
     both the ideal and the total filter from one evaluation, and keeps the
-    near-cancelling pulse terms out of the ideal ones.  Returns arrays, also
-    for a number omega.
+    near-cancelling pulse terms out of the ideal ones.  The corrections are
+    b u_p and c_y u_p, with u_p the pulse phasor and (b, c_y) what one pulse
+    adds.  Returns arrays, also for a number omega.
     """
     _check_footprint(p, shape)
     w = _omega_array(omega)
     base = omega_y_tilde(p, w)
     if shape.kind == BANG_BANG or not p.pulse_times:
         return base, None, None
-    dz, ry = _pulse_terms(p, shape, w, base)
-    return base, dz, ry
+    u_p = _pulse_phasor(p, w, base)
+    b, c_y = _unit_pulse_terms(shape, w)
+    return base, b * u_p, c_y * u_p
 
 
 def total_quadratures(
@@ -291,11 +284,12 @@ def pulse_order(p: TimingPattern, shape: PulseShape) -> PulseOrder:
                the pulse part of r_z.
 
     The closed pair assumes a balanced base pattern (alternating-sign pulse
-    centers summing to T_p/2, as for the concatenated family).  The fit
-    Taylor-expands the dominant quadrature of the actual pattern near
-    omega = 0; a disagreement beyond 10% in amplitude, or a shifted
-    exponent (odd switching parity lowers it by one), is reported in
-    `warning` rather than raised.
+    centers summing to T_p/2, as for the concatenated family).  The fit is
+    filters._power_law_fit of the dominant quadrature of the actual pattern,
+    taken from quadrature_components, so a footprint that does not fit
+    raises DomainError; a disagreement beyond 10% in amplitude, or a
+    shifted exponent (odd switching parity lowers it by one), is reported
+    in `warning` rather than raised.
     """
     if shape.kind == BANG_BANG:
         raise DomainError("bang-bang pulses carry no finite-width contribution")
@@ -303,31 +297,17 @@ def pulse_order(p: TimingPattern, shape: PulseShape) -> PulseOrder:
         raise DomainError(f"pattern {p.label!r} has no pulses")
     t_p = p.duration
     tau = shape.tau_pi
+    # part indexes the dominant quadrature in quadrature_components' triple
     if shape.kind == PRIMITIVE:
-        alpha = 1
+        alpha, part = 1, 2
         amplitude = complex(-t_p * tau / math.pi)
     else:
-        alpha = 2
+        alpha, part = 2, 1
         amplitude = -2j * t_p * tau * tau / (1.0 + 1.0 / math.pi**2)
-
-    grid = np.geomspace(_FIT_LO / t_p, _FIT_HI / t_p, _FIT_POINTS)
-    # the last point, twice the first, serves the Richardson step below
-    pts = np.append(grid, 2.0 * grid[0])
-    dz, ry = _pulse_terms(p, shape, pts, omega_y_tilde(p, pts))
-    dominant = ry if shape.kind == PRIMITIVE else dz
-    mags = np.abs(dominant[:-1])
-    if not np.all(mags > 0.0):
-        raise DomainError("dominant pulse quadrature vanishes on the fit window")
-    slope = float(np.polyfit(np.log(grid), np.log(mags), 1)[0])
+    _, amplitude_fit, slope, _ = _power_law_fit(
+        lambda w: quadrature_components(p, shape, w)[part], t_p
+    )
     alpha_fit = slope - 1.0
-
-    # Richardson step at the fitted order kills the O(omega) correction in q(omega)/omega^(order+1)
-    order = round(alpha_fit)
-    w1 = grid[0]
-    q1, q2 = dominant[0], dominant[-1]
-    a1 = q1 / w1 ** (order + 1)
-    a2 = q2 / (2 * w1) ** (order + 1)
-    amplitude_fit = complex(2.0 * a1 - a2)
     mismatch = abs(amplitude_fit - amplitude) / abs(amplitude)
 
     notes = []

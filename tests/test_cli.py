@@ -326,10 +326,12 @@ class TestSweepAndTrace:
         assert float(rows[0][1]) == pytest.approx(16e-6)
         assert float(rows[1][1]) == pytest.approx(64e-6)
 
-    @pytest.mark.parametrize("command", ["trace", "plateau"])
+    @pytest.mark.parametrize("command", ["trace", "plateau", "error", "sweep-m", "search"])
     def test_crossover_option_is_not_taken_where_nothing_repeats(self, capsys, command):
-        # trace runs single blocks and plateau the m -> infinity comb walk
-        args = [command, "--sequence", "echo", "--tau", "1e-6", "--spectrum", "gaas"]
+        # no command takes it: trace runs single blocks, plateau the m -> infinity
+        # comb walk, and the crossover is QuadratureConfig.comb_crossover in the library
+        where = ["--t-s", "8e-6"] if command == "search" else ["--sequence", "echo"]
+        args = [command, *where, "--tau", "1e-6", "--spectrum", "gaas"]
         code, out, err = _run(capsys, [*args, "--comb-crossover", "100"])
         assert code == 2
         assert "--comb-crossover" in err

@@ -228,16 +228,19 @@ class TestDirichlet:
 
 
 class TestSuppressionOrder:
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 12, 18, 27])
+    # the fit reads |omega*y| ~ (omega T_p)^(n+1), so it does not underflow
+    # where F ~ (omega T_p)^(2n+2) would, from n = 28 on
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 12, 18, 27, 28, 35])
     def test_udd_reaches_its_order(self, n):
         fit = suppression_order(udd(n, 1e-6))
         assert fit.alpha == n
         assert fit.residual < 0.05
 
-    def test_udd28_filter_underflows_on_the_fit_grid(self):
-        # F ~ (omega T_p)^58 underflows at 1e-4 / T_p
+    def test_udd36_is_past_the_moment_series(self):
+        # all N_MOMENTS Taylor coefficients of UDD36 vanish, so does omega*y below |omega T_p| = 2
+        assert N_MOMENTS == 36
         with pytest.raises(SuppressionFitError, match="vanished"):
-            suppression_order(udd(28, 1e-6))
+            suppression_order(udd(36, 1e-6))
 
     def test_order_is_read_off_the_times_not_the_constructor(self):
         u = udd(5, 1e-6)

@@ -54,22 +54,22 @@ ORACLE_CHI_CDD4_1US = 1.22448664158290302467211543086e-9
 class TestOracles:
     def test_free_evolution_matches_oracle(self, gaas):
         budget = chi(free_evolution(35e-9), gaas, bang_bang())
-        assert budget.chi_total == pytest.approx(ORACLE_CHI_FREE_35NS, rel=1e-9)
+        assert budget.chi_total == pytest.approx(ORACLE_CHI_FREE_35NS, rel=1e-9, abs=0.0)
 
     def test_echo_matches_oracle(self, gaas):
         budget = chi(echo(2e-6), gaas, bang_bang())
-        assert budget.chi_total == pytest.approx(ORACLE_CHI_ECHO_2US, rel=1e-9)
+        assert budget.chi_total == pytest.approx(ORACLE_CHI_ECHO_2US, rel=1e-9, abs=0.0)
 
     def test_cdd4_matches_oracle(self, gaas):
         budget = chi(cdd(4, 1e-6), gaas, bang_bang())
-        assert budget.chi_total == pytest.approx(ORACLE_CHI_CDD4_1US, rel=1e-9)
+        assert budget.chi_total == pytest.approx(ORACLE_CHI_CDD4_1US, rel=1e-9, abs=0.0)
 
 
 class TestBudgetFields:
     def test_split_adds_up_and_coherence_is_exp(self, gaas):
         b = chi(cdd(3, 1e-6), gaas, bang_bang())
-        assert b.chi_total == pytest.approx(b.chi_low + b.chi_high, rel=1e-12)
-        assert b.coherence == pytest.approx(math.exp(-b.chi_total), rel=1e-12)
+        assert b.chi_total == pytest.approx(b.chi_low + b.chi_high, rel=1e-12, abs=0.0)
+        assert b.coherence == pytest.approx(math.exp(-b.chi_total), rel=1e-12, abs=0.0)
         assert b.chi_pul == 0.0
         assert b.m == 1
         assert not b.comb_path
@@ -77,7 +77,7 @@ class TestBudgetFields:
     def test_pulse_contribution_separated(self, gaas):
         b = chi(cdd(4, 1e-6), gaas, primitive(1e-9))
         assert b.chi_pul >= 0.0
-        assert b.chi_total == pytest.approx(b.chi_bb + b.chi_pul, rel=1e-9)
+        assert b.chi_total == pytest.approx(b.chi_bb + b.chi_pul, rel=1e-9, abs=0.0)
 
     def test_negative_pulse_excess_is_reported_signed(self, gaas):
         # 10 ns DCG pulses lower UDD5's chi by about 0.5 %, which is a real
@@ -85,10 +85,20 @@ class TestBudgetFields:
         p = udd(5, 16e-6)
         b = chi(p, gaas, dcg3(1e-8))
         ideal = chi(p, gaas, bang_bang()).chi_total
-        assert b.chi_bb == pytest.approx(ideal, rel=1e-12)
+        assert b.chi_bb == pytest.approx(ideal, rel=1e-12, abs=0.0)
         assert b.chi_pul == b.chi_total - b.chi_bb
-        assert b.chi_pul == pytest.approx(-5.15e-3 * ideal, rel=0.01)
+        assert b.chi_pul == pytest.approx(-5.15e-3 * ideal, rel=0.01, abs=0.0)
         assert b.quad_error <= 1e-6 * b.chi_total
+
+    @pytest.mark.parametrize("rolloff", [HARD, PowerLaw(18.0)], ids=["hard", "r18"])
+    def test_quad_error_is_a_float_on_the_comb_path(self, gaas, rolloff):
+        # the cutoff's break terms enter the bound there
+        b = chi_repeated(cdd(4, 1e-6), 10**4, replace(gaas, rolloff=rolloff))
+        assert b.comb_path
+        assert type(b.quad_error) is float
+
+    def test_quad_error_is_a_float_with_jitter(self, gaas):
+        assert type(chi_with_jitter(cdd(4, 1e-6), 1000, 1e-7, gaas).quad_error) is float
 
     def test_zero_strength_gives_zero_error(self, gaas):
         silent = replace(gaas, g=0.0)
@@ -103,7 +113,7 @@ class TestBudgetFields:
         scaled = replace(gaas, g=c * gaas.g)
         base = chi(echo(2e-6), gaas, bang_bang()).chi_total
         got = chi(echo(2e-6), scaled, bang_bang()).chi_total
-        assert got == pytest.approx(c * base, rel=1e-12)
+        assert got == pytest.approx(c * base, rel=1e-12, abs=0.0)
 
 
 class TestRepetitionKernel:
@@ -113,7 +123,7 @@ class TestRepetitionKernel:
         base = maker(1e-6)
         via_kernel = chi_repeated(base, m, gaas, bang_bang()).chi_total
         via_explicit = chi(repeat_pattern(base, m), gaas, bang_bang()).chi_total
-        assert via_kernel == pytest.approx(via_explicit, rel=1e-6)
+        assert via_kernel == pytest.approx(via_explicit, rel=1e-6, abs=0.0)
 
     def test_m_one_equals_single_block(self, gaas):
         base = cdd(3, 1e-6)
@@ -145,7 +155,7 @@ class TestRepetitionKernel:
         shape = primitive(1e-9)
         via_kernel = chi_repeated(base, 4, gaas, shape).chi_total
         via_explicit = chi(repeat_pattern(base, 4), gaas, shape).chi_total
-        assert via_kernel == pytest.approx(via_explicit, rel=1e-8)
+        assert via_kernel == pytest.approx(via_explicit, rel=1e-8, abs=0.0)
 
     @given(
         bounds=st.sets(st.integers(1, 15), min_size=1).map(sorted),
@@ -160,7 +170,7 @@ class TestRepetitionKernel:
         base = TimingPattern(tuple(b * 1e-6 for b in bounds), 16e-6, "grid", grid=(16, bounds))
         via_kernel = chi_repeated(base, m, gaas, shape).chi_total
         via_explicit = chi(repeat_pattern(base, m), gaas, shape).chi_total
-        assert via_kernel == pytest.approx(via_explicit, rel=1e-6)
+        assert via_kernel == pytest.approx(via_explicit, rel=1e-6, abs=0.0)
 
     def test_finite_width_odd_base_small_m_falls_back(self, gaas):
         # an echo's junction pulses are carried by the repetition factor
@@ -169,7 +179,7 @@ class TestRepetitionKernel:
         shape = primitive(1e-9)
         via_kernel = chi_repeated(base, 4, gaas, shape).chi_total
         via_explicit = chi(repeat_pattern(base, 4), gaas, shape).chi_total
-        assert via_kernel == pytest.approx(via_explicit, rel=1e-8)
+        assert via_kernel == pytest.approx(via_explicit, rel=1e-8, abs=0.0)
 
     @pytest.mark.parametrize("shape", [primitive(1e-9), dcg3(1e-8)], ids=["primitive", "dcg"])
     def test_finite_width_odd_base_large_power_of_two_repeat(self, gaas, shape):
@@ -178,7 +188,7 @@ class TestRepetitionKernel:
         base = cdd(3, 1e-6)
         via_kernel = chi_repeated(base, 512, gaas, shape).chi_total
         via_explicit = chi(repeat_pattern(base, 512), gaas, shape).chi_total
-        assert via_kernel == pytest.approx(via_explicit, rel=1e-9)
+        assert via_kernel == pytest.approx(via_explicit, rel=1e-9, abs=0.0)
 
     def test_finite_width_odd_base_large_m_rejected(self, gaas):
         m0 = DEFAULT_CONFIG.comb_crossover
@@ -197,7 +207,7 @@ class TestCombPath:
         comb = chi_repeated(base, 200, gaas, bang_bang(), cfg)
         direct = chi_repeated(base, 200, gaas, bang_bang())
         assert comb.comb_path and not direct.comb_path
-        assert comb.chi_total == pytest.approx(direct.chi_total, rel=1e-3)
+        assert comb.chi_total == pytest.approx(direct.chi_total, rel=1e-3, abs=0.0)
         assert comb.comb_agreement is not None and comb.comb_agreement < 0.01
         assert comb.growth_per_repeat is not None and comb.growth_per_repeat >= 0.0
 
@@ -219,7 +229,7 @@ class TestCombPath:
         base = cdd(4, 1e-6)
         plateau = chi_plateau_limit(base, gaas, bang_bang()).chi_total
         at_62500 = chi_repeated(base, 62500, gaas, bang_bang()).chi_total
-        assert at_62500 == pytest.approx(plateau, rel=1e-3)
+        assert at_62500 == pytest.approx(plateau, rel=1e-3, abs=0.0)
 
 
 class TestCrossoverReuse:
@@ -488,7 +498,7 @@ class TestConfigAndFailure:
     def test_tighter_tolerance_is_consistent(self, gaas):
         loose = chi(cdd(3, 1e-6), gaas, bang_bang(), replace(DEFAULT_CONFIG, rel_tol=1e-4))
         tight = chi(cdd(3, 1e-6), gaas, bang_bang(), replace(DEFAULT_CONFIG, rel_tol=1e-9))
-        assert loose.chi_total == pytest.approx(tight.chi_total, rel=1e-4)
+        assert loose.chi_total == pytest.approx(tight.chi_total, rel=1e-4, abs=0.0)
 
 
 class TestLinearInStrength:

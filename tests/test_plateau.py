@@ -50,7 +50,7 @@ class TestConditions:
         assert rep.condition_lowfreq_bb.margin == pytest.approx(5.0, abs=0.1)
         assert rep.condition_lowfreq_pul is None
         assert rep.condition_resonance.passed
-        assert rep.condition_resonance.x == pytest.approx(0.16, rel=1e-12)
+        assert rep.condition_resonance.x == pytest.approx(0.16, rel=1e-12, abs=0.0)
         assert rep.all_conditions_met
 
     def test_corrected_pulses_pass_primitive_fail(self, gaas):
@@ -82,14 +82,14 @@ class TestChiAsymptotic:
         p = cdd(4, 1e-6)
         inf_val = chi_asymptotic(p, gaas_hard).chi_total
         lim = chi_plateau_limit(p, gaas_hard, bang_bang()).chi_total
-        assert inf_val == pytest.approx(lim, rel=1e-9)
+        assert inf_val == pytest.approx(lim, rel=1e-9, abs=0.0)
 
     def test_gaussian_equals_plateau_limit_on_clamped_band(self, gaas):
         p = cdd(4, 1e-6)
         inf_val = chi_asymptotic(p, gaas).chi_total
         clamped = replace(gaas, omega_max=gaas.omega_c)
         lim = chi_plateau_limit(p, clamped, bang_bang()).chi_total
-        assert inf_val == pytest.approx(lim, rel=1e-9)
+        assert inf_val == pytest.approx(lim, rel=1e-9, abs=0.0)
 
     def test_gaussian_value_counts_only_below_cutoff(self, gaas):
         # the gaussian tail above omega_c is excluded by convention, so
@@ -111,13 +111,13 @@ class TestChiAsymptotic:
         p = cdd(4, 1e-6)
         a = chi_asymptotic(p, gaas_hard, config=replace(DEFAULT_CONFIG, rel_tol=1e-6)).chi_total
         b = chi_asymptotic(p, gaas_hard, config=replace(DEFAULT_CONFIG, rel_tol=5e-7)).chi_total
-        assert a == pytest.approx(b, rel=3e-6)
+        assert a == pytest.approx(b, rel=3e-6, abs=0.0)
 
     def test_closed_form_tracks_numerical(self, gaas_hard):
         p = cdd(4, 1e-6)
         closed = chi_infinity_leading_order(p, gaas_hard)
         numerical = chi_asymptotic(p, gaas_hard).chi_total
-        assert closed == pytest.approx(numerical, rel=0.3)
+        assert closed == pytest.approx(numerical, rel=0.3, abs=0.0)
 
     def test_plateau_bound_holds_for_sampled_m(self, gaas_hard):
         p = cdd(4, 1e-6)
@@ -131,12 +131,12 @@ class TestMMax:
     def test_specialization_matches_closed_route(self, gaas_r18):
         detail = m_max_soft_detail(cdd(4, 1e-6), gaas_r18)
         assert detail.specialized is not None
-        assert detail.closed_route == pytest.approx(detail.specialized, rel=0.01)
+        assert detail.closed_route == pytest.approx(detail.specialized, rel=0.01, abs=0.0)
 
     def test_specialized_coefficient(self, gaas_r18):
         x = 0.16
         detail = m_max_soft_detail(cdd(4, 1e-6), gaas_r18)
-        assert detail.specialized == pytest.approx(CDD4_COEFF * x ** (7 - 18), rel=1e-9)
+        assert detail.specialized == pytest.approx(CDD4_COEFF * x ** (7 - 18), rel=1e-9, abs=0.0)
 
     def test_bound_exceeds_ten_thousand_at_figure_point(self, gaas_r18):
         assert m_max_soft(cdd(4, 1e-6), gaas_r18) >= 10**4
@@ -163,7 +163,7 @@ class TestJitter:
         p = cdd(4, 1e-6)
         a = chi_with_jitter(p, 50, 0.0, gaas).chi_total
         b = chi_repeated(p, 50, gaas, bang_bang()).chi_total
-        assert a == pytest.approx(b, rel=1e-10)
+        assert a == pytest.approx(b, rel=1e-10, abs=0.0)
 
     def test_error_grows_with_delay(self, gaas):
         p = cdd(4, 1e-6)
@@ -179,7 +179,7 @@ class TestJitter:
         budget = 2.0 * chi_plateau_limit(p, gaas, bang_bang()).chi_total
         dt = jitter_tolerance(p, 1000, gaas, budget_factor=2.0)
         at_dt = chi_with_jitter(p, 1000, dt, gaas).chi_total
-        assert at_dt == pytest.approx(budget, rel=5e-3)
+        assert at_dt == pytest.approx(budget, rel=5e-3, abs=0.0)
 
     def test_bisection_evaluates_each_delay_once(self, gaas, monkeypatch):
         delays = []
@@ -246,7 +246,7 @@ class TestJitter:
         q = repeat_pattern(p, m)
         explicit = TimingPattern(q.pulse_times, q.duration + delta_t, "explicit")
         got = chi_with_jitter(p, m, delta_t, gaas, shape).chi_total
-        assert got == pytest.approx(chi(explicit, gaas, shape).chi_total, rel=1e-6)
+        assert got == pytest.approx(chi(explicit, gaas, shape).chi_total, rel=1e-6, abs=0.0)
 
     @pytest.mark.parametrize("factor", [math.nan, math.inf, 0.0])
     def test_bad_budget_factor_is_named(self, gaas, factor):
@@ -292,13 +292,13 @@ class TestReport:
         assert rep.chi_infinity is not None
         assert rep.chi_infinity_closed > 0.0
         assert rep.m_max_bound is None  # gaussian rolloff: no power-law lifetime
-        assert rep.t_max["markovian"] == pytest.approx(100.0 * rep.chi_infinity.chi_total)
+        assert rep.t_max["markovian"] == pytest.approx(100.0 * rep.chi_infinity.chi_total, abs=0.0)
         assert 0.15e-12 <= rep.jitter_tolerance_s <= 15e-12
 
     def test_power_law_report_has_lifetime(self, gaas_r18):
         rep = plateau_report(cdd(4, 1e-6), gaas_r18)
         assert rep.m_max_bound >= 10**4
-        assert rep.t_max["soft_cutoff"] == pytest.approx(rep.m_max_bound * 16e-6, rel=1e-12)
+        assert rep.t_max["soft_cutoff"] == pytest.approx(rep.m_max_bound * 16e-6, rel=1e-12, abs=0.0)
 
     def test_hard_cutoff_reports_unbounded_lifetime(self, gaas_hard):
         rep = plateau_report(cdd(4, 1e-6), gaas_hard)
@@ -365,7 +365,7 @@ class TestOddBaseFinitePulses:
         # order 1 and s = 1: 2 g |A_fit|^2 omega_c^(s+1) omega_c^(-s) / (T_p^2 (s+1))
         expected = spec.g * abs(po.amplitude_fit) ** 2 * spec.omega_c / self.U5.duration**2
         pulse = chi_infinity_leading_order(self.U5, spec, shape) - chi_infinity_leading_order(self.U5, spec)
-        assert pulse / expected == pytest.approx(1.0, rel=1e-12)
+        assert pulse / expected == pytest.approx(1.0, rel=1e-12, abs=0.0)
 
     def test_leading_order_and_conditions_read_one_order(self, gaas_hard):
         # primitive pulses on an odd base fit order 0: margin s - 1 = 0 fails for both
@@ -384,4 +384,4 @@ class TestOddBaseFinitePulses:
 
     def test_bang_bang_plateau_is_kept(self, gaas):
         limit = chi_plateau_limit(self.U5, gaas).chi_total
-        assert limit == pytest.approx(chi_repeated(self.U5, 1000, gaas).chi_total, rel=1e-6)
+        assert limit == pytest.approx(chi_repeated(self.U5, 1000, gaas).chi_total, rel=1e-6, abs=0.0)

@@ -178,6 +178,11 @@ class TestPulseOrder:
         with pytest.raises(DomainError):
             pulse_order(cdd(2, 1e-6), bang_bang())
 
+    def test_footprint_that_does_not_fit_is_refused(self):
+        # a 4 ns DCG in a 1 ns half-interval: the filter functions refuse it, and so does the fit
+        with pytest.raises(DomainError, match="footprint"):
+            pulse_order(echo(2e-9), dcg3(1e-9))
+
 
 # -- the pulse phasor u_p, read off omega*y ------------------------------------
 
