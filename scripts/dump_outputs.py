@@ -39,6 +39,7 @@ from ddmemory import (  # noqa: E402
     chi_with_jitter,
     dcg3,
     echo,
+    free_evolution,
     jitter_tolerance,
     load_preset,
     m_max_soft_detail,
@@ -114,6 +115,13 @@ def _calls():
             yield f"chi_repeated/{spec_name}/{shape_name}/10000", (
                 lambda spec=spec, shape=shape: chi_repeated(p, 10**4, spec, shape)
             )
+    # an odd base near omega_min, a spectrum whose g is largest at omega_min, and
+    # a long base period at m = 10^4 on the power-law rolloff
+    yield "chi_repeated/w37_64/1001", lambda: chi_repeated(walsh(37, 64e-6, 64), 1001, gaas)
+    yield "chi_repeated/yb/free_16us/1001", lambda: chi_repeated(
+        free_evolution(16e-6), 1001, load_preset("yb")
+    )
+    yield "chi_repeated/r18/udd4_16us/10000", lambda: chi_repeated(udd(4, 16e-6), 10**4, r18)
     small = replace(DEFAULT_CONFIG, max_panels=64, validate_crossover=False)
     tight = replace(small, rel_tol=1e-12)
     bb = bang_bang()
