@@ -109,7 +109,7 @@ def _calls():
     r18 = replace(gaas, rolloff=PowerLaw(18.0))
     yield "m_max_soft_detail/r18", lambda: m_max_soft_detail(p, r18)
     # the comb path where h jumps (hard cutoff) or kinks (power law) inside its
-    # de-oscillated parts, so the bound's break terms enter
+    # de-oscillated parts, each break a panel edge
     for spec_name, spec in (("hard", replace(gaas, rolloff=HARD)), ("r18", r18)):
         for shape_name, shape in (("bb", bang_bang()), ("dcg_10ns", dcg3(1e-8))):
             yield f"chi_repeated/{spec_name}/{shape_name}/10000", (
@@ -131,7 +131,7 @@ def _calls():
     yield "exhausted/chi_plateau_limit", lambda: chi_plateau_limit(p, gaas, bb, small)
     yield "exhausted/chi_with_jitter", lambda: chi_with_jitter(p, 1000, 1e-7, gaas, bb, small)
     yield "exhausted/w555_1024/1000", lambda: chi_repeated(walsh(555, 1024e-6, 1024), 1000, gaas)
-    # the comb path's model error at m = 1001, 8.8e-7 chi, misses rel_tol = 1e-9
+    # CDD4 with 1.26 us slots just past the crossover: the comb walk meets rel_tol = 1e-9
     yield "refused/comb_rel_tol", lambda: chi_repeated(
         cdd(4, 1.26e-6), 1001, gaas, config=replace(DEFAULT_CONFIG, rel_tol=1e-9)
     )

@@ -15,15 +15,16 @@ sin^2(m w T_p/2)/sin^2(w T_p/2), which oscillates on the scale
 A blind adaptive integrator misses those spikes, so integration panels
 are aligned to the kernel nodes, the quiet region below 1/T is covered
 by a log ladder, and the spectrum's cutoff is always a panel edge.
-For m above a configurable crossover the kernel is replaced by its
-exact period integral (weight 2 pi m/T_p at each resonance) plus the
-de-oscillated local average 1/(2 sin^2(w T_p/2)) and a symmetrized
-finite-part correction per resonance cell, whose O(1/m^2) model error
-joins quad_error and must meet rel_tol.  The two paths are cross-checked
-at the crossover the first time the fast path is used for a given
-problem, against a direct budget memoised per problem that chi_repeated
-at m = comb_crossover also returns.  With m -> infinity the same comb
-walk, minus the masses that grow with m, is the plateau level
+For m above a configurable crossover the comb walk takes over: the
+kernel's exact period integral (weight 2 pi m/T_p at each resonance),
+plus the de-oscillated local average 1/(2 sin^2(w T_p/2)) and a
+symmetrized finite part per resonance cell, each weighted by
+1 - cos(m T_p x) on the panels that resolve it without that weight
+(Filon's method), so its cost does not depend on m.  The two paths are
+cross-checked at the crossover the first time the comb walk is used for
+a given problem, against a direct budget memoised per problem that
+chi_repeated at m = comb_crossover also returns.  With m -> infinity the
+same comb walk, minus the masses that grow with m, is the plateau level
 chi_plateau_limit.
 
 Every flavour builds its integrand with one rows factory: the ideal and
@@ -59,7 +60,7 @@ import numpy as np
 
 from .errors import AccuracyError, ConsistencyError, DomainError, require_count, require_nonnegative
 from .filters import dirichlet_factor, dirichlet_ratio
-from .noise import GAUSSIAN, HARD, NoiseSpectrum, evaluate
+from .noise import HARD, NoiseSpectrum, evaluate
 from .pulses import BANG_BANG, PulseShape, _unit_pulse_terms, bang_bang, quadrature_components
 from .sequences import TimingPattern, truncate
 
@@ -123,6 +124,14 @@ _WALK_BLOCK_LOBES = 1024
 _TAIL_SHARE = 0.25  # of rel_tol, spent on the truncated tail
 _MAX_REFINE_ROUNDS = 60
 _REWEIGHT_ULPS = 8  # rounding charge of a re-weighted read-delay row, in eps
+_FILON_SERIES = 2.0  # m T_p h up to which a comb panel integrates its weighted rows by K15
+_FILON_RECURRENCE = 30.0  # m T_p h above which Legendre moments use the Bessel recurrence
+
+# Legendre coefficients of the degree-14 interpolant on the 15 Kronrod nodes,
+# and the 80-point Gauss-Legendre rule that gives its moments at small m T_p h
+_TO_LEGENDRE = np.linalg.inv(np.polynomial.legendre.legvander(_NODES, 14))
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(80)
+_GL_P = np.polynomial.legendre.legvander(_GL_X, 14) * _GL_W[:, None]
 
 RowsFn = Callable[[np.ndarray], np.ndarray]
 
@@ -137,11 +146,9 @@ class QuadratureConfig:
     comb_crossover     repeat count above which the resonance-comb path runs
     validate_crossover cross-check comb vs direct at the crossover once
 
-    The crossover is 1000 because there the comb path's O(1/m^2) model
-    error bound meets rel_tol = 1e-6 on the shipped presets (at most
-    8.8e-7 chi at m = 1001, for CDD4 with 1.26 us slots on gaas), while
-    the direct path resolves every kernel node and costs about m.  It was
-    10^4 while the comb path charged a coarse O(1/m) model error.
+    Both paths evaluate the same integral; the crossover only picks the
+    comb walk, whose cost does not depend on m, over the direct path,
+    which resolves every kernel node and costs about m.
     """
 
     rel_tol: float = 1e-6
@@ -171,9 +178,8 @@ class ErrorBudget:
     DCG pulses do for UDD5 on gaas, and then chi_pul < 0.
     coherence = exp(-chi_total).  m is the repeat count of the evaluated
     pattern (None for asymptotic estimates).  quad_error bounds the
-    numerical error of chi_total; on the resonance-comb path it includes
-    the model error of the de-oscillated kernel.  growth_per_repeat,
-    comb_path and comb_agreement are filled by that path.
+    numerical error of chi_total.  growth_per_repeat, comb_path and
+    comb_agreement are filled by the resonance-comb path.
     """
 
     chi_total: float
@@ -349,16 +355,12 @@ class _Walk:
         self.spend(a.size)
         return _refine(rows_fn, a, b, _node_values(rows_fn, a, b), self)
 
-    def region(self, rows_fn: RowsFn, edges: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Integrate rows_fn between edges, with the cutoff as an extra edge, and add rows 0-1.
-
-        Returns the panels' left edges and their row integrals (R, P).
-        """
+    def region(self, rows_fn: RowsFn, edges: np.ndarray) -> None:
+        """Integrate rows_fn between edges, with the cutoff as an extra edge, and add rows 0-1."""
         a, b, rows, err, vals = self.integrate(rows_fn, _with_breakpoint(edges, self.spec.omega_c))
         self.add(a, rows[:2], err)
         if self.nodes is not None:
             self.nodes.append((a, b, np.delete(vals, 1, axis=0)))
-        return a, rows
 
     def band(self, rows_fn: RowsFn, t_osc: float) -> float:
         """Walk rows_fn up from omega_min until the tail is negligible; returns where it stopped.
@@ -716,31 +718,17 @@ def _chi_comb(
 ) -> ErrorBudget:
     """Resonance-comb evaluation of the m-repeat integral, or its plateau part.
 
-    Decomposition over the band, with h = S F / w^2:
-      (a) exact kernel panels for the first D-nodes above omega_min,
-          where the envelope still varies steeply;
-      (b) the de-oscillated average h/(2 sin^2(w T_p/2)) (h times _deosc)
-          up to the first resonance cell boundary pi/T_p;
-      (c) per resonance cell k: the exact period mass m (2 pi/T_p) h(w_k)
-          plus the symmetrized finite part of the remainder.
-    Parts (a)+(b)+finite parts are the plateau value; the cell masses grow
-    linearly in m (reported as growth_per_repeat).  With m=None the result
-    is the m -> infinity plateau level: (b) starts at omega_min, and
-    neither (a), the cell masses nor the model error enter.
-
-    Model error, O(1/m^2).  The kernel is (1 - cos(m T_p x))/(2 sin^2(x T_p/2)),
-    so (b) and the finite parts drop the integral of g cos(m T_p x), g their
-    integrand and x the frequency in (b), the distance from the resonance
-    in a cell.  Every region and cell edge is a node of sin(m T_p x), so
-    integrating by parts twice leaves g' cos(m T_p x) / (m T_p)^2 at the
-    edges plus the integral of g'' cos(m T_p x) / (m T_p)^2.  The edge
-    terms cancel where (b) meets cell 1 and each cell meets the next, and
-    the variation of g' bounds the integral; the bound is the signed sum
-    of the edge terms plus that variation, over (m T_p)^2.  Where h jumps
-    (a band edge among the de-oscillated parts) or kinks (a power-law
-    cutoff), the jump of g times |sin(m T_p w)| / (m T_p) and the jump of
-    g' over (m T_p)^2 are added.  Against bench/oracle.py the bound is
-    about twice the true error of CDD4 and UDD4 on gaas.
+    The kernel is 1 - cos(m T_p x) times the de-oscillated kernel _deosc,
+    so with h = S F / w^2 the walk integrates over the band
+      - g = h _deosc, x = w, up to the first resonance cell boundary pi/T_p;
+      - per resonance cell k: the exact period mass m (2 pi/T_p) h(w_k)
+        plus the symmetrized finite part g of the remainder, x the
+        distance from the resonance,
+    each g weighted by 1 - cos(m T_p x) (see _repeat_weighted).  The panels
+    resolve g alone, so one walk serves every m at the same cost.  The cell
+    masses grow linearly in m (reported as growth_per_repeat).  With m=None
+    the result is the m -> infinity plateau level: the weight averages to 1,
+    and the cell masses do not enter.
     """
     if not _comb_applies(p, shape):
         need = (
@@ -758,40 +746,25 @@ def _chi_comb(
     if not w_lo < w_hi:
         return _assemble(*walk.totals(), walk.err, m=m, growth=0.0, comb_path=True)
     h_rows = _ff_rows_factory(p, shape, spec)
+    mt = None if m is None else m * t_p
+
+    def weighted(rows_fn: RowsFn, edges: np.ndarray):
+        """Panels of rows_fn between edges, weighted by 1 - cos(mt x) when m is given."""
+        a, b, rows, err, vals = walk.integrate(rows_fn, edges)
+        return (a, rows, err) if mt is None else (a, *_repeat_weighted(a, b, vals, mt))
 
     def deosc_rows(w: np.ndarray) -> np.ndarray:
         return h_rows(w) * _deosc(t_p, w)
 
-    half_res = math.pi / t_p  # lower edge of the first resonance cell
-    mt = None if m is None else m * t_p
-    # model error terms (see the docstring): the signed edge terms g' cos(mt x)
-    # and the variation of g' within each de-oscillated part
-    ends = variation = 0.0
+    # de-oscillated average up to the first cell
+    w_b = min(math.pi / t_p, w_hi)
+    if w_b > w_lo:
+        n_geo = max(2, int(math.ceil(_LADDER_PER_DECADE * math.log10(w_b / w_lo))))
+        geo = np.geomspace(w_lo, w_b, n_geo + 1)
+        edges = np.unique(np.concatenate([geo, np.linspace(max(w_lo, 0.5 * w_b), w_b, 17)]))
+        walk.add(*weighted(deosc_rows, _with_breakpoint(edges, spec.omega_c)))
 
-    # (a) exact kernel region: log ladder low down, node-aligned panels above
-    deosc_start = w_lo
-    if m is not None:
-        node = 2.0 * math.pi / mt
-        w_a = min(min(1024, max(8, int(0.45 * m))) * node, w_hi, half_res)
-        if w_a > w_lo:
-            kernel_rows = _ff_rows_factory(p, shape, spec, m)
-            walk.region(kernel_rows, _ladder_and_lobes(w_lo, w_a, 0.5 * node, walk))
-            deosc_start = w_a
-
-    # (b) de-oscillated average up to the first cell
-    w_b = min(half_res, w_hi)
-    if w_b > deosc_start:
-        n_geo = max(2, int(math.ceil(_LADDER_PER_DECADE * math.log10(w_b / deosc_start))))
-        geo = np.geomspace(deosc_start, w_b, n_geo + 1)
-        edges = np.unique(np.concatenate([geo, np.linspace(max(deosc_start, 0.5 * w_b), w_b, 17)]))
-        a_b, rows_b = walk.region(deosc_rows, edges)
-        if mt is not None:
-            dx = 1e-6 * (w_b - deosc_start)
-            lo, hi = _slope(deosc_rows, deosc_start, dx), _slope(deosc_rows, w_b, -dx)
-            ends += lo * math.cos(mt * deosc_start) - hi * math.cos(mt * w_b)
-            variation += _slope_variation(a_b, rows_b[0], w_b, lo, hi)
-
-    # (c) resonance cells above pi/T_p
+    # resonance cells above pi/T_p
     w1 = 2.0 * math.pi / t_p
     growth_rows = np.zeros(2)
     k = 1
@@ -813,36 +786,21 @@ def _chi_comb(
             return (upper + lower - 2.0 * h_center[:, None]) * _deosc(t_p, delta)
 
         d_min = 1e-6 * w1
-        d_max = 0.5 * w1
-        edges = np.geomspace(d_min, d_max, 41)
+        edges = np.geomspace(d_min, 0.5 * w1, 41)
         for crossing in (w_k - spec.omega_c, spec.omega_c - w_k, w_hi - w_k, w_k - w_lo):
             edges = _with_breakpoint(edges, crossing)
-        a_i, _, rows_i, err_i, _ = walk.integrate(pv_rows, edges)
-        patch = pv_rows(np.array([d_min]))[:, 0] * d_min
+        _, rows_i, err_i = weighted(pv_rows, edges)
+        # the finite part is flat on [0, d_min]: its weighted length there
+        width = d_min if mt is None else d_min - math.sin(mt * d_min) / mt
+        patch = pv_rows(np.array([d_min]))[:, 0] * width
         # a cell centred past the band draws only on its lower half
         walk.add(w_k if w_k <= w_hi else w_k - 0.5 * w1, rows_i.sum(axis=1) + patch, err_i)
-        if mt is not None:
-            # the folded finite part is even in delta, so its slope at 0 vanishes
-            hi = _slope(pv_rows, d_max, -1e-6 * w1)
-            ends -= hi * math.cos(mt * d_max)
-            variation += _slope_variation(a_i, rows_i[0], d_max, 0.0, hi)
 
         k += 1
         if k > 65536:
             walk.fail("resonance-cell walk did not converge within 65536 cells")
         if walk.stop((k - 0.5) * w1):
             break
-
-    if mt is not None:
-        # h jumps at a band edge and kinks at a power-law cutoff; each one
-        # inside the de-oscillated parts adds its own terms
-        top = min(w_hi, (k - 0.5) * w1)
-        breaks = {w_hi} if spec.rolloff == GAUSSIAN else {w_hi, spec.omega_c}
-        breaks = [w for w in sorted(breaks) if deosc_start < w <= top]
-        if deosc_start == w_lo:
-            breaks.append(w_lo)
-        walk.err += sum(_break_bound(deosc_rows, w, mt) for w in breaks)
-        walk.err += (abs(ends) + variation) / mt**2
     return _assemble(*walk.totals(), walk.err, m=m, growth=float(growth_rows[0]), comb_path=True)
 
 
@@ -851,40 +809,49 @@ def _deosc(t_p: float, x: np.ndarray) -> np.ndarray:
     return 0.5 / np.sin(0.5 * t_p * x) ** 2
 
 
-def _slope(rows_fn: RowsFn, x: float, dx: float) -> float:
-    """One-sided difference of row 0 of rows_fn at x, toward x + dx."""
-    v = rows_fn(np.array([x, x + dx]))[0]
-    return float(v[1] - v[0]) / dx
+def _legendre_moments(lam: np.ndarray) -> np.ndarray:
+    """Integrals over [-1, 1] of P_n(t) e^{i lam t}, n = 0..14, as (P, 15): 2 i^n j_n(lam).
 
-
-def _slope_variation(
-    a: np.ndarray, integrals: np.ndarray, end: float, slope_lo: float, slope_hi: float
-) -> float:
-    """Variation of g' over the panels [a_i, a_i+1], ..., [a_-1, end], given g's panel integrals.
-
-    The integrals give g's mean on each panel; the slopes between
-    neighbouring means, with the end slopes, measure the variation without
-    evaluating g again.
+    Gauss-Legendre up to lam = _FILON_RECURRENCE; above it the forward
+    recurrence of the spherical Bessel functions, stable for n < lam.
     """
-    b = np.append(a[1:], end)
-    means = integrals / (b - a)
-    slopes = np.concatenate(([slope_lo], np.diff(means) / np.diff(0.5 * (a + b)), [slope_hi]))
-    return float(np.abs(np.diff(slopes)).sum())
+    out = np.empty((lam.size, 15), dtype=complex)
+    low = lam <= _FILON_RECURRENCE
+    out[low] = np.exp(1j * lam[low, None] * _GL_X) @ _GL_P
+    x = lam[~low]
+    j = [np.sin(x) / x, (np.sin(x) / x - np.cos(x)) / x]
+    for n in range(1, 14):
+        j.append((2 * n + 1) / x * j[n] - j[n - 1])
+    out[~low] = 2.0 * np.stack(j, axis=1) * 1j ** np.arange(15)
+    return out
 
 
-def _break_bound(g_rows: RowsFn, w: float, mt: float) -> float:
-    """Model error where h jumps or kinks at w, which need not be a kernel node.
+def _repeat_weighted(a: np.ndarray, b: np.ndarray, vals: np.ndarray, mt: float):
+    """Integrals (R, P) of rows g times 1 - cos(mt x) over panels [a_i, b_i], and row 0's error.
 
-    Integrating g cos(mt x) by parts across w leaves the jump of
-    g = h/(2 sin^2(w T_p/2)), row 0 of the region-(b) rows g_rows, times
-    sin(mt w)/mt, and the jump of g' times cos(mt w)/mt^2, charged here at
-    |cos| = 1.
+    vals are g's values at the panels' Kronrod nodes (R, P, 15).  With h a
+    panel's half-width and lam = mt h, a panel with lam <= _FILON_SERIES
+    integrates g 2 sin^2(mt x/2) by K15, its error the K15-G7 gap of that
+    product.  A wider one subtracts from g's K15 integral the integral of
+    cos(mt x) against g's degree-14 Legendre interpolant on the nodes
+    (Filon's method, by the moments _legendre_moments); its error is g's
+    K15-G7 gap plus 2 h (|a_13| + |a_14|), a_n the interpolant's top
+    coefficients.
     """
-    d = 1e-6 * w
-    x = w + d * np.array([-2.0, -1.0, 1.0, 2.0])
-    g = g_rows(x)[0]
-    kink = (g[3] - g[2] - g[1] + g[0]) / d
-    return abs((g[2] - g[1]) * math.sin(mt * w)) / mt + abs(kink) / mt**2
+    half, centre = 0.5 * (b - a), 0.5 * (a + b)
+    lam = mt * half
+    out = vals @ _WK15 * half
+    gap = np.abs(out[0] - vals[0] @ _WG7 * half)
+    narrow = lam <= _FILON_SERIES
+    product = vals[:, narrow] * (2.0 * np.sin(0.5 * mt * _panel_nodes(a[narrow], b[narrow])) ** 2)
+    out[:, narrow] = product @ _WK15 * half[narrow]
+    gap[narrow] = np.abs(out[0, narrow] - product[0] @ _WG7 * half[narrow])
+    wide = ~narrow
+    coef = vals[:, wide] @ _TO_LEGENDRE.T
+    phase = np.exp(1j * mt * centre[wide]) * half[wide]
+    out[:, wide] -= (phase * np.sum(coef * _legendre_moments(lam[wide]), axis=-1)).real
+    gap[wide] += 2.0 * half[wide] * np.abs(coef[0, :, 13:]).sum(axis=-1)
+    return out, float(np.sum(gap))
 
 
 def chi_plateau_limit(

@@ -29,7 +29,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from functools import lru_cache
+from typing import Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -122,12 +123,15 @@ def check_conditions(
     )
 
 
-def _leading_terms(p: TimingPattern, shape: PulseShape) -> List[Tuple[str, int, complex]]:
+@lru_cache(maxsize=64)
+def _leading_terms(p: TimingPattern, shape: PulseShape) -> Tuple[Tuple[str, int, complex], ...]:
     """(name, order, amplitude) of each low-frequency filter term |A|^2 omega^(2(a+1)).
 
     alpha_p, the ideal filter's (suppression_order); then, with finite
     pulses, alpha_pul: pulse_order's closed form, or its fitted pair where
     the fit finds another order (odd switching parity lowers it by one).
+    Memoised: a plateau report reads it from its conditions, closed form
+    and repeat bound.
     """
     fit = suppression_order(p)
     terms = [("alpha_p", fit.alpha, fit.amplitude)]
@@ -136,7 +140,7 @@ def _leading_terms(p: TimingPattern, shape: PulseShape) -> List[Tuple[str, int, 
         order = round(po.alpha_fit)
         pair = (po.alpha, po.amplitude) if order == po.alpha else (order, po.amplitude_fit)
         terms.append(("alpha_pul", *pair))
-    return terms
+    return tuple(terms)
 
 
 def _has_plateau(p: TimingPattern, spec: NoiseSpectrum, shape: Optional[PulseShape]) -> bool:
@@ -184,7 +188,9 @@ def chi_infinity_leading_order(
     """Hard-cutoff closed form of the asymptotic error, leading order per term.
 
     Each contribution behaving as |A|^2 omega^(2(a+1)) in the filter adds
-    2 g |A|^2 omega_c^(2a-1) / (T_p^2 (s + 2a - 1)).  Documented estimator;
+    2 g |A|^2 omega_c^(2a-1) / (T_p^2 (s + 2a - 1)), summed from logarithms:
+    |A|^2 alone underflows for high orders (about 2e-441 for UDD28 with
+    1 us periods) where the term does not.  Documented estimator;
     chi_asymptotic is authoritative.
     """
     shape = shape or bang_bang()
@@ -193,11 +199,11 @@ def chi_infinity_leading_order(
     total = 0.0
     for _, alpha, amplitude in _leading_terms(p, shape):
         power = spec.s + 2.0 * alpha - 1.0
-        total += (
-            2.0 * spec.g * abs(amplitude) ** 2 * spec.omega_c**power
-            * spec.omega_c ** (-spec.s)
-            / (p.duration**2 * power)
-        )
+        if amplitude != 0:
+            total += math.exp(
+                math.log(2.0 * spec.g / power) + 2.0 * math.log(abs(amplitude))
+                + (2.0 * alpha - 1.0) * math.log(spec.omega_c) - 2.0 * math.log(p.duration)
+            )
     return total
 
 
@@ -218,11 +224,11 @@ class MMaxDetail(NamedTuple):
 def _matches_cdd4(p: TimingPattern, shape: PulseShape) -> bool:
     if shape.kind != BANG_BANG:
         return False
-    fit = suppression_order(p)
-    if fit.alpha != 4:
+    (_, alpha, amplitude), = _leading_terms(p, shape)
+    if alpha != 4:
         return False
     nominal = p.duration**5 / 2.0**14
-    return abs(abs(fit.amplitude) - nominal) <= 0.02 * nominal
+    return abs(abs(amplitude) - nominal) <= 0.02 * nominal
 
 
 def m_max_soft_detail(

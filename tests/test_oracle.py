@@ -9,8 +9,9 @@ Where the walk stops before every resonance with weight (slow power-law
 tails, or resonances far past a Gaussian cutoff) the growth is checked
 through the repeated chi instead: m times its gap from the resonance sum
 must fit the error budget of chi at that m.  Past the crossover the comb
-path's quad_error, de-oscillation model error included, must bound its
-gap from the reference and meet rel_tol.
+path's quad_error, which charges each panel's weighted integral of the
+kernel's oscillation, must bound its gap from the reference and meet
+rel_tol.
 """
 
 import sys
@@ -146,9 +147,8 @@ def test_comb_growth_fits_the_error_budget(name, spec_name):
 
 
 # the comb path just past the crossover and at m = 1e4, where the direct path
-# took over before: CDD4 across the benchmark's slot widths, where the
-# de-oscillation error is largest relative to chi (most at 1.26 us), UDD4,
-# and W37@64, whose chi the resonance masses carry
+# took over before: CDD4 across the benchmark's slot widths, UDD4, and W37@64,
+# whose chi the resonance masses carry
 COMB_PATTERNS = {
     **{
         f"cdd4_{x}us": (cdd(4, x * TAU), oracle.cdd_pattern(4, x * TAU), SHAPES)
@@ -162,7 +162,7 @@ COMB_PATTERNS = {
 _COMB_M = (DEFAULT_CONFIG.comb_crossover + 1, 10**4)
 # every pattern on gaas, whose Gaussian rolloff leaves h smooth; CDD4 at two
 # slot widths on the hard cutoff (a jump of h), the r = 18 power law (a
-# kink) and yb, where the bound's break terms enter
+# kink) and yb, where h's break is a panel edge of the comb walk
 COMB_CASES = [
     pytest.param(name, m, "gaas", id=f"{name}-{m}") for m in _COMB_M for name in sorted(COMB_PATTERNS)
 ] + [

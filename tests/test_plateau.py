@@ -119,6 +119,13 @@ class TestChiAsymptotic:
         numerical = chi_asymptotic(p, gaas_hard).chi_total
         assert closed == pytest.approx(numerical, rel=0.3, abs=0.0)
 
+    @pytest.mark.parametrize("n", range(5, 29))
+    def test_closed_form_tracks_numerical_for_high_order_udd(self, gaas_hard, n):
+        # |A|^2 underflows from UDD21 on at 1 us periods, while each term does not
+        p = udd(n, 1e-6)
+        closed = chi_infinity_leading_order(p, gaas_hard)
+        assert closed == pytest.approx(chi_asymptotic(p, gaas_hard).chi_total, rel=1e-3, abs=0.0)
+
     def test_plateau_bound_holds_for_sampled_m(self, gaas_hard):
         p = cdd(4, 1e-6)
         cap = 2.0 * chi_asymptotic(p, gaas_hard).chi_total
@@ -299,6 +306,23 @@ class TestReport:
         rep = plateau_report(cdd(4, 1e-6), gaas_r18)
         assert rep.m_max_bound >= 10**4
         assert rep.t_max["soft_cutoff"] == pytest.approx(rep.m_max_bound * 16e-6, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "shape, pulse_calls", [(bang_bang(), 0), (dcg3(1e-8), 1)], ids=["bb", "dcg_10ns"]
+    )
+    def test_report_fits_each_order_once(self, gaas_r18, monkeypatch, shape, pulse_calls):
+        calls = {"suppression_order": 0, "pulse_order": 0}
+        for name in calls:
+
+            def counting(*args, _fit=getattr(plateau, name), _name=name):
+                calls[_name] += 1
+                return _fit(*args)
+
+            monkeypatch.setattr(plateau, name, counting)
+        plateau._leading_terms.cache_clear()
+        rep = plateau_report(cdd(4, 1e-6), gaas_r18, shape)
+        assert rep.all_conditions_met and rep.m_max_bound is not None
+        assert calls == {"suppression_order": 1, "pulse_order": pulse_calls}
 
     def test_hard_cutoff_reports_unbounded_lifetime(self, gaas_hard):
         rep = plateau_report(cdd(4, 1e-6), gaas_hard)
