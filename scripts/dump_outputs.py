@@ -122,6 +122,17 @@ def _calls():
         free_evolution(16e-6), 1001, load_preset("yb")
     )
     yield "chi_repeated/r18/udd4_16us/10000", lambda: chi_repeated(udd(4, 16e-6), 10**4, r18)
+    # free evolution on gaas just past the crossover and at twice it: no pulses, so
+    # chi is set by the panel rule alone, and the oracle compares it at a few ulp
+    for m in (1001, 2000):
+        yield f"chi_repeated/free_16us/{m}", lambda m=m: chi_repeated(free_evolution(16e-6), m, gaas)
+    # the comb walk at rel_tol = 1e-9 on the r = 18 power law, where the panel above
+    # the cutoff needs the weighted rule's own error to split it
+    for m, crossover in ((200, 64), (1001, 1000)):
+        cfg = replace(DEFAULT_CONFIG, rel_tol=1e-9, comb_crossover=crossover)
+        yield f"chi_repeated/r18/cdd4/{m}/rel_tol_1e-9", (
+            lambda m=m, cfg=cfg: chi_repeated(p, m, r18, config=cfg)
+        )
     small = replace(DEFAULT_CONFIG, max_panels=64, validate_crossover=False)
     tight = replace(small, rel_tol=1e-12)
     bb = bang_bang()
@@ -132,7 +143,7 @@ def _calls():
     yield "exhausted/chi_with_jitter", lambda: chi_with_jitter(p, 1000, 1e-7, gaas, bb, small)
     yield "exhausted/w555_1024/1000", lambda: chi_repeated(walsh(555, 1024e-6, 1024), 1000, gaas)
     # CDD4 with 1.26 us slots just past the crossover: the comb walk meets rel_tol = 1e-9
-    yield "refused/comb_rel_tol", lambda: chi_repeated(
+    yield "chi_repeated/cdd4_1.26us/1001/rel_tol_1e-9", lambda: chi_repeated(
         cdd(4, 1.26e-6), 1001, gaas, config=replace(DEFAULT_CONFIG, rel_tol=1e-9)
     )
     # the fit reads |omega*y|, which does not underflow on its grid up to N_MOMENTS - 1
