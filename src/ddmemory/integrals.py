@@ -35,9 +35,11 @@ walk up the band (integrate_rows) and every comb chi one _chi_comb; each
 keeps its panel budget, filter bound, contributions, error, tail stop and
 failure in one _Walk, and one assembler turns the per-region totals into
 an ErrorBudget.  Panel integrals use a 7-point Gauss / 15-point Kronrod
-pair evaluated in batches by one refine routine, _refine, and every region
-total is a correctly rounded math.fsum, so results do not depend on
-summation order or thread count.
+pair evaluated in batches by one refine routine, _refine, which takes the
+panel rule as an argument: _k15, or on the comb walk with m given
+_repeat_weighted, so every walk splits panels on exactly the error it
+charges.  Every region total is a correctly rounded math.fsum, so results
+do not depend on summation order or thread count.
 
 A read delay delta after the repeats makes |r_z|^2 the zero-delay row plus
 sin^2(omega delta/2) and sin(omega delta) times two rows that do not depend
@@ -53,7 +55,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, List, NoReturn, Optional, Tuple
 
 import numpy as np
@@ -134,6 +136,8 @@ _GL_X, _GL_W = np.polynomial.legendre.leggauss(80)
 _GL_P = np.polynomial.legendre.legvander(_GL_X, 14) * _GL_W[:, None]
 
 RowsFn = Callable[[np.ndarray], np.ndarray]
+# panel integrals (R, P) and row 0's error (P,) of panels [a_i, b_i] from node values (R, P, 15)
+RuleFn = Callable[[np.ndarray, np.ndarray, np.ndarray], Tuple[np.ndarray, np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -207,22 +211,31 @@ def _node_values(rows_fn: RowsFn, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return vals.reshape(vals.shape[0], len(a), 15)
 
 
-def _refine(rows_fn: RowsFn, a: np.ndarray, b: np.ndarray, vals: np.ndarray, walk: _Walk):
-    """K15 integrals of panels [a_i, b_i] from their node values (R, P, 15), split to tolerance.
+def _k15(a: np.ndarray, b: np.ndarray, vals: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """K15 integrals (R, P) of panels [a_i, b_i] from their node values (R, P, 15), and row 0's |K15 - G7|."""
+    half = 0.5 * (b - a)
+    k15 = vals @ _WK15 * half
+    return k15, np.abs(k15[0] - vals[0] @ _WG7 * half)
 
-    Panels whose row-0 K15-G7 gap is large are halved, and rows_fn
-    evaluates the halves, until the sum of the gaps is within tolerance of
-    row 0's total.  Each batch of node values, the given ones and each
-    round's halves, is integrated once.  Returns (left_edges, right_edges,
-    row_integrals (R, P), total_error, node values (R, P, 15)), panels
-    sorted by position so downstream sums are order-stable.
+
+def _refine(rule: RuleFn, rows_fn: RowsFn, a: np.ndarray, b: np.ndarray, vals: np.ndarray, walk: _Walk):
+    """Integrals of panels [a_i, b_i] by rule from their node values (R, P, 15), split to tolerance.
+
+    rule turns node values into panel integrals and per-panel errors (_k15,
+    or _repeat_weighted on the comb walk), so panels split on exactly the
+    error that is charged.  Panels whose error is large are halved, and
+    rows_fn evaluates the halves, until the sum of the errors is within
+    tolerance of row 0's total.  Each batch of node values, the given ones
+    and each round's halves, is integrated once.  Returns (left_edges,
+    right_edges, row_integrals (R, P), total_error, node values (R, P, 15)),
+    panels sorted by position so downstream sums are order-stable.
     """
-    fresh, half = vals, 0.5 * (b - a)
+    fresh = (a, b, vals)
     integrals, err = np.zeros((len(vals), 0)), np.zeros(0)
     for _ in range(_MAX_REFINE_ROUNDS):
-        k15 = fresh @ _WK15 * half
-        integrals = np.concatenate([integrals, k15], axis=1)
-        err = np.concatenate([err, np.abs(k15[0] - fresh[0] @ _WG7 * half)])
+        got, got_err = rule(*fresh)
+        integrals = np.concatenate([integrals, got], axis=1)
+        err = np.concatenate([err, got_err])
         total = float(np.sum(integrals[0]))
         err_total = float(np.sum(err))
         tol = max(walk.cfg.rel_tol * abs(total), walk.cfg.abs_floor)
@@ -235,10 +248,10 @@ def _refine(rows_fn: RowsFn, a: np.ndarray, b: np.ndarray, vals: np.ndarray, wal
         mids = 0.5 * (a[split] + b[split])
         new_a = np.concatenate([a[split], mids])
         new_b = np.concatenate([mids, b[split]])
-        fresh, half = _node_values(rows_fn, new_a, new_b), 0.5 * (new_b - new_a)
+        fresh = (new_a, new_b, _node_values(rows_fn, new_a, new_b))
         a = np.concatenate([a[~split], new_a])
         b = np.concatenate([b[~split], new_b])
-        vals = np.concatenate([vals[:, ~split], fresh], axis=1)
+        vals = np.concatenate([vals[:, ~split], fresh[2]], axis=1)
         integrals, err = integrals[:, ~split], err[~split]
     else:
         walk.fail(f"quadrature budget of {walk.cfg.max_panels} panels exhausted")
@@ -346,17 +359,17 @@ class _Walk:
         self.total += float(np.sum(self.rows[-1][0]))
         self.err += err
 
-    def integrate(self, rows_fn: RowsFn, edges: np.ndarray):
-        """Panels between edges, refined to tolerance: _refine's result, under the panel budget."""
+    def integrate(self, rows_fn: RowsFn, edges: np.ndarray, rule: RuleFn = _k15):
+        """Panels between edges by rule, refined to tolerance: _refine's result, under the panel budget."""
         a = np.asarray(edges[:-1], dtype=float)
         b = np.asarray(edges[1:], dtype=float)
         wide = b > a
         a, b = a[wide], b[wide]
         self.spend(a.size)
-        return _refine(rows_fn, a, b, _node_values(rows_fn, a, b), self)
+        return _refine(rule, rows_fn, a, b, _node_values(rows_fn, a, b), self)
 
     def region(self, rows_fn: RowsFn, edges: np.ndarray) -> None:
-        """Integrate rows_fn between edges, with the cutoff as an extra edge, and add rows 0-1."""
+        """Integrate rows_fn between edges by K15, with the cutoff as an extra edge, and add rows 0-1."""
         a, b, rows, err, vals = self.integrate(rows_fn, _with_breakpoint(edges, self.spec.omega_c))
         self.add(a, rows[:2], err)
         if self.nodes is not None:
@@ -644,7 +657,7 @@ def jitter_curve(
         replay = _Walk(spec, cfg, walk.ff_bound, walk.label, walk.panels, rows=[np.zeros((1, 0))])
         for a, b, vals in walk.nodes:
             delayed = _delay_row(vals, _panel_nodes(a, b), delta_t)
-            a, _, integrals, err, _ = _refine(rows, a, b, delayed, replay)
+            a, _, integrals, err, _ = _refine(_k15, rows, a, b, delayed, replay)
             replay.add(a, integrals, err)
         if w_stop < _band_top(spec) and not replay.stop(w_stop):
             replay.climb(rows, w_stop, lobe)
@@ -724,8 +737,10 @@ def _chi_comb(
       - per resonance cell k: the exact period mass m (2 pi/T_p) h(w_k)
         plus the symmetrized finite part g of the remainder, x the
         distance from the resonance,
-    each g weighted by 1 - cos(m T_p x) (see _repeat_weighted).  The panels
-    resolve g alone, so one walk serves every m at the same cost.  The cell
+    each g weighted by 1 - cos(m T_p x) by the panel rule _repeat_weighted,
+    which the panels are refined on.  Where the weight oscillates within a
+    panel it is integrated exactly against g's interpolant, so the walk
+    resolves g, not the weight, and costs about the same at every m.  The cell
     masses grow linearly in m (reported as growth_per_repeat).  With m=None
     the result is the m -> infinity plateau level: the weight averages to 1,
     and the cell masses do not enter.
@@ -747,11 +762,7 @@ def _chi_comb(
         return _assemble(*walk.totals(), walk.err, m=m, growth=0.0, comb_path=True)
     h_rows = _ff_rows_factory(p, shape, spec)
     mt = None if m is None else m * t_p
-
-    def weighted(rows_fn: RowsFn, edges: np.ndarray):
-        """Panels of rows_fn between edges, weighted by 1 - cos(mt x) when m is given."""
-        a, b, rows, err, vals = walk.integrate(rows_fn, edges)
-        return (a, rows, err) if mt is None else (a, *_repeat_weighted(a, b, vals, mt))
+    rule = _k15 if mt is None else partial(_repeat_weighted, mt)
 
     def deosc_rows(w: np.ndarray) -> np.ndarray:
         return h_rows(w) * _deosc(t_p, w)
@@ -762,7 +773,8 @@ def _chi_comb(
         n_geo = max(2, int(math.ceil(_LADDER_PER_DECADE * math.log10(w_b / w_lo))))
         geo = np.geomspace(w_lo, w_b, n_geo + 1)
         edges = np.unique(np.concatenate([geo, np.linspace(max(w_lo, 0.5 * w_b), w_b, 17)]))
-        walk.add(*weighted(deosc_rows, _with_breakpoint(edges, spec.omega_c)))
+        a, _, rows, err, _ = walk.integrate(deosc_rows, _with_breakpoint(edges, spec.omega_c), rule)
+        walk.add(a, rows, err)
 
     # resonance cells above pi/T_p
     w1 = 2.0 * math.pi / t_p
@@ -789,7 +801,7 @@ def _chi_comb(
         edges = np.geomspace(d_min, 0.5 * w1, 41)
         for crossing in (w_k - spec.omega_c, spec.omega_c - w_k, w_hi - w_k, w_k - w_lo):
             edges = _with_breakpoint(edges, crossing)
-        _, rows_i, err_i = weighted(pv_rows, edges)
+        _, _, rows_i, err_i, _ = walk.integrate(pv_rows, edges, rule)
         # the finite part is flat on [0, d_min]: its weighted length there
         width = d_min if mt is None else d_min - math.sin(mt * d_min) / mt
         patch = pv_rows(np.array([d_min]))[:, 0] * width
@@ -826,32 +838,31 @@ def _legendre_moments(lam: np.ndarray) -> np.ndarray:
     return out
 
 
-def _repeat_weighted(a: np.ndarray, b: np.ndarray, vals: np.ndarray, mt: float):
-    """Integrals (R, P) of rows g times 1 - cos(mt x) over panels [a_i, b_i], and row 0's error.
+def _repeat_weighted(mt: float, a: np.ndarray, b: np.ndarray, vals: np.ndarray):
+    """Integrals (R, P) of rows g times 1 - cos(mt x) over panels [a_i, b_i], and row 0's errors (P,).
 
-    vals are g's values at the panels' Kronrod nodes (R, P, 15).  With h a
-    panel's half-width and lam = mt h, a panel with lam <= _FILON_SERIES
-    integrates g 2 sin^2(mt x/2) by K15, its error the K15-G7 gap of that
-    product.  A wider one subtracts from g's K15 integral the integral of
-    cos(mt x) against g's degree-14 Legendre interpolant on the nodes
-    (Filon's method, by the moments _legendre_moments); its error is g's
-    K15-G7 gap plus 2 h (|a_13| + |a_14|), a_n the interpolant's top
+    The comb walk's panel rule when m is given: vals are g's values at the
+    panels' Kronrod nodes (R, P, 15), and _refine splits on the errors it
+    returns.  With h a panel's half-width and lam = mt h, a panel with
+    lam <= _FILON_SERIES integrates g 2 sin^2(mt x/2) by _k15, its error
+    that product's K15-G7 gap.  A wider one subtracts from g's K15 integral
+    the integral of cos(mt x) against g's degree-14 Legendre interpolant on
+    the nodes (Filon's method, by the moments _legendre_moments); its error
+    is g's K15-G7 gap plus 2 h (|a_13| + |a_14|), a_n the interpolant's top
     coefficients.
     """
     half, centre = 0.5 * (b - a), 0.5 * (a + b)
     lam = mt * half
-    out = vals @ _WK15 * half
-    gap = np.abs(out[0] - vals[0] @ _WG7 * half)
+    out, gap = _k15(a, b, vals)
     narrow = lam <= _FILON_SERIES
     product = vals[:, narrow] * (2.0 * np.sin(0.5 * mt * _panel_nodes(a[narrow], b[narrow])) ** 2)
-    out[:, narrow] = product @ _WK15 * half[narrow]
-    gap[narrow] = np.abs(out[0, narrow] - product[0] @ _WG7 * half[narrow])
+    out[:, narrow], gap[narrow] = _k15(a[narrow], b[narrow], product)
     wide = ~narrow
     coef = vals[:, wide] @ _TO_LEGENDRE.T
     phase = np.exp(1j * mt * centre[wide]) * half[wide]
     out[:, wide] -= (phase * np.sum(coef * _legendre_moments(lam[wide]), axis=-1)).real
     gap[wide] += 2.0 * half[wide] * np.abs(coef[0, :, 13:]).sum(axis=-1)
-    return out, float(np.sum(gap))
+    return out, gap
 
 
 def chi_plateau_limit(

@@ -228,13 +228,35 @@ class TestCombPath:
     @pytest.mark.parametrize(
         "m, crossover", [(200, 64), (1001, 1000)], ids=["m200", "m1001"]
     )
-    def test_comb_error_above_rel_tol_raises(self, gaas, m, crossover):
-        # on the r = 18 power law the interpolant's top Legendre terms charge
-        # about 3.5e-9 chi on the panel above the cutoff, whatever rel_tol asks
+    def test_comb_splits_on_the_error_it_charges(self, gaas, m, crossover):
+        # on the r = 18 power law the panel above the cutoff charges the top
+        # Legendre terms of its interpolant, about 3.5e-9 chi unsplit: the
+        # walk halves it on that charge until rel_tol = 1e-9 is met
+        cfg = replace(DEFAULT_CONFIG, comb_crossover=crossover, rel_tol=1e-9)
+        r18 = replace(gaas, rolloff=PowerLaw(18.0))
+        p = cdd(4, 1e-6)
+        comb = chi_repeated(p, m, r18, bang_bang(), cfg)
+        assert comb.comb_path
+        direct = integrals._chi_direct(p, m, r18, bang_bang(), cfg)
+        assert abs(comb.chi_total - direct.chi_total) <= comb.quad_error
+
+    @pytest.mark.parametrize(
+        "m, crossover", [(200, 64), (1001, 1000)], ids=["m200", "m1001"]
+    )
+    def test_comb_error_above_rel_tol_raises(self, gaas, monkeypatch, m, crossover):
+        # no known case misses rel_tol once the walk splits on its own charge,
+        # so the comb walk's bound is inflated past it
         rel_tol = 1e-9
         cfg = replace(DEFAULT_CONFIG, comb_crossover=crossover, rel_tol=rel_tol)
         r18 = replace(gaas, rolloff=PowerLaw(18.0))
         p = cdd(4, 1e-6)
+        comb = integrals._chi_comb
+
+        def inflated(*args):
+            budget = comb(*args)
+            return replace(budget, quad_error=10 * rel_tol * budget.chi_total)
+
+        monkeypatch.setattr(integrals, "_chi_comb", inflated)
         with pytest.raises(AccuracyError, match=rf"for 'CDD4' repeated {m} times") as info:
             chi_repeated(p, m, r18, bang_bang(), cfg)
         assert info.value.error_bound > rel_tol * info.value.estimate
