@@ -35,11 +35,13 @@ walk up the band (integrate_rows) and every comb chi one _chi_comb; each
 keeps its panel budget, filter bound, contributions, error, tail stop and
 failure in one _Walk, and one assembler turns the per-region totals into
 an ErrorBudget.  Panel integrals use a 7-point Gauss / 15-point Kronrod
-pair evaluated in batches by one refine routine, _refine, which takes the
-panel rule as an argument: _k15, or on the comb walk with m given
-_repeat_weighted, so every walk splits panels on exactly the error it
-charges.  Every region total is a correctly rounded math.fsum, so results
-do not depend on summation order or thread count.
+pair, derived at import in double precision (_kronrod_rule) so that K15
+is exact to degree 22 and its weights sum to 2.  One refine routine,
+_refine, evaluates them in batches and takes the panel rule as an
+argument: _k15, or on the comb walk with m given _repeat_weighted, so
+every walk splits panels on exactly the error it charges.  Every region
+total is a correctly rounded math.fsum, so results do not depend on
+summation order or thread count.
 
 A read delay delta after the repeats makes |r_z|^2 the zero-delay row plus
 sin^2(omega delta/2) and sin(omega delta) times two rows that do not depend
@@ -79,47 +81,32 @@ __all__ = [
     "integrate_rows",
 ]
 
-# 15-point Kronrod extension of 7-point Gauss, nonnegative abscissae
-_XGK = np.array(
-    [
-        0.991455371120813,
-        0.949107912342759,
-        0.864864423359769,
-        0.741531185599394,
-        0.586087235467691,
-        0.405845151377397,
-        0.207784955007898,
-        0.0,
-    ]
-)
-_WGK = np.array(
-    [
-        0.022935322010529,
-        0.063092092629979,
-        0.104790010322250,
-        0.140653259715525,
-        0.169004726639267,
-        0.190350578064785,
-        0.204432940075298,
-        0.209482141084728,
-    ]
-)
-_WG = np.array(
-    [
-        0.129484966168870,
-        0.279705391489277,
-        0.381830050505119,
-        0.417959183673469,
-    ]
-)
 
-# full 15-node arrays, ascending
-_NODES = np.concatenate([-_XGK[:-1], _XGK[::-1]])
-_WK15 = np.concatenate([_WGK[:-1], _WGK[::-1]])
-_WG7 = np.zeros(15)
-_WG7[[1, 3, 5]] = _WG[:3]
-_WG7[7] = _WG[3]
-_WG7[[9, 11, 13]] = _WG[:3][::-1]
+def _kronrod_rule() -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The 15 Kronrod nodes on [-1, 1], ascending, with their K15 weights and G7 weights.
+
+    The 7-point Gauss nodes are every second node; G7's weights are zero on
+    the 8 others, the roots of the Stieltjes polynomial E_8 = P_8 + sum of
+    c_j P_j (j < 8), whose integral against P_7 P_k vanishes for every k < 8
+    (Laurie, Math. Comp. 66, 1133 (1997)).  The K15 weights solve the 15 Legendre moment
+    equations, so K15 is exact to degree 22: QUADPACK's qk15 pair.
+    """
+    leg = np.polynomial.legendre
+    x_g, w_g = leg.leggauss(7)
+    # integrals of P_7 P_k P_j, k < 8, j <= 8, by a Gauss rule exact to degree 79
+    x, w = leg.leggauss(40)
+    v = leg.legvander(x, 8)
+    moments = (v[:, :8] * (w * v[:, 7])[:, None]).T @ v
+    x_k = np.sort(leg.legroots(np.append(np.linalg.solve(moments[:, :8], -moments[:, 8]), 1.0)))
+    # E_8 is even: mirror its roots exactly
+    nodes = np.sort(np.concatenate([x_g, 0.5 * (x_k - x_k[::-1])]))
+    w_k15 = np.linalg.solve(leg.legvander(nodes, 14).T, np.eye(15)[0] * 2.0)
+    w_g7 = np.zeros(15)
+    w_g7[1::2] = w_g
+    return nodes, w_k15, w_g7
+
+
+_NODES, _WK15, _WG7 = _kronrod_rule()
 
 _LADDER_PER_DECADE = 8
 _WALK_BLOCK_LOBES = 1024

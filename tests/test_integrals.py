@@ -199,6 +199,27 @@ class TestRepetitionKernel:
         assert integrals._direct_at_crossover.cache_info().currsize == 0
 
 
+class TestKronrodRule:
+    """The K15/G7 pair is derived, so it holds to its degree to a few ulp."""
+
+    @pytest.mark.parametrize("name", ["_WK15", "_WG7"])
+    def test_weights_sum_to_two(self, name):
+        assert abs(math.fsum(getattr(integrals, name)) - 2.0) <= np.spacing(2.0)
+
+    @pytest.mark.parametrize("name, degree", [("_WK15", 22), ("_WG7", 13)])
+    def test_exact_on_monomials_to_its_degree(self, name, degree):
+        weights = getattr(integrals, name)
+        for d in range(degree + 1):
+            exact = 2.0 / (d + 1) if d % 2 == 0 else 0.0
+            assert abs(weights @ integrals._NODES**d - exact) <= 4 * np.finfo(float).eps, d
+
+    def test_nodes_ascend_symmetrically_with_gauss_on_every_second(self):
+        x, w_g7 = integrals._NODES, integrals._WG7
+        assert np.all(np.diff(x) > 0)
+        assert np.array_equal(x, -x[::-1])
+        assert np.all(w_g7[1::2] > 0) and np.all(w_g7[::2] == 0)
+
+
 _COMB_VS_DIRECT = {
     "cdd4": cdd(4, 1e-6),
     "udd4": udd(4, 16e-6),

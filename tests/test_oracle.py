@@ -187,6 +187,19 @@ def test_comb_error_bound_holds_and_meets_rel_tol(name, m, spec_name):
         assert b.quad_error <= DEFAULT_CONFIG.rel_tol * b.chi_total, shape_name
 
 
+@pytest.mark.parametrize("m", [DEFAULT_CONFIG.comb_crossover + 1, 2000])
+def test_free_evolution_repeat_is_within_its_bound(m):
+    # no pulses, so the gap is the panel rule's own: K15 weights that sum to
+    # 2 - 6e-15 put it at 2.9e-15 chi, above quad_error + ref.error
+    p, ref_p = PATTERNS["free"]
+    (ref,) = oracle.chi_refs(ref_p, _GAAS, (SHAPES["bb"],), m)
+    b = chi_repeated(p, m, _GAAS)
+    assert b.comb_path
+    assert abs(b.chi_total - ref.value) <= b.quad_error + ref.error, (
+        f"chi {b.chi_total!r} +- {b.quad_error!r} vs reference {ref.value!r} +- {ref.error!r}"
+    )
+
+
 def _tiled(ref_p: oracle.Pattern, m: int) -> oracle.Pattern:
     """m copies of an odd-count reference pattern, a junction pulse at each boundary j T_p."""
     t_p = ref_p.duration
