@@ -8,7 +8,8 @@
 # compares the two dumps with cmp. Exit 0 when they are identical; otherwise
 # cmp's first difference is printed, then one line per differing output line:
 # its key (the case name, or the CLI run and line number) and the largest
-# relative change among its numbers, and the exit is 1.
+# relative change among its numbers, with that number's field name (or its
+# place in the line), and the exit is 1.
 # Takes about twice the time of one dump (about 20 s on a 2-CPU machine).
 set -eu
 rev=${1:?usage: scripts/same_outputs.sh <rev>}
@@ -28,7 +29,8 @@ import difflib
 import re
 import sys
 
-NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|nan|inf")
+# a number, with the field name before it when it has one (name=x or "name": x)
+NUMBER = re.compile(r'(?:([A-Za-z_]\w*)=|"(\w+)": )?([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|nan|inf)')
 
 
 def keyed(path):
@@ -51,13 +53,13 @@ def change(old, new):
     x, y = NUMBER.findall(old), NUMBER.findall(new)
     if len(x) != len(y):
         return "changed form"
-    worst = 0.0
-    for s, t in zip(x, y):
+    worst, where = 0.0, ""
+    for k, ((name, key, s), (_, _, t)) in enumerate(zip(x, y), 1):
         a, b = float(s), float(t)
-        if s != t:
-            scale = max(abs(a), abs(b))
-            worst = max(worst, abs(a - b) / scale if scale else 0.0)
-    return f"max rel change {worst:.2g}"
+        scale = max(abs(a), abs(b))
+        if s != t and scale and abs(a - b) / scale > worst:
+            worst, where = abs(a - b) / scale, name or key or f"number {k}"
+    return f"max rel change {worst:.2g} at {where}" if where else "changed text"
 
 
 old, new = keyed(sys.argv[1]), keyed(sys.argv[2])

@@ -35,13 +35,12 @@ walk up the band (integrate_rows) and every comb chi one _chi_comb; each
 keeps its panel budget, filter bound, contributions, error, tail stop and
 failure in one _Walk, and one assembler turns the per-region totals into
 an ErrorBudget.  Panel integrals use a 7-point Gauss / 15-point Kronrod
-pair, derived at import in double precision (_kronrod_rule) so that K15
-is exact to degree 22 and its weights sum to 2.  One refine routine,
-_refine, evaluates them in batches and takes the panel rule as an
-argument: _k15, or on the comb walk with m given _repeat_weighted, so
-every walk splits panels on exactly the error it charges.  Every region
-total is a correctly rounded math.fsum, so results do not depend on
-summation order or thread count.
+pair derived at import (_kronrod_rule).  One refine routine, _refine,
+evaluates them in batches by the panel rule it is given (_k15, or
+_repeat_weighted on the comb walk with m given), so every walk splits
+panels on exactly the error it charges, and every region total is a
+correctly rounded math.fsum, so results do not depend on summation order
+or thread count.
 
 A read delay delta after the repeats makes |r_z|^2 the zero-delay row plus
 sin^2(omega delta/2) and sin(omega delta) times two rows that do not depend
@@ -88,8 +87,9 @@ def _kronrod_rule() -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     The 7-point Gauss nodes are every second node; G7's weights are zero on
     the 8 others, the roots of the Stieltjes polynomial E_8 = P_8 + sum of
     c_j P_j (j < 8), whose integral against P_7 P_k vanishes for every k < 8
-    (Laurie, Math. Comp. 66, 1133 (1997)).  The K15 weights solve the 15 Legendre moment
-    equations, so K15 is exact to degree 22: QUADPACK's qk15 pair.
+    (Laurie, Math. Comp. 66, 1133 (1997)).  The K15 weights solve the 15
+    Legendre moment equations, so K15 is exact to degree 22: QUADPACK's
+    qk15 pair.
     """
     leg = np.polynomial.legendre
     x_g, w_g = leg.leggauss(7)
@@ -123,7 +123,7 @@ _GL_X, _GL_W = np.polynomial.legendre.leggauss(80)
 _GL_P = np.polynomial.legendre.legvander(_GL_X, 14) * _GL_W[:, None]
 
 RowsFn = Callable[[np.ndarray], np.ndarray]
-# panel integrals (R, P) and row 0's error (P,) of panels [a_i, b_i] from node values (R, P, 15)
+# a panel rule: integrals (R, P) and row 0's errors (P,) of panels [a_i, b_i] from node values (R, P, 15)
 RuleFn = Callable[[np.ndarray, np.ndarray, np.ndarray], Tuple[np.ndarray, np.ndarray]]
 
 
@@ -199,7 +199,7 @@ def _node_values(rows_fn: RowsFn, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _k15(a: np.ndarray, b: np.ndarray, vals: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """K15 integrals (R, P) of panels [a_i, b_i] from their node values (R, P, 15), and row 0's |K15 - G7|."""
+    """K15 integrals (R, P) of panels [a_i, b_i] from node values (R, P, 15), and row 0's |K15 - G7|."""
     half = 0.5 * (b - a)
     k15 = vals @ _WK15 * half
     return k15, np.abs(k15[0] - vals[0] @ _WG7 * half)
@@ -208,21 +208,15 @@ def _k15(a: np.ndarray, b: np.ndarray, vals: np.ndarray) -> Tuple[np.ndarray, np
 def _refine(rule: RuleFn, rows_fn: RowsFn, a: np.ndarray, b: np.ndarray, vals: np.ndarray, walk: _Walk):
     """Integrals of panels [a_i, b_i] by rule from their node values (R, P, 15), split to tolerance.
 
-    rule turns node values into panel integrals and per-panel errors (_k15,
-    or _repeat_weighted on the comb walk), so panels split on exactly the
-    error that is charged.  Panels whose error is large are halved, and
-    rows_fn evaluates the halves, until the sum of the errors is within
-    tolerance of row 0's total.  Each batch of node values, the given ones
-    and each round's halves, is integrated once.  Returns (left_edges,
-    right_edges, row_integrals (R, P), total_error, node values (R, P, 15)),
-    panels sorted by position so downstream sums are order-stable.
+    Panels whose error by rule (see RuleFn) is large are halved, and rows_fn
+    evaluates the halves, until the sum of the errors is within tolerance
+    of row 0's total.  Each batch of node values, the given ones and each
+    round's halves, is integrated once.  Returns (left_edges, right_edges,
+    row_integrals (R, P), total_error, node values (R, P, 15)), panels
+    sorted by position so downstream sums are order-stable.
     """
-    fresh = (a, b, vals)
-    integrals, err = np.zeros((len(vals), 0)), np.zeros(0)
+    integrals, err = rule(a, b, vals)
     for _ in range(_MAX_REFINE_ROUNDS):
-        got, got_err = rule(*fresh)
-        integrals = np.concatenate([integrals, got], axis=1)
-        err = np.concatenate([err, got_err])
         total = float(np.sum(integrals[0]))
         err_total = float(np.sum(err))
         tol = max(walk.cfg.rel_tol * abs(total), walk.cfg.abs_floor)
@@ -235,11 +229,13 @@ def _refine(rule: RuleFn, rows_fn: RowsFn, a: np.ndarray, b: np.ndarray, vals: n
         mids = 0.5 * (a[split] + b[split])
         new_a = np.concatenate([a[split], mids])
         new_b = np.concatenate([mids, b[split]])
-        fresh = (new_a, new_b, _node_values(rows_fn, new_a, new_b))
+        new_vals = _node_values(rows_fn, new_a, new_b)
+        new_integrals, new_err = rule(new_a, new_b, new_vals)
         a = np.concatenate([a[~split], new_a])
         b = np.concatenate([b[~split], new_b])
-        vals = np.concatenate([vals[:, ~split], fresh[2]], axis=1)
-        integrals, err = integrals[:, ~split], err[~split]
+        vals = np.concatenate([vals[:, ~split], new_vals], axis=1)
+        integrals = np.concatenate([integrals[:, ~split], new_integrals], axis=1)
+        err = np.concatenate([err[~split], new_err])
     else:
         walk.fail(f"quadrature budget of {walk.cfg.max_panels} panels exhausted")
     order = np.argsort(a, kind="stable")
@@ -347,7 +343,7 @@ class _Walk:
         self.err += err
 
     def integrate(self, rows_fn: RowsFn, edges: np.ndarray, rule: RuleFn = _k15):
-        """Panels between edges by rule, refined to tolerance: _refine's result, under the panel budget."""
+        """Panels between edges by rule, refined: _refine's result, under the panel budget."""
         a = np.asarray(edges[:-1], dtype=float)
         b = np.asarray(edges[1:], dtype=float)
         wide = b > a
@@ -725,9 +721,8 @@ def _chi_comb(
         plus the symmetrized finite part g of the remainder, x the
         distance from the resonance,
     each g weighted by 1 - cos(m T_p x) by the panel rule _repeat_weighted,
-    which the panels are refined on.  Where the weight oscillates within a
-    panel it is integrated exactly against g's interpolant, so the walk
-    resolves g, not the weight, and costs about the same at every m.  The cell
+    exact for g's interpolant, so the panels resolve g and not the weight
+    and one walk costs about the same at every m.  The cell
     masses grow linearly in m (reported as growth_per_repeat).  With m=None
     the result is the m -> infinity plateau level: the weight averages to 1,
     and the cell masses do not enter.
