@@ -189,8 +189,8 @@ def test_comb_error_bound_holds_and_meets_rel_tol(name, m, spec_name):
 
 @pytest.mark.parametrize("m", [DEFAULT_CONFIG.comb_crossover + 1, 2000])
 def test_free_evolution_repeat_is_within_its_bound(m):
-    # no pulses, so the gap is the panel rule's own: K15 weights that sum to
-    # 2 - 6e-15 put it at 2.9e-15 chi, above quad_error + ref.error
+    # no pulses, so the gap is the panel rule's own: K15 weights whose sum
+    # misses 2 by a few ulp scale every panel and show here
     p, ref_p = PATTERNS["free"]
     (ref,) = oracle.chi_refs(ref_p, _GAAS, (SHAPES["bb"],), m)
     b = chi_repeated(p, m, _GAAS)
