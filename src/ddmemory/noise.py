@@ -78,6 +78,11 @@ def evaluate(spec: NoiseSpectrum, omega):
 
     Zero outside [omega_min, omega_max]. omega must be strictly positive;
     a number omega gives a Python float.
+
+    The Gaussian rolloff is exactly 0 from omega = sqrt(745)*omega_c
+    (about 27.3 omega_c) up: exp(-745) is already the smallest subnormal,
+    and exp is about 200x slower on subnormal results than on normal ones,
+    so those points never reach exp.
     """
     w = np.asarray(omega, dtype=float)
     if not np.all(w > 0.0):
@@ -88,7 +93,11 @@ def evaluate(spec: NoiseSpectrum, omega):
         if spec.rolloff == HARD:
             vals = np.where(w > spec.omega_c, 0.0, vals)
         elif spec.rolloff == GAUSSIAN:
-            vals = vals * np.exp(-np.minimum(x * x, 745.0))
+            x2 = x * x
+            live = x2 < 745.0
+            gauss = np.exp(-x2, out=np.zeros_like(x2), where=live)
+            # masked so an overflowed g*x**s times a zero factor is 0, not NaN
+            vals = np.multiply(vals, gauss, out=np.zeros_like(x2), where=live)
         else:
             hi = spec.g * np.power(x, -spec.rolloff.r)
             vals = np.where(w > spec.omega_c, hi, vals)

@@ -97,6 +97,50 @@ class TestEvaluate:
         assert val == 0.0
 
 
+class TestGaussianEdge:
+    """exp(-x*x) up to x*x = 745, where it would turn subnormal; exactly 0 from there on."""
+
+    # g large enough that g * x**-2 * exp(-745) would be a nonzero subnormal
+    SPEC = _spec(g=1e5, rolloff=GAUSSIAN)
+
+    @staticmethod
+    def _grid(spec):
+        """omega, and x as evaluate forms it, over x*x in [700, 760]."""
+        omega = np.sqrt(np.linspace(700.0, 760.0, 6001)) * spec.omega_c
+        return omega, omega / spec.omega_c
+
+    def test_below_edge_is_the_closed_form_bit_for_bit(self):
+        omega, x = self._grid(self.SPEC)
+        below = x * x < 745.0
+        expected = self.SPEC.g * x**self.SPEC.s * np.exp(-x * x)
+        got = evaluate(self.SPEC, omega)
+        assert below.sum() > 1000
+        assert np.array_equal(got[below].view(np.int64), expected[below].view(np.int64))
+        for k in np.flatnonzero(below)[::97]:
+            assert evaluate(self.SPEC, float(omega[k])) == expected[k]
+
+    def test_from_edge_on_is_exactly_zero(self):
+        omega, x = self._grid(self.SPEC)
+        above = x * x >= 745.0
+        got = evaluate(self.SPEC, omega)
+        assert above.sum() > 1000
+        assert np.all(got[above] == 0.0)
+        for k in np.flatnonzero(above)[::97]:
+            val = evaluate(self.SPEC, float(omega[k]))
+            assert type(val) is float and val == 0.0
+
+    def test_overflowed_power_law_gives_no_nan(self):
+        spec = _spec(s=300.0, rolloff=GAUSSIAN)
+        omega, x = self._grid(spec)
+        got = evaluate(spec, omega)
+        with np.errstate(over="ignore"):
+            assert np.isinf(spec.g * x[0] ** spec.s)
+        assert not np.isnan(got).any()
+        assert np.all(got[x * x >= 745.0] == 0.0)
+        for k in range(0, omega.size, 97):
+            assert not math.isnan(evaluate(spec, float(omega[k])))
+
+
 class TestValidation:
     def test_negative_g_rejected(self):
         with pytest.raises(DomainError):
