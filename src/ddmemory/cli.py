@@ -258,7 +258,7 @@ def cli() -> None:
 @cli.command("ff")
 @_seq_opts
 @_pulse_opt
-@click.option("--repeat", type=int, default=1, show_default=True)
+@click.option("--repeat", type=click.IntRange(min=1), default=1, show_default=True)
 @click.option("--points", type=click.IntRange(2, MAX_POINTS), default=2048, show_default=True)
 @click.option("--omega-min", type=float, default=None, help="Grid start in rad/s.")
 @click.option("--omega-max", type=float, default=None, help="Grid end in rad/s.")
@@ -266,8 +266,6 @@ def cli() -> None:
 def ff_cmd(sequence, tau, duration, pulse, repeat, points, omega_min, omega_max, output, fmt):
     """Tabulate the filter function on a log frequency grid."""
     p = build_sequence(sequence, tau, duration)
-    if repeat < 1:
-        raise _usage("--repeat", f"must be >= 1, got {repeat}")
     if repeat > 1:
         p = repeat_pattern(p, repeat)
     shape = build_pulse(pulse)
@@ -298,15 +296,13 @@ def ff_cmd(sequence, tau, duration, pulse, repeat, points, omega_min, omega_max,
 @_seq_opts
 @_pulse_opt
 @_spectrum_opt
-@click.option("--repeat", type=int, default=1, show_default=True,
+@click.option("--repeat", type=click.IntRange(min=1), default=1, show_default=True,
               help="Evaluate the pattern repeated m times (kernel route).")
 @_rel_tol_opt
 @_out_opts()
 def error_cmd(sequence, tau, duration, pulse, spectrum, repeat, rel_tol, output, fmt):
     """Decoupling error chi and coherence for one pattern."""
     p, shape, spec, config = _problem(sequence, tau, duration, pulse, spectrum, rel_tol)
-    if repeat < 1:
-        raise _usage("--repeat", f"must be >= 1, got {repeat}")
     budget = chi_repeated(p, repeat, spec, shape, config)
     doc = _resolved_doc("error", p, spec, shape, config, extra={"repeat": repeat})
     doc["achieved"] = {"quad_error": budget.quad_error}
@@ -320,9 +316,9 @@ def error_cmd(sequence, tau, duration, pulse, spectrum, repeat, rel_tol, output,
 @_seq_opts
 @_pulse_opt
 @_spectrum_opt
-@click.option("--m", "m_values", type=int, multiple=True,
+@click.option("--m", "m_values", type=click.IntRange(min=1), multiple=True,
               help="Explicit repeat counts; may be given several times.")
-@click.option("--m-max", type=int, default=1000, show_default=True)
+@click.option("--m-max", type=click.IntRange(min=1), default=1000, show_default=True)
 @click.option("--points", type=click.IntRange(1, MAX_POINTS), default=25, show_default=True,
               help="Log-spaced repeat counts from 1 to --m-max.")
 @_rel_tol_opt
@@ -333,11 +329,7 @@ def sweep_m_cmd(sequence, tau, duration, pulse, spectrum, m_values, m_max, point
     p, shape, spec, config = _problem(sequence, tau, duration, pulse, spectrum, rel_tol)
     if m_values:
         ms = sorted(set(m_values))
-        if ms[0] < 1:
-            raise _usage("--m", f"repeat counts must be >= 1, got {ms[0]}")
     else:
-        if m_max < 1:
-            raise _usage("--m-max", f"must be >= 1, got {m_max}")
         grid = np.unique(np.rint(np.geomspace(1, m_max, points)).astype(int))
         ms = [int(m) for m in grid]
     doc = _resolved_doc("sweep-m", p, spec, shape, config, extra={"m_values": ms})
@@ -417,7 +409,7 @@ def plateau_cmd(sequence, tau, duration, pulse, spectrum, t_markov, jitter_budge
               help="Storage times in s; may be given several times.")
 @_pulse_opt
 @_spectrum_opt
-@click.option("--threads", type=int, default=None,
+@click.option("--threads", type=click.IntRange(min=1), default=None,
               help="Ignored, kept for compatibility; must be >= 1. The search runs in one process.")
 @_rel_tol_opt
 @_out_opts()
@@ -426,8 +418,6 @@ def search_cmd(tau, t_s_values, pulse, spectrum, threads, rel_tol, output, fmt):
     shape = build_pulse(pulse)
     spec = load_preset(spectrum)
     config = _quad_config(rel_tol)
-    if threads is not None and threads < 1:
-        raise _usage("--threads", f"must be >= 1, got {threads}")
     t_s_list = list(t_s_values)
     doc = _resolved_doc(
         "search", spec=spec, shape=shape, config=config,

@@ -44,7 +44,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, SuppressionFitError, require_count
+from .errors import DomainError, SuppressionFitError, require_count, require_positive
 from .sequences import _GRID_RTOL, TimingPattern, min_interval, udd
 
 THETA_SWITCH = 2.0
@@ -219,6 +219,7 @@ def filter_fn(p: TimingPattern, omega):
 
 def combine(y1, y2, t_p1: float, omega):
     """Transfer function of two joined blocks: y1 + exp(i*omega*T_1)*y2."""
+    require_positive("first block duration t_p1", t_p1)
     return _scalar_like(omega, y1 + np.exp(1j * _omega_array(omega) * t_p1) * y2)
 
 
@@ -246,6 +247,7 @@ def dirichlet_factor(m: int, t_p: float, omega):
     singularities at omega = 2*pi*k/T_p take the value m^2.
     """
     require_count("repeat count", m)
+    require_positive("period t_p", t_p)
     return _scalar_like(omega, dirichlet_ratio(m, _omega_array(omega) * (t_p / 2.0)) ** 2)
 
 

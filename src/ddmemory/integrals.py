@@ -61,7 +61,9 @@ from typing import Callable, List, NoReturn, Optional, Tuple
 
 import numpy as np
 
-from .errors import AccuracyError, ConsistencyError, DomainError, require_count, require_nonnegative
+from .errors import (
+    AccuracyError, ConsistencyError, DomainError, require_count, require_nonnegative, require_positive,
+)
 from .filters import dirichlet_factor, dirichlet_ratio
 from .noise import HARD, NoiseSpectrum, evaluate
 from .pulses import BANG_BANG, PulseShape, _unit_pulse_terms, bang_bang, quadrature_components
@@ -351,9 +353,9 @@ class _Walk:
         self.spend(a.size)
         return _refine(rule, rows_fn, a, b, _node_values(rows_fn, a, b), self)
 
-    def region(self, rows_fn: RowsFn, edges: np.ndarray) -> None:
-        """Integrate rows_fn between edges by K15, with the cutoff as an extra edge, and add rows 0-1."""
-        a, b, rows, err, vals = self.integrate(rows_fn, _with_breakpoint(edges, self.spec.omega_c))
+    def region(self, rows_fn: RowsFn, edges: np.ndarray, rule: RuleFn = _k15) -> None:
+        """Integrate rows_fn between edges by rule, with the cutoff as an extra edge, and add rows 0-1."""
+        a, b, rows, err, vals = self.integrate(rows_fn, _with_breakpoint(edges, self.spec.omega_c), rule)
         self.add(a, rows[:2], err)
         if self.nodes is not None:
             self.nodes.append((a, b, np.delete(vals, 1, axis=0)))
@@ -514,6 +516,8 @@ def integrate_rows(
     names the pattern in a failure message.  Returns (low, high, error),
     low/high the per-row sums below/above the cutoff.
     """
+    require_positive("oscillation timescale t_osc", t_osc)
+    require_nonnegative("tail bound ff_bound", ff_bound)
     walk = _Walk(spec, config or DEFAULT_CONFIG, ff_bound, label)
     walk.band(rows_fn, t_osc)
     return (*walk.totals(), walk.err)
@@ -752,11 +756,9 @@ def _chi_comb(
     # de-oscillated average up to the first cell
     w_b = min(math.pi / t_p, w_hi)
     if w_b > w_lo:
-        n_geo = max(2, int(math.ceil(_LADDER_PER_DECADE * math.log10(w_b / w_lo))))
-        geo = np.geomspace(w_lo, w_b, n_geo + 1)
-        edges = np.unique(np.concatenate([geo, np.linspace(max(w_lo, 0.5 * w_b), w_b, 17)]))
-        a, _, rows, err, _ = walk.integrate(deosc_rows, _with_breakpoint(edges, spec.omega_c), rule)
-        walk.add(a, rows, err)
+        ladder = _ladder_and_lobes(w_lo, w_b, w_b, walk)  # all ladder: its lobe is the span
+        top = np.linspace(max(w_lo, 0.5 * w_b), w_b, 17)
+        walk.region(deosc_rows, np.unique(np.concatenate([ladder, top])), rule)
 
     # resonance cells above pi/T_p
     w1 = 2.0 * math.pi / t_p

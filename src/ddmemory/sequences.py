@@ -170,10 +170,7 @@ def walsh_signs(k: int, n_slots: int) -> list[int]:
     is the parity of k & reverse(j), or equally of reverse(k) & j.
     k = 2**q - 1 gives the Thue-Morse pattern.
     """
-    _check_walsh(k, n_slots)
-    q = int(n_slots).bit_length() - 1
-    rev_k = int(format(int(k), f"0{q}b")[::-1], 2)
-    return [-1 if (rev_k & j).bit_count() & 1 else 1 for j in range(n_slots)]
+    return _grid_signs(walsh(k, 1.0, n_slots))
 
 
 def _walsh_pulses(k: int) -> int:
@@ -230,8 +227,8 @@ def walsh(k: int, t_s: float, n_slots: int) -> TimingPattern:
 def _walsh(k: int, t_s: float, n_slots: int, label: str) -> TimingPattern:
     """walsh(k, t_s, n_slots) under the given label, its flips read off _walsh_pulses(k)."""
     require_positive("duration", t_s)
-    _check_size(n_slots, "slots")
     _check_walsh(k, n_slots)
+    _check_size(n_slots, "slots")
     g = _walsh_pulses(k)
     bounds = tuple(j for j in range(1, n_slots) if g & (n_slots // (2 * (j & -j))))
     slot = t_s / n_slots

@@ -217,14 +217,23 @@ class TestFfCommand:
         assert columns[-2:] == ["rz_sq", "ry_sq"]
         assert len(rows) == 16
 
-    @pytest.mark.parametrize("repeat", ["-3", "0"])
-    def test_repeat_below_one_is_a_usage_error(self, capsys, repeat):
-        code, out, err = _run(
-            capsys, ["ff", "--sequence", "cdd:4", "--tau", "1e-6", "--repeat", repeat]
-        )
+    _FF = ["ff", "--sequence", "cdd:4", "--tau", "1e-6"]
+    _ERROR = ["error", "--sequence", "cdd:4", "--tau", "1e-6", "--spectrum", "gaas"]
+    _SWEEP = ["sweep-m", "--sequence", "cdd:4", "--tau", "1e-6", "--spectrum", "gaas"]
+    _SEARCH = ["search", "--tau", "1e-6", "--t-s", "8e-6", "--spectrum", "gaas"]
+
+    @pytest.mark.parametrize(
+        "args, option, count",
+        [(_FF, "--repeat", "-3"), (_FF, "--repeat", "0"), (_ERROR, "--repeat", "0"),
+         (_SWEEP, "--m", "0"), (_SWEEP, "--m-max", "0"), (_SEARCH, "--threads", "0")],
+        ids=["-3", "0", "error_repeat", "sweep_m", "sweep_m_max", "search_threads"],
+    )
+    def test_repeat_below_one_is_a_usage_error(self, capsys, args, option, count):
+        # every count option is a click range: exit 2, nothing on stdout, the option named
+        code, out, err = _run(capsys, [*args, option, count])
         assert code == 2
         assert out == ""
-        assert "--repeat" in err
+        assert f"'{option}'" in err
 
     def test_ideal_total_equals_ideal_column(self, capsys):
         code, out, _ = _run(

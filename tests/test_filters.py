@@ -136,6 +136,11 @@ class TestCombine:
             want = y_tilde(joined, w)
             np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-16)
 
+    @pytest.mark.parametrize("t_p1", [math.nan, math.inf, 0.0, -1.0])
+    def test_first_duration_must_be_finite_and_positive(self, t_p1):
+        with pytest.raises(DomainError, match="t_p1"):
+            combine(1.0, 1.0, t_p1, 1.0)
+
 
 class TestOmegaArguments:
     @pytest.mark.parametrize(
@@ -188,6 +193,11 @@ class TestDirichlet:
     def test_non_count_repeat_rejected(self, m):
         with pytest.raises(DomainError, match="repeat count"):
             dirichlet_factor(m, 1e-6, 1e5)
+
+    @pytest.mark.parametrize("t_p", [math.nan, math.inf, 0.0, -1e-6])
+    def test_period_must_be_finite_and_positive(self, t_p):
+        with pytest.raises(DomainError, match="t_p"):
+            dirichlet_factor(10, t_p, np.geomspace(1e3, 1e7, 5))
 
     @pytest.mark.parametrize("m", [2, 3, 5, 8])
     @pytest.mark.parametrize("maker", [echo, carr_purcell, lambda tau: cdd(3, tau)])

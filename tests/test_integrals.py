@@ -229,6 +229,19 @@ _COMB_VS_DIRECT = {
 }
 
 
+@st.composite
+def _small_bases(draw):
+    """A Walsh base of up to 64 slots, or any sign pattern on up to 64 slots, 0.1-10 us a slot."""
+    slot = 10.0 ** draw(st.floats(-7.0, -5.0))
+    if draw(st.booleans()):
+        n = 2 ** draw(st.integers(0, 6))
+        return walsh(draw(st.integers(0, n - 1)), n * slot, n)
+    flips = draw(st.lists(st.booleans(), max_size=63))
+    bounds = tuple(j + 1 for j, flip in enumerate(flips) if flip)
+    n = len(flips) + 1
+    return TimingPattern(tuple(b * slot for b in bounds), n * slot, "grid", grid=(n, bounds))
+
+
 class TestCombPath:
     @pytest.mark.parametrize("m", [17, 100, 1001])
     @pytest.mark.parametrize("name", sorted(_COMB_VS_DIRECT))
@@ -245,6 +258,25 @@ class TestCombPath:
             direct = integrals._chi_direct(p, m, spec, shape, cfg)
             assert comb.comb_path and not direct.comb_path
             assert abs(comb.chi_total - direct.chi_total) <= 1e-9 * direct.chi_total, shape.kind
+
+    @given(_small_bases(), st.integers(2, 64), st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_comb_matches_direct_walk_at_small_m(self, gaas, yb, p, m, on_gaas):
+        # at rel_tol = 1e-9 the walks agree to 1e-9 chi; at the default 1e-6 the
+        # comb walk on a base of 0.1 ms or longer can stop 2e-8 chi from the
+        # direct one, so there they must agree within their summed quad_error
+        tight = replace(DEFAULT_CONFIG, rel_tol=1e-9)
+        spec = gaas if on_gaas else yb
+        for shape in (bang_bang(), dcg3(1e-8)):
+            if not integrals._comb_applies(p, shape):
+                continue
+            comb = integrals._chi_comb(p, m, spec, shape, tight)
+            direct = integrals._chi_direct(p, m, spec, shape, tight)
+            assert abs(comb.chi_total - direct.chi_total) <= 1e-9 * direct.chi_total, shape.kind
+            comb = integrals._chi_comb(p, m, spec, shape, DEFAULT_CONFIG)
+            direct = integrals._chi_direct(p, m, spec, shape, DEFAULT_CONFIG)
+            bound = comb.quad_error + direct.quad_error
+            assert abs(comb.chi_total - direct.chi_total) <= bound, shape.kind
 
     @pytest.mark.parametrize(
         "m, crossover", [(200, 64), (1001, 1000)], ids=["m200", "m1001"]
@@ -489,6 +521,18 @@ class TestJitterCurve:
 
 
 class TestConfigAndFailure:
+    @pytest.mark.parametrize(
+        "t_osc, ff_bound, name",
+        [(math.nan, 100.0, "t_osc"), (-1e-6, 100.0, "t_osc"), (0.0, 100.0, "t_osc"),
+         (1e-6, math.nan, "ff_bound"), (1e-6, -1.0, "ff_bound"), (1e-6, math.inf, "ff_bound")],
+    )
+    def test_integrate_rows_checks_its_scales_first(self, gaas, t_osc, ff_bound, name):
+        def rows(w):
+            raise AssertionError("rows evaluated before the arguments were checked")
+
+        with pytest.raises(DomainError, match=name):
+            integrals.integrate_rows(rows, gaas, t_osc, ff_bound)
+
     def test_config_validation(self):
         with pytest.raises(DomainError):
             QuadratureConfig(rel_tol=2.0)

@@ -140,6 +140,20 @@ class TestWalsh:
         with pytest.raises(DomainError, match="integer"):
             walsh_signs(1.0, 4)
 
+    @pytest.mark.parametrize("n_slots", ["8", None])
+    def test_non_integer_slot_count_is_named(self, n_slots):
+        # checked before the size limit, which cannot compare it
+        with pytest.raises(DomainError, match="slot count"):
+            walsh(1, 1e-6, n_slots)
+
+    def test_signs_have_the_slot_limit(self, monkeypatch):
+        from ddmemory import sequences
+
+        monkeypatch.setattr(sequences, "MAX_REPEAT_PULSES", 64)
+        assert len(walsh_signs(1, 64)) == 64
+        with pytest.raises(ResourceLimitError, match="128 slots"):
+            walsh_signs(1, 128)
+
     @given(st.integers(0, 63))
     @settings(max_examples=30, deadline=None)
     def test_sign_sequences_are_distinct_and_start_positive(self, k):

@@ -32,6 +32,13 @@ from ddmemory.walsh_search import _grid_signs, detect_structure
 EPS = np.finfo(float).eps
 TAU = 1e-6
 
+def _paley_signs(k, n):
+    """Reference Walsh signs on n = 2**q slots: slot j is -1 when k & reverse_q(j) has odd parity."""
+    q = n.bit_length() - 1
+    rev_k = int(format(k, f"0{q}b")[::-1], 2)
+    return [-1 if (rev_k & j).bit_count() & 1 else 1 for j in range(n)]
+
+
 walsh_indices = st.integers(0, 10).flatmap(lambda q: st.tuples(st.integers(0, 2**q - 1), st.just(2**q)))
 
 
@@ -74,7 +81,7 @@ def test_product_matches_series_below_switch(kn):
 )
 def test_walsh_index_reproduces_slot_signs(p):
     assert p.walsh_index is not None
-    assert walsh_signs(p.walsh_index, p.grid[0]) == _grid_signs(p)
+    assert _paley_signs(p.walsh_index, p.grid[0]) == _grid_signs(p)
 
 
 @pytest.mark.parametrize(
@@ -102,7 +109,7 @@ def test_paley_index_is_the_only_walsh_function_on_the_grid(ns):
     n, flips = ns
     bounds = tuple(sorted(flips))
     p = TimingPattern(tuple(b * TAU for b in bounds), n * TAU, "grid", grid=(n, bounds))
-    matches = [k for k in range(n) if _grid_signs(p) == walsh_signs(k, n)]
+    matches = [k for k in range(n) if _grid_signs(p) == _paley_signs(k, n)]
     assert matches == ([] if p.walsh_index is None else [p.walsh_index])
 
 
@@ -115,14 +122,16 @@ def test_closed_form_bounds_and_index_match_the_signs_for_every_k(q):
     n = 2**q
     for k in range(n):
         p = walsh(k, n * TAU, n)
-        assert (p.grid[1], p.walsh_index) == (_flips(walsh_signs(k, n)), k)
+        signs = _paley_signs(k, n)
+        assert (p.grid[1], p.walsh_index) == (_flips(signs), k)
+        assert walsh_signs(k, n) == signs
 
 
 @pytest.mark.parametrize("q", range(5))
 def test_closed_form_index_of_every_grid_subset(q):
     # every set of flip boundaries on up to 16 slots: Walsh exactly when a k has those flips
     n = 2**q
-    walsh_of = {_flips(walsh_signs(k, n)): k for k in range(n)}
+    walsh_of = {_flips(_paley_signs(k, n)): k for k in range(n)}
     for r in range(n):
         for bounds in itertools.combinations(range(1, n), r):
             assert sequences._paley_index((n, bounds)) == walsh_of.get(bounds)
