@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .errors import DDMemoryError
-from .integrals import DEFAULT_CONFIG, QuadratureConfig, chi_during, chi_repeated
+from .integrals import ABS_FLOOR, DEFAULT_CONFIG, QuadratureConfig, chi_during, chi_repeated
 from .noise import NoiseSpectrum, calibrate_strength, load_preset, spectrum_to_json
 from .plateau import plateau_report
 from .pulses import BANG_BANG, PulseShape, bang_bang, dcg3, primitive, quadrature_components
@@ -146,20 +146,14 @@ def _resolved_doc(
             "pulse_times_s": list(p.pulse_times) if p.n_pulses <= 64 else None,
         }
     if spec is not None:
-        doc["spectrum_rad_s"] = {
-            "s": spec.s,
-            "g": spec.g,
-            "omega_c": spec.omega_c,
-            "rolloff": spectrum_to_json(spec)["rolloff"],
-            "omega_min": spec.omega_min,
-            "omega_max": spec.omega_max,
-        }
+        rolloff = spectrum_to_json(spec)["rolloff"]  # a power law as {"power_law": r}
+        doc["spectrum_rad_s"] = {**dataclasses.asdict(spec), "rolloff": rolloff}
     if shape is not None:
         doc["pulse"] = {"kind": shape.kind, "tau_pi_s": shape.tau_pi}
     if config is not None:
         doc["quadrature"] = {
             "rel_tol": config.rel_tol,
-            "abs_floor": config.abs_floor,
+            "abs_floor": ABS_FLOOR,
             "max_panels": config.max_panels,
             "comb_crossover": config.comb_crossover,
         }

@@ -114,6 +114,7 @@ _LADDER_PER_DECADE = 8
 _WALK_BLOCK_LOBES = 1024
 _TAIL_SHARE = 0.25  # of rel_tol, spent on the truncated tail
 _MAX_REFINE_ROUNDS = 60
+ABS_FLOOR = 1e-18  # absolute error floor: errors and tails below it count as met
 _REWEIGHT_ULPS = 8  # rounding charge of a re-weighted read-delay row, in eps
 _FILON_SERIES = 2.0  # m T_p h up to which a comb panel integrates its weighted rows by K15
 _FILON_RECURRENCE = 30.0  # m T_p h above which Legendre moments use the Bessel recurrence
@@ -134,18 +135,17 @@ class QuadratureConfig:
     """Accuracy and resource knobs for the error integrals.
 
     rel_tol            target relative error of chi_total
-    abs_floor          absolute error floor (values below it count as met)
     max_panels         evaluation budget per integral
     comb_crossover     repeat count above which the resonance-comb path runs
     validate_crossover cross-check comb vs direct at the crossover once
 
     Both paths evaluate the same integral; the crossover only picks the
     comb walk, whose cost does not depend on m, over the direct path,
-    which resolves every kernel node and costs about m.
+    which resolves every kernel node and costs about m.  The absolute
+    error floor is the module constant ABS_FLOOR.
     """
 
     rel_tol: float = 1e-6
-    abs_floor: float = 1e-18
     max_panels: int = 200_000
     comb_crossover: int = 1_000
     validate_crossover: bool = True
@@ -153,7 +153,6 @@ class QuadratureConfig:
     def __post_init__(self) -> None:
         if not 0 < self.rel_tol < 1:
             raise DomainError(f"rel_tol must lie in (0, 1), got {self.rel_tol}")
-        require_nonnegative("abs_floor", self.abs_floor)
         require_count("max_panels", self.max_panels, least=64)
         require_count("comb_crossover", self.comb_crossover, least=16)
 
@@ -221,7 +220,7 @@ def _refine(rule: RuleFn, rows_fn: RowsFn, a: np.ndarray, b: np.ndarray, vals: n
     for _ in range(_MAX_REFINE_ROUNDS):
         total = float(np.sum(integrals[0]))
         err_total = float(np.sum(err))
-        tol = max(walk.cfg.rel_tol * abs(total), walk.cfg.abs_floor)
+        tol = max(walk.cfg.rel_tol * abs(total), ABS_FLOOR)
         if err_total <= tol:
             break
         split = err > max(err_total / (4 * len(a)), 1e-3 * float(err.max()))
@@ -239,15 +238,13 @@ def _refine(rule: RuleFn, rows_fn: RowsFn, a: np.ndarray, b: np.ndarray, vals: n
         integrals = np.concatenate([integrals[:, ~split], new_integrals], axis=1)
         err = np.concatenate([err[~split], new_err])
     else:
-        walk.fail(f"quadrature budget of {walk.cfg.max_panels} panels exhausted")
+        walk.fail(f"refinement did not converge within {_MAX_REFINE_ROUNDS} rounds")
     order = np.argsort(a, kind="stable")
     return a[order], b[order], integrals[:, order], float(np.sum(err)), vals[:, order]
 
 
 def _ladder_and_lobes(w_lo: float, w_hi: float, lobe: float, walk: _Walk) -> np.ndarray:
     """Log ladder while spacing < lobe width, then half-lobe edges on the node grid."""
-    if w_hi <= w_lo:
-        return np.array([w_lo, w_hi])
     w_switch = min(w_hi, max(w_lo, 3.0 * lobe))
     edges = [w_lo]
     if w_switch > w_lo:
@@ -389,7 +386,7 @@ class _Walk:
     def stop(self, w: float) -> bool:
         """Whether the tail above w is negligible; if it is, it joins the error."""
         tail = self.tail(w)
-        if tail <= max(self.cfg.abs_floor, _TAIL_SHARE * self.cfg.rel_tol * abs(self.total)):
+        if tail <= max(ABS_FLOOR, _TAIL_SHARE * self.cfg.rel_tol * abs(self.total)):
             self.err += tail
             return True
         return False
@@ -560,7 +557,7 @@ def chi_repeated(
     agreement check between the two paths at the crossover.  That check
     and a call at m = comb_crossover share one memoised direct budget per
     problem.  A comb result with quad_error > max(rel_tol * chi_total,
-    abs_floor) raises AccuracyError, as a direct one that misses does.
+    ABS_FLOOR) raises AccuracyError, as a direct one that misses does.
 
     A base pattern with odd pulse count restarts each repeat with a junction
     pulse.  With finite-width pulses the direct path takes those through the
@@ -570,15 +567,13 @@ def chi_repeated(
     require_count("repeat count", m)
     shape = shape or bang_bang()
     cfg = config or DEFAULT_CONFIG
-    if m == 1:
-        return chi(p, spec, shape, cfg)
     if m == cfg.comb_crossover and cfg.validate_crossover and _comb_applies(p, shape):
         return _direct_at_crossover(p, spec, shape, cfg)
     if m <= cfg.comb_crossover:
         return _chi_direct(p, m, spec, shape, cfg)
     # _chi_comb refuses where the comb walk does not apply, before the crossover check
     budget = _chi_comb(p, m, spec, shape, cfg)
-    bound = max(cfg.rel_tol * budget.chi_total, cfg.abs_floor)
+    bound = max(cfg.rel_tol * budget.chi_total, ABS_FLOOR)
     if budget.quad_error > bound:
         msg = f"comb path error bound {budget.quad_error:.3e} exceeds the tolerance {bound:.3e}"
         raise AccuracyError(msg + _label(p, m), budget.chi_total, budget.quad_error)
@@ -689,9 +684,9 @@ def _crossover_agreement(
     m0 = cfg.comb_crossover
     direct = _direct_at_crossover(p, spec, shape, cfg)
     comb = _chi_comb(p, m0, spec, shape, cfg)
-    scale = max(direct.chi_total, cfg.abs_floor)
+    scale = max(direct.chi_total, ABS_FLOOR)
     agreement = abs(comb.chi_total - direct.chi_total) / scale
-    if direct.chi_total <= cfg.abs_floor:
+    if direct.chi_total <= ABS_FLOOR:
         return 0.0
     if agreement > 0.10:
         raise ConsistencyError(
@@ -773,13 +768,9 @@ def _chi_comb(
             walk.add(w_k, m * w1 * h_k)
 
         def pv_rows(delta: np.ndarray, w_center=w_k, h_center=h_k) -> np.ndarray:
-            upper = h_rows(w_center + delta)
-            lower_w = w_center - delta
-            lower = np.zeros_like(upper)
-            ok = lower_w > 0
-            if ok.any():
-                lower[:, ok] = h_rows(lower_w[ok])
-            return (upper + lower - 2.0 * h_center[:, None]) * _deosc(t_p, delta)
+            # delta <= w1/2 <= w_center/2, so the lower node w_center - delta stays positive
+            pair = h_rows(w_center + delta) + h_rows(w_center - delta)
+            return (pair - 2.0 * h_center[:, None]) * _deosc(t_p, delta)
 
         d_min = 1e-6 * w1
         edges = np.geomspace(d_min, 0.5 * w1, 41)
@@ -793,8 +784,6 @@ def _chi_comb(
         walk.add(w_k if w_k <= w_hi else w_k - 0.5 * w1, rows_i.sum(axis=1) + patch, err_i)
 
         k += 1
-        if k > 65536:
-            walk.fail("resonance-cell walk did not converge within 65536 cells")
         if walk.stop((k - 0.5) * w1):
             break
     return _assemble(*walk.totals(), walk.err, m=m, growth=float(growth_rows[0]), comb_path=True)

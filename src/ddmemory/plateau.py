@@ -254,9 +254,9 @@ def m_max_soft_detail(
         raise DomainError("soft-cutoff repeat bound undefined for g = 0")
     r = spec.rolloff.r
     x = p.duration * spec.omega_c / (2.0 * math.pi)
-    hard_spec = replace(spec, rolloff=HARD)
-    chi_low_num = chi_asymptotic(p, hard_spec, shape, config).chi_total
-    chi_low_closed = chi_infinity_leading_order(p, hard_spec, shape)
+    # both integrate only up to omega_c, where S is the hard cutoff's
+    chi_low_num = chi_asymptotic(p, spec, shape, config).chi_total
+    chi_low_closed = chi_infinity_leading_order(p, spec, shape)
     f_max = passband_max(p)
     scale = (24.0 / math.pi) / (spec.g * p.duration * f_max * x**r)
     bound = scale * chi_low_num
@@ -351,7 +351,7 @@ def plateau_report(
     if not base.all_conditions_met:
         return base
     chi_inf = chi_asymptotic(p, spec, shape, config)
-    closed = chi_infinity_leading_order(p, replace(spec, rolloff=HARD), shape)
+    closed = chi_infinity_leading_order(p, spec, shape)
     t_max: Dict[str, float] = {}
     m_max: Optional[float] = None
     if isinstance(spec.rolloff, PowerLaw):

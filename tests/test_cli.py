@@ -1,6 +1,6 @@
 import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -80,6 +80,26 @@ class TestErrorCommand:
         row = dict(zip(columns, map(float, rows[0])))
         assert row["chi_pulse"] < 0.0
         assert row["chi_total"] == row["chi_ideal"] + row["chi_pulse"]
+
+
+    def test_power_law_spectrum_echoes_every_field_in_order(self, capsys, tmp_path, gaas):
+        from ddmemory import NoiseSpectrum, PowerLaw, spectrum_to_json
+
+        spec = replace(gaas, rolloff=PowerLaw(8.0))
+        path = tmp_path / "power_law.json"
+        path.write_text(json.dumps(spectrum_to_json(spec)))
+        code, out, _ = _run(
+            capsys,
+            ["error", "--sequence", "cdd:4", "--tau", "1e-6", "--spectrum", str(path),
+             "--format", "json"],
+        )
+        assert code == 0
+        echoed = json.loads(out)["spectrum_rad_s"]
+        assert list(echoed) == [f.name for f in fields(NoiseSpectrum)]
+        assert echoed["rolloff"] == {"power_law": 8.0}
+        loaded = load_preset(str(path))
+        for name in ("s", "g", "omega_c", "omega_min", "omega_max"):
+            assert echoed[name] == getattr(loaded, name), name
 
 
 class TestExitCodes:

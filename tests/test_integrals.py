@@ -537,14 +537,12 @@ class TestConfigAndFailure:
         with pytest.raises(DomainError):
             QuadratureConfig(rel_tol=2.0)
         with pytest.raises(DomainError):
-            QuadratureConfig(abs_floor=-1.0)
-        with pytest.raises(DomainError):
             QuadratureConfig(max_panels=8)
         with pytest.raises(DomainError):
             QuadratureConfig(comb_crossover=4)
 
     @given(
-        st.sampled_from(["rel_tol", "abs_floor", "max_panels", "comb_crossover"]),
+        st.sampled_from(["rel_tol", "max_panels", "comb_crossover"]),
         st.sampled_from([math.nan, math.inf, -math.inf]),
     )
     @settings(max_examples=20, deadline=None)
@@ -598,6 +596,25 @@ class TestConfigAndFailure:
         assert math.isfinite(err.value.error_bound)
         assert err.value.error_bound > err.value.estimate
 
+    def test_cell_walk_stops_on_the_panel_budget(self, gaas):
+        # region (a) of CDD4 on gaas spends 69 panels and its one resonance cell 40 more
+        cfg = replace(DEFAULT_CONFIG, max_panels=100)
+        with pytest.raises(AccuracyError, match="100 panels exhausted for 'CDD4'") as err:
+            chi_plateau_limit(cdd(4, 1e-6), gaas, bang_bang(), cfg)
+        assert err.value.estimate > 0.0  # region (a) was added: the cell loop ran out
+        assert err.value.error_bound > 0.0
+
+    def test_refine_round_limit_is_named(self, gaas, monkeypatch):
+        monkeypatch.setattr(integrals, "_MAX_REFINE_ROUNDS", 1)
+        # ABS_FLOOR is 1e-9 of this chi and would meet rel_tol in round one
+        monkeypatch.setattr(integrals, "ABS_FLOOR", 0.0)
+        cfg = replace(DEFAULT_CONFIG, rel_tol=1e-12)
+        with pytest.raises(AccuracyError, match="did not converge within 1 rounds for 'CDD4'") as err:
+            chi(cdd(4, 1e-6), gaas, bang_bang(), cfg)
+        assert "panels" not in str(err.value)
+        assert err.value.estimate >= 0.0
+        assert err.value.error_bound > err.value.estimate
+
     def test_tighter_tolerance_is_consistent(self, gaas):
         loose = chi(cdd(3, 1e-6), gaas, bang_bang(), replace(DEFAULT_CONFIG, rel_tol=1e-4))
         tight = chi(cdd(3, 1e-6), gaas, bang_bang(), replace(DEFAULT_CONFIG, rel_tol=1e-9))
@@ -607,7 +624,7 @@ class TestConfigAndFailure:
 class TestLinearInStrength:
     """chi is linear in the strength g, bit for bit for power-of-two factors.
 
-    With abs_floor = 0 every tolerance and tail test compares quantities
+    With ABS_FLOOR = 0 every tolerance and tail test compares quantities
     that all carry g, so a factor 2^k takes each walk through the same
     panels and scales every additive budget field exactly.
     """
@@ -625,10 +642,11 @@ class TestLinearInStrength:
     @pytest.mark.parametrize("rolloff", ["gaussian", "hard", "power_law_18"])
     @pytest.mark.parametrize("shape", [bang_bang, lambda: dcg3(1e-8)], ids=["bb", "dcg_10ns"])
     @pytest.mark.parametrize("route", sorted(ROUTES))
-    def test_power_of_two_factors_scale_exactly(self, gaas, route, shape, rolloff):
+    def test_power_of_two_factors_scale_exactly(self, gaas, route, shape, rolloff, monkeypatch):
+        monkeypatch.setattr(integrals, "ABS_FLOOR", 0.0)
         rolloffs = {"gaussian": gaas.rolloff, "hard": HARD, "power_law_18": PowerLaw(18.0)}
         spec = replace(gaas, rolloff=rolloffs[rolloff])
-        cfg = replace(DEFAULT_CONFIG, abs_floor=0.0, validate_crossover=False)
+        cfg = replace(DEFAULT_CONFIG, validate_crossover=False)
         run = self.ROUTES[route]
         p, pulse = cdd(4, 1e-6), shape()
         base = run(p, spec, pulse, cfg)
