@@ -302,9 +302,12 @@ def suppression_order(p: TimingPattern) -> SuppressionOrder:
 
 
 def passband_max(p: TimingPattern) -> float:
-    """Global maximum of F over [0.1/T_p, 2*pi/min_interval], by dense log sampling plus refinement.
+    """Global maximum of F over [0.1/T_p, 2*pi/min_interval]: dense log samples, one parabolic step.
 
     The peak of any pattern saturates before the inverse minimum interval.
+    The step evaluates F at the vertex of the parabola in log omega through
+    the largest sample and its two neighbours; a peak on the range's edge
+    or on a flat run keeps the sample.
     """
     lo, hi = 0.1 / p.duration, 2.0 * math.pi / min_interval(p)
     decades = math.log10(hi / lo)
@@ -313,25 +316,11 @@ def passband_max(p: TimingPattern) -> float:
     f_vals = filter_fn(p, grid)
     i = int(np.argmax(f_vals))
     best = float(f_vals[i])
-    a = grid[max(0, i - 1)]
-    b = grid[min(n_pts - 1, i + 1)]
-    if a < b:
-        best = max(best, _golden_max(lambda w: filter_fn(p, w), a, b, (b - a) * 1e-10))
+    if 0 < i < n_pts - 1:
+        left, right = float(f_vals[i - 1]), float(f_vals[i + 1])
+        curve = left - 2.0 * best + right  # < 0 unless the three samples are equal
+        if curve < 0.0:
+            step = decades / (n_pts - 1)
+            vertex = grid[i] * 10.0 ** (0.5 * step * (left - right) / curve)
+            best = max(best, float(filter_fn(p, vertex)))
     return best
-
-
-def _golden_max(f, a: float, b: float, xatol: float) -> float:
-    """Largest value of f found by golden-section search on [a, b]."""
-    r = 0.5 * (math.sqrt(5.0) - 1.0)
-    c, d = b - r * (b - a), a + r * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > xatol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - r * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + r * (b - a)
-            fd = f(d)
-    return max(fc, fd)
