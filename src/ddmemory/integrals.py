@@ -684,10 +684,9 @@ def _crossover_agreement(
     m0 = cfg.comb_crossover
     direct = _direct_at_crossover(p, spec, shape, cfg)
     comb = _chi_comb(p, m0, spec, shape, cfg)
-    scale = max(direct.chi_total, ABS_FLOOR)
-    agreement = abs(comb.chi_total - direct.chi_total) / scale
     if direct.chi_total <= ABS_FLOOR:
         return 0.0
+    agreement = abs(comb.chi_total - direct.chi_total) / direct.chi_total
     if agreement > 0.10:
         raise ConsistencyError(
             f"comb and direct evaluations disagree by {agreement:.1%} at the "

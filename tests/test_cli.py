@@ -81,7 +81,6 @@ class TestErrorCommand:
         assert row["chi_pulse"] < 0.0
         assert row["chi_total"] == row["chi_ideal"] + row["chi_pulse"]
 
-
     def test_power_law_spectrum_echoes_every_field_in_order(self, capsys, tmp_path, gaas):
         from ddmemory import NoiseSpectrum, PowerLaw, spectrum_to_json
 
