@@ -106,6 +106,8 @@ def _calls():
     # the comb walk lacks the junction cross terms: both refuse
     yield "chi_plateau_limit/udd5/dcg_10ns", lambda: chi_plateau_limit(u5, gaas, dcg3(1e-8))
     yield "plateau_report/udd5/dcg_10ns", lambda: plateau_report(u5, gaas, dcg3(1e-8))
+    # chi grows linearly in m: the walk above the cutoff sums negative, far past rel_tol
+    yield "chi_plateau_limit/w60_256", lambda: chi_plateau_limit(walsh(60, 256e-6, 256), gaas)
     r18 = replace(gaas, rolloff=PowerLaw(18.0))
     yield "m_max_soft_detail/r18", lambda: m_max_soft_detail(p, r18)
     # the comb path where h jumps (hard cutoff) or kinks (power law) inside its
@@ -126,6 +128,8 @@ def _calls():
     # chi is set by the panel rule alone, and the oracle compares it at a few ulp
     for m in (1001, 2000):
         yield f"chi_repeated/free_16us/{m}", lambda m=m: chi_repeated(free_evolution(16e-6), m, gaas)
+    # rel_tol is the only accuracy rule: at 1e-12 the walk refines past the default's error
+    yield "chi/cdd4/rel_tol_1e-12", lambda: chi(p, gaas, config=replace(DEFAULT_CONFIG, rel_tol=1e-12))
     # the comb walk at rel_tol = 1e-9 on the r = 18 power law, where the panel above
     # the cutoff needs the weighted rule's own error to split it
     for m, crossover in ((200, 64), (1001, 1000)):

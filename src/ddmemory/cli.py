@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .errors import DDMemoryError
-from .integrals import ABS_FLOOR, DEFAULT_CONFIG, QuadratureConfig, chi_during, chi_repeated
+from .integrals import DEFAULT_CONFIG, QuadratureConfig, chi_during, chi_repeated
 from .noise import NoiseSpectrum, calibrate_strength, load_preset, spectrum_to_json
 from .plateau import plateau_report
 from .pulses import BANG_BANG, PulseShape, bang_bang, dcg3, primitive, quadrature_components
@@ -107,17 +107,11 @@ def build_pulse(spec: str) -> PulseShape:
     raise _usage("--pulse", f"unknown pulse kind {name!r} in {spec!r}")
 
 
-def _quad_config(rel_tol: Optional[float]) -> QuadratureConfig:
-    if rel_tol is None:
-        return DEFAULT_CONFIG
-    return dataclasses.replace(DEFAULT_CONFIG, rel_tol=rel_tol)
-
-
 def _problem(sequence, tau, duration, pulse, spectrum, rel_tol):
     """(pattern, pulse shape, spectrum, quadrature config) from the shared options."""
     p = build_sequence(sequence, tau, duration)
     shape = build_pulse(pulse)
-    return p, shape, load_preset(spectrum), _quad_config(rel_tol)
+    return p, shape, load_preset(spectrum), dataclasses.replace(DEFAULT_CONFIG, rel_tol=rel_tol)
 
 
 # -- resolved-config echo ------------------------------------------------------
@@ -153,7 +147,6 @@ def _resolved_doc(
     if config is not None:
         doc["quadrature"] = {
             "rel_tol": config.rel_tol,
-            "abs_floor": ABS_FLOOR,
             "max_panels": config.max_panels,
             "comb_crossover": config.comb_crossover,
         }
@@ -229,7 +222,9 @@ def _spectrum_opt(f):
     )(f)
 
 
-_rel_tol_opt = click.option("--rel-tol", type=float, default=None, help="Quadrature relative tolerance.")
+_rel_tol_opt = click.option(
+    "--rel-tol", type=float, default=DEFAULT_CONFIG.rel_tol, help="Quadrature relative tolerance."
+)
 
 
 def _out_opts(fmt_default: str = "csv"):
@@ -411,7 +406,7 @@ def search_cmd(tau, t_s_values, pulse, spectrum, threads, rel_tol, output, fmt):
     """Exhaustive Walsh-family minimum-chi search per storage time."""
     shape = build_pulse(pulse)
     spec = load_preset(spectrum)
-    config = _quad_config(rel_tol)
+    config = dataclasses.replace(DEFAULT_CONFIG, rel_tol=rel_tol)
     t_s_list = list(t_s_values)
     doc = _resolved_doc(
         "search", spec=spec, shape=shape, config=config,

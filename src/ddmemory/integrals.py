@@ -15,32 +15,29 @@ sin^2(m w T_p/2)/sin^2(w T_p/2), which oscillates on the scale
 A blind adaptive integrator misses those spikes, so integration panels
 are aligned to the kernel nodes, the quiet region below 1/T is covered
 by a log ladder, and the spectrum's cutoff is always a panel edge.
-For m above a configurable crossover the comb walk takes over: the
-kernel's exact period integral (weight 2 pi m/T_p at each resonance),
-plus the de-oscillated local average 1/(2 sin^2(w T_p/2)) and a
-symmetrized finite part per resonance cell, each weighted by
-1 - cos(m T_p x) on the panels that resolve it without that weight
-(Filon's method), so its cost does not depend on m.  The two paths are
-cross-checked at the crossover the first time the comb walk is used for
-a given problem, against a direct budget memoised per problem that
-chi_repeated at m = comb_crossover also returns.  With m -> infinity the
-same comb walk, minus the masses that grow with m, is the plateau level
+For m above a configurable crossover the comb walk (_chi_comb), whose
+cost does not depend on m, takes over.  The two paths are cross-checked
+at the crossover the first time the comb walk is used for a given
+problem, against a direct budget memoised per problem that chi_repeated
+at m = comb_crossover also returns.  With m -> infinity the same comb
+walk, minus the masses that grow with m, is the plateau level
 chi_plateau_limit.
 
-Every flavour builds its integrand with one rows factory: the ideal and
-total rows S F / omega^2 of m repeats, times the Dirichlet kernel, or
-their read-delay basis; the comb walk weights the single-run rows with
-_deosc, the one de-oscillated kernel.  Every direct chi is one _Walk.band
-walk up the band (integrate_rows) and every comb chi one _chi_comb; each
-keeps its panel budget, filter bound, contributions, error, tail stop and
-failure in one _Walk, and one assembler turns the per-region totals into
-an ErrorBudget.  Panel integrals use a 7-point Gauss / 15-point Kronrod
-pair derived at import (_kronrod_rule).  One refine routine, _refine,
-evaluates them in batches by the panel rule it is given (_k15, or
-_repeat_weighted on the comb walk with m given), so every walk splits
-panels on exactly the error it charges, and every region total is a
-correctly rounded math.fsum, so results do not depend on summation order
-or thread count.
+Every flavour builds its integrand with one rows factory: the rows
+S F / omega^2 of m repeats, or their read-delay basis; the comb walk
+weights the single-run rows with _deosc.  Every direct chi is one
+_Walk.band walk up the band (integrate_rows) and every comb chi one
+_chi_comb; each keeps its panel budget, contributions, error, tail stop
+and failure in one _Walk.  Panel integrals use a 7-point Gauss /
+15-point Kronrod pair derived at import, and _refine splits panels on
+exactly the error its panel rule charges (_k15, or _repeat_weighted on
+the comb walk with m given).
+
+rel_tol is the only accuracy rule; no tolerance is absolute, so chi is
+linear in the strength g.  _refine holds each region to (1 - _TAIL_SHARE)
+rel_tol of its total, a walk stops once its tail is within _TAIL_SHARE
+rel_tol of its running total, and _assemble, which every result passes
+through, raises AccuracyError where quad_error > rel_tol |chi_total|.
 
 A read delay delta after the repeats makes |r_z|^2 the zero-delay row plus
 sin^2(omega delta/2) and sin(omega delta) times two rows that do not depend
@@ -112,9 +109,8 @@ _NODES, _WK15, _WG7 = _kronrod_rule()
 
 _LADDER_PER_DECADE = 8
 _WALK_BLOCK_LOBES = 1024
-_TAIL_SHARE = 0.25  # of rel_tol, spent on the truncated tail
+_TAIL_SHARE = 0.25  # of rel_tol, spent on the truncated tail; the panels get the rest
 _MAX_REFINE_ROUNDS = 60
-ABS_FLOOR = 1e-18  # absolute error floor: errors and tails below it count as met
 _REWEIGHT_ULPS = 8  # rounding charge of a re-weighted read-delay row, in eps
 _FILON_SERIES = 2.0  # m T_p h up to which a comb panel integrates its weighted rows by K15
 _FILON_RECURRENCE = 30.0  # m T_p h above which Legendre moments use the Bessel recurrence
@@ -134,15 +130,14 @@ RuleFn = Callable[[np.ndarray, np.ndarray, np.ndarray], Tuple[np.ndarray, np.nda
 class QuadratureConfig:
     """Accuracy and resource knobs for the error integrals.
 
-    rel_tol            target relative error of chi_total
+    rel_tol            every result has quad_error <= rel_tol * |chi_total|, or raises AccuracyError
     max_panels         evaluation budget per integral
     comb_crossover     repeat count above which the resonance-comb path runs
     validate_crossover cross-check comb vs direct at the crossover once
 
     Both paths evaluate the same integral; the crossover only picks the
     comb walk, whose cost does not depend on m, over the direct path,
-    which resolves every kernel node and costs about m.  The absolute
-    error floor is the module constant ABS_FLOOR.
+    which resolves every kernel node and costs about m.
     """
 
     rel_tol: float = 1e-6
@@ -206,22 +201,25 @@ def _k15(a: np.ndarray, b: np.ndarray, vals: np.ndarray) -> Tuple[np.ndarray, np
     return k15, np.abs(k15[0] - vals[0] @ _WG7 * half)
 
 
-def _refine(rule: RuleFn, rows_fn: RowsFn, a: np.ndarray, b: np.ndarray, vals: np.ndarray, walk: _Walk):
+def _refine(rule: RuleFn, rows_fn: RowsFn, a: np.ndarray, b: np.ndarray, vals: np.ndarray, walk: _Walk, top):
     """Integrals of panels [a_i, b_i] by rule from their node values (R, P, 15), split to tolerance.
 
     Panels whose error by rule (see RuleFn) is large are halved, and rows_fn
-    evaluates the halves, until the sum of the errors is within tolerance
-    of row 0's total.  Each batch of node values, the given ones and each
-    round's halves, is integrated once.  Returns (left_edges, right_edges,
-    row_integrals (R, P), total_error, node values (R, P, 15)), panels
-    sorted by position so downstream sums are order-stable.
+    evaluates the halves, until the errors sum within (1 - _TAIL_SHARE)
+    rel_tol of row 0's total, or of eps times the walk's running total if
+    larger: a region too small to move that total is not refined to its size.
+    Each batch of node values is integrated once.  While refined, the region,
+    which reaches the frequency top, is the walk's open one.  Returns
+    (left_edges, right_edges, row_integrals (R, P), total_error, node values
+    (R, P, 15)), panels sorted by position.
     """
     integrals, err = rule(a, b, vals)
     for _ in range(_MAX_REFINE_ROUNDS):
         total = float(np.sum(integrals[0]))
         err_total = float(np.sum(err))
-        tol = max(walk.cfg.rel_tol * abs(total), ABS_FLOOR)
-        if err_total <= tol:
+        walk.open = (total, err_total, top)
+        size = max(abs(total), np.finfo(float).eps * abs(walk.total + total))
+        if err_total <= (1.0 - _TAIL_SHARE) * walk.cfg.rel_tol * size:
             break
         split = err > max(err_total / (4 * len(a)), 1e-3 * float(err.max()))
         if not split.any():
@@ -239,6 +237,7 @@ def _refine(rule: RuleFn, rows_fn: RowsFn, a: np.ndarray, b: np.ndarray, vals: n
         err = np.concatenate([err[~split], new_err])
     else:
         walk.fail(f"refinement did not converge within {_MAX_REFINE_ROUNDS} rounds")
+    walk.open = (0.0, 0.0, top)
     order = np.argsort(a, kind="stable")
     return a[order], b[order], integrals[:, order], float(np.sum(err)), vals[:, order]
 
@@ -312,6 +311,7 @@ class _Walk:
     at: List[np.ndarray] = field(default_factory=lambda: [np.zeros(0)])
     rows: List[np.ndarray] = field(default_factory=lambda: [np.zeros((2, 0))])
     nodes: Optional[List[Tuple[np.ndarray, np.ndarray, np.ndarray]]] = None
+    open: Tuple[float, float, float] = (0.0, 0.0, 0.0)  # the region _refine holds: row 0 total, error, top
 
     def tail(self, w: float) -> float:
         """Bound of what the walk would still add above w: twice ff_bound * integral of S/w^2."""
@@ -330,9 +330,10 @@ class _Walk:
         self.panels += count
 
     def fail(self, msg: str) -> NoReturn:
-        """Raise AccuracyError with the partial sum; the bound adds the tail over the whole band."""
-        bound = self.err + self.tail(self.spec.omega_min)
-        raise AccuracyError(msg + self.label, self.total, bound)
+        """Raise AccuracyError with the partial sum, the open region's too; the bound adds the tail above."""
+        total, err, top = self.open
+        bound = self.err + err + self.tail(max(top, self.spec.omega_min))
+        raise AccuracyError(msg + self.label, self.total + total, bound)
 
     def add(self, at, rows: np.ndarray, err: float = 0.0) -> None:
         """Add contributions at frequencies at."""
@@ -341,18 +342,19 @@ class _Walk:
         self.total += float(np.sum(self.rows[-1][0]))
         self.err += err
 
-    def integrate(self, rows_fn: RowsFn, edges: np.ndarray, rule: RuleFn = _k15):
+    def integrate(self, rows_fn: RowsFn, edges: np.ndarray, top: float, rule: RuleFn = _k15):
         """Panels between edges by rule, refined: _refine's result, under the panel budget."""
         a = np.asarray(edges[:-1], dtype=float)
         b = np.asarray(edges[1:], dtype=float)
         wide = b > a
         a, b = a[wide], b[wide]
         self.spend(a.size)
-        return _refine(rule, rows_fn, a, b, _node_values(rows_fn, a, b), self)
+        return _refine(rule, rows_fn, a, b, _node_values(rows_fn, a, b), self, top)
 
     def region(self, rows_fn: RowsFn, edges: np.ndarray, rule: RuleFn = _k15) -> None:
         """Integrate rows_fn between edges by rule, with the cutoff as an extra edge, and add rows 0-1."""
-        a, b, rows, err, vals = self.integrate(rows_fn, _with_breakpoint(edges, self.spec.omega_c), rule)
+        with_cutoff = _with_breakpoint(edges, self.spec.omega_c)
+        a, b, rows, err, vals = self.integrate(rows_fn, with_cutoff, edges[-1], rule)
         self.add(a, rows[:2], err)
         if self.nodes is not None:
             self.nodes.append((a, b, np.delete(vals, 1, axis=0)))
@@ -386,7 +388,7 @@ class _Walk:
     def stop(self, w: float) -> bool:
         """Whether the tail above w is negligible; if it is, it joins the error."""
         tail = self.tail(w)
-        if tail <= max(ABS_FLOOR, _TAIL_SHARE * self.cfg.rel_tol * abs(self.total)):
+        if tail <= _TAIL_SHARE * self.cfg.rel_tol * abs(self.total):
             self.err += tail
             return True
         return False
@@ -468,6 +470,8 @@ def _assemble(
     low: np.ndarray,
     high: np.ndarray,
     err: float,
+    cfg: QuadratureConfig,
+    label: str,
     m: Optional[int],
     growth: Optional[float] = None,
     comb_path: bool = False,
@@ -481,6 +485,10 @@ def _assemble(
     chi_low = float(low[0])
     chi_high = float(high[0])
     chi_total = chi_low + chi_high
+    bound = cfg.rel_tol * abs(chi_total)
+    if err > bound:
+        msg = f"quadrature error bound {err:.3e} exceeds the tolerance {bound:.3e}"
+        raise AccuracyError(msg + label, chi_total, float(err))
     chi_bb = float(low[1] + high[1])
     return ErrorBudget(
         chi_total=chi_total,
@@ -556,8 +564,7 @@ def chi_repeated(
     m -> infinity structure (see chi's module notes), after a one-time
     agreement check between the two paths at the crossover.  That check
     and a call at m = comb_crossover share one memoised direct budget per
-    problem.  A comb result with quad_error > max(rel_tol * chi_total,
-    ABS_FLOOR) raises AccuracyError, as a direct one that misses does.
+    problem.
 
     A base pattern with odd pulse count restarts each repeat with a junction
     pulse.  With finite-width pulses the direct path takes those through the
@@ -573,13 +580,7 @@ def chi_repeated(
         return _chi_direct(p, m, spec, shape, cfg)
     # _chi_comb refuses where the comb walk does not apply, before the crossover check
     budget = _chi_comb(p, m, spec, shape, cfg)
-    bound = max(cfg.rel_tol * budget.chi_total, ABS_FLOOR)
-    if budget.quad_error > bound:
-        msg = f"comb path error bound {budget.quad_error:.3e} exceeds the tolerance {bound:.3e}"
-        raise AccuracyError(msg + _label(p, m), budget.chi_total, budget.quad_error)
-    agreement: Optional[float] = None
-    if cfg.validate_crossover:
-        agreement = _crossover_agreement(p, spec, shape, cfg)
+    agreement = _crossover_agreement(p, spec, shape, cfg) if cfg.validate_crossover else None
     return replace(budget, comb_agreement=agreement)
 
 
@@ -594,8 +595,8 @@ def _chi_direct(
     rows = _ff_rows_factory(p, shape, spec, m)
     # the kernel integrates to 2 pi m / T_p per period: F*D <= m * base bound per period
     bound = _filter_bound(p) * m
-    budget = integrate_rows(rows, spec, m * p.duration, bound, cfg, label=_label(p, m))
-    return _assemble(*budget, m=m)
+    label = _label(p, m)
+    return _assemble(*integrate_rows(rows, spec, m * p.duration, bound, cfg, label=label), cfg, label, m=m)
 
 
 def jitter_curve(
@@ -626,7 +627,10 @@ def jitter_curve(
     bound = 2 * (math.sqrt(_filter_bound(p)) * m + 2) ** 2
     walk = _Walk(spec, cfg, bound, _label(p, m), nodes=[])
     lobe = math.pi / (m * p.duration)
-    w_stop = walk.band(basis, m * p.duration)
+    try:
+        w_stop = walk.band(basis, m * p.duration)
+    except AccuracyError as exc:  # its estimate is the zero-delay chi: it bounds no other delay
+        raise AccuracyError(f"{exc} at zero delay", exc.estimate, math.inf) from None
     low, high = walk.totals()
     chi0 = float(low[0] + high[0])
 
@@ -639,7 +643,7 @@ def jitter_curve(
         replay = _Walk(spec, cfg, walk.ff_bound, walk.label, walk.panels, rows=[np.zeros((1, 0))])
         for a, b, vals in walk.nodes:
             delayed = _delay_row(vals, _panel_nodes(a, b), delta_t)
-            a, _, integrals, err, _ = _refine(_k15, rows, a, b, delayed, replay)
+            a, _, integrals, err, _ = _refine(_k15, rows, a, b, delayed, replay, b[-1])
             replay.add(a, integrals, err)
         if w_stop < _band_top(spec) and not replay.stop(w_stop):
             replay.climb(rows, w_stop, lobe)
@@ -647,8 +651,8 @@ def jitter_curve(
         # and row 0 + |X| <= 2 row 0 + the delayed row: where the delay cancels
         # most of row 0, that rounding is larger than the quadrature error
         replay.err += _REWEIGHT_ULPS * np.finfo(float).eps * (2.0 * chi0 + replay.total)
-        (low_d,), (high_d,) = replay.totals()
-        return _assemble(np.array([low_d, low[1]]), np.array([high_d, high[1]]), replay.err, m=m)
+        low_d, high_d = replay.totals()
+        return _assemble(np.r_[low_d, low[1]], np.r_[high_d, high[1]], replay.err, cfg, walk.label, m=m)
 
     return at
 
@@ -684,16 +688,15 @@ def _crossover_agreement(
     m0 = cfg.comb_crossover
     direct = _direct_at_crossover(p, spec, shape, cfg)
     comb = _chi_comb(p, m0, spec, shape, cfg)
-    if direct.chi_total <= ABS_FLOOR:
-        return 0.0
-    agreement = abs(comb.chi_total - direct.chi_total) / direct.chi_total
+    gap = abs(comb.chi_total - direct.chi_total)
+    agreement = gap / direct.chi_total if direct.chi_total else 0.0  # 0 only at g = 0
     if agreement > 0.10:
         raise ConsistencyError(
             f"comb and direct evaluations disagree by {agreement:.1%} at the "
             f"crossover m={m0} for {p.label!r} (direct {direct.chi_total:.6e}, "
             f"comb {comb.chi_total:.6e})",
             estimate=comb.chi_total,
-            error_bound=abs(comb.chi_total - direct.chi_total),
+            error_bound=gap,
         )
     return agreement
 
@@ -739,7 +742,7 @@ def _chi_comb(
     t_p = p.duration
     w_lo, w_hi = spec.omega_min, _band_top(spec)
     if not w_lo < w_hi:
-        return _assemble(*walk.totals(), walk.err, m=m, growth=0.0, comb_path=True)
+        return _assemble(*walk.totals(), walk.err, cfg, walk.label, m=m, growth=0.0, comb_path=True)
     h_rows = _ff_rows_factory(p, shape, spec)
     mt = None if m is None else m * t_p
     rule = _k15 if mt is None else partial(_repeat_weighted, mt)
@@ -756,13 +759,13 @@ def _chi_comb(
 
     # resonance cells above pi/T_p
     w1 = 2.0 * math.pi / t_p
-    growth_rows = np.zeros(2)
+    growth = 0.0
     k = 1
     while k * w1 - 0.5 * w1 < w_hi:
         w_k = k * w1
         # zero when the cell centre lies past the band
         h_k = h_rows(np.array([w_k]))[:, 0]
-        growth_rows += w1 * h_k
+        growth += w1 * float(h_k[0])
         if m is not None:
             walk.add(w_k, m * w1 * h_k)
 
@@ -775,7 +778,7 @@ def _chi_comb(
         edges = np.geomspace(d_min, 0.5 * w1, 41)
         for crossing in (w_k - spec.omega_c, spec.omega_c - w_k, w_hi - w_k, w_k - w_lo):
             edges = _with_breakpoint(edges, crossing)
-        _, _, rows_i, err_i, _ = walk.integrate(pv_rows, edges, rule)
+        _, _, rows_i, err_i, _ = walk.integrate(pv_rows, edges, w_k + 0.5 * w1, rule)
         # the finite part is flat on [0, d_min]: its weighted length there
         width = d_min if mt is None else d_min - math.sin(mt * d_min) / mt
         patch = pv_rows(np.array([d_min]))[:, 0] * width
@@ -785,7 +788,7 @@ def _chi_comb(
         k += 1
         if walk.stop((k - 0.5) * w1):
             break
-    return _assemble(*walk.totals(), walk.err, m=m, growth=float(growth_rows[0]), comb_path=True)
+    return _assemble(*walk.totals(), walk.err, cfg, walk.label, m=m, growth=growth, comb_path=True)
 
 
 def _deosc(t_p: float, x: np.ndarray) -> np.ndarray:
@@ -851,6 +854,7 @@ def chi_plateau_limit(
     chi_repeated.  For a hard cutoff meeting the plateau conditions the
     growth vanishes and this is the exact limit.  growth_per_repeat reports
     the linear term's slope for callers that need the full picture.  Raises
-    DomainError where the comb walk does not apply (see _comb_applies).
+    DomainError where the comb walk does not apply (see _comb_applies), and
+    AccuracyError where resonances leave no level within rel_tol.
     """
     return _chi_comb(p, None, spec, shape or bang_bang(), config or DEFAULT_CONFIG)

@@ -291,8 +291,8 @@ def jitter_tolerance(
     each delay.  The reference is the rolloff-aware plateau level
     (chi_plateau_limit), which equals the to-the-cutoff integral for hard
     cutoffs and extends it past the cutoff for soft rolloffs.  Raises
-    DomainError when the error already exceeds the budget at delta_t = 0,
-    or when chi_plateau_limit does (an odd base with finite-width pulses).
+    DomainError when the error already exceeds the budget at delta_t = 0;
+    chi_plateau_limit's DomainError and AccuracyError pass through.
     """
     require_positive("budget_factor", budget_factor)
     budget = budget_factor * chi_plateau_limit(p, spec, shape, config).chi_total

@@ -64,6 +64,14 @@ class TestOracles:
         budget = chi(cdd(4, 1e-6), gaas, bang_bang())
         assert budget.chi_total == pytest.approx(ORACLE_CHI_CDD4_1US, rel=1e-9, abs=0.0)
 
+    @pytest.mark.parametrize("rel_tol", [1e-6, 1e-9, 1e-12])
+    def test_cdd4_meets_each_tolerance(self, gaas, rel_tol):
+        # no absolute floor: at 1e-12 the walk refines past the 1.4e-12 chi it
+        # returns at the default tolerance
+        budget = chi(cdd(4, 1e-6), gaas, bang_bang(), replace(DEFAULT_CONFIG, rel_tol=rel_tol))
+        assert budget.quad_error <= rel_tol * budget.chi_total
+        assert abs(budget.chi_total - ORACLE_CHI_CDD4_1US) <= budget.quad_error
+
 
 class TestBudgetFields:
     def test_split_adds_up_and_coherence_is_exp(self, gaas):
@@ -284,13 +292,15 @@ class TestCombPath:
     def test_comb_splits_on_the_error_it_charges(self, gaas, m, crossover):
         # on the r = 18 power law the panel above the cutoff charges the top
         # Legendre terms of its interpolant, about 3.5e-9 chi unsplit: the
-        # walk halves it on that charge until rel_tol = 1e-9 is met
+        # walk halves it on that charge until rel_tol = 1e-9 is met.  The
+        # direct walk at 1e-9 is 3.8e-12 chi off, more than the comb walk's
+        # charge, so the reference is the direct walk at 1e-11
         cfg = replace(DEFAULT_CONFIG, comb_crossover=crossover, rel_tol=1e-9)
         r18 = replace(gaas, rolloff=PowerLaw(18.0))
         p = cdd(4, 1e-6)
         comb = chi_repeated(p, m, r18, bang_bang(), cfg)
         assert comb.comb_path
-        direct = integrals._chi_direct(p, m, r18, bang_bang(), cfg)
+        direct = integrals._chi_direct(p, m, r18, bang_bang(), replace(cfg, rel_tol=1e-11))
         assert abs(comb.chi_total - direct.chi_total) <= comb.quad_error
 
     @pytest.mark.parametrize(
@@ -298,23 +308,23 @@ class TestCombPath:
     )
     def test_comb_error_above_rel_tol_raises(self, gaas, monkeypatch, m, crossover):
         # no known case misses rel_tol once the walk splits on its own charge,
-        # so the comb walk's bound is inflated past it
+        # so the error reaching the one check, in _assemble, is inflated past it
         rel_tol = 1e-9
         cfg = replace(DEFAULT_CONFIG, comb_crossover=crossover, rel_tol=rel_tol)
         r18 = replace(gaas, rolloff=PowerLaw(18.0))
         p = cdd(4, 1e-6)
-        comb = integrals._chi_comb
+        unchecked = integrals._chi_comb(p, m, r18, bang_bang(), cfg)
+        assemble = integrals._assemble
 
-        def inflated(*args):
-            budget = comb(*args)
-            return replace(budget, quad_error=10 * rel_tol * budget.chi_total)
+        def inflated(low, high, err, *args, **kwargs):
+            return assemble(low, high, err + 10 * rel_tol * (low[0] + high[0]), *args, **kwargs)
 
-        monkeypatch.setattr(integrals, "_chi_comb", inflated)
+        monkeypatch.setattr(integrals, "_assemble", inflated)
         with pytest.raises(AccuracyError, match=rf"for 'CDD4' repeated {m} times") as info:
             chi_repeated(p, m, r18, bang_bang(), cfg)
         assert info.value.error_bound > rel_tol * info.value.estimate
-        unchecked = integrals._chi_comb(p, m, r18, bang_bang(), cfg)
-        assert (info.value.estimate, info.value.error_bound) == (unchecked.chi_total, unchecked.quad_error)
+        inflated_error = unchecked.quad_error + 10 * rel_tol * unchecked.chi_total
+        assert (info.value.estimate, info.value.error_bound) == (unchecked.chi_total, inflated_error)
 
     def test_large_m_saturates_at_plateau_limit(self, gaas):
         base = cdd(4, 1e-6)
@@ -569,7 +579,10 @@ class TestConfigAndFailure:
         with pytest.raises(AccuracyError, match="64 panels exhausted for 'CDD4'") as err:
             direct(cdd(4, 1e-6), gaas, cfg)
         assert err.value.estimate > 0.0
-        assert err.value.error_bound > err.value.estimate
+        # the bound holds the walked band, the region being refined and the
+        # tail above it: it reaches the value the default budget returns
+        full = direct(cdd(4, 1e-6), gaas, replace(cfg, max_panels=DEFAULT_CONFIG.max_panels))
+        assert abs(err.value.estimate - full.chi_total) <= err.value.error_bound + full.quad_error
 
     def test_block_beyond_budget_fails_before_it_is_built(self, gaas):
         # 16 s blocks repeated 1000 times: the first walk block alone holds
@@ -606,14 +619,13 @@ class TestConfigAndFailure:
 
     def test_refine_round_limit_is_named(self, gaas, monkeypatch):
         monkeypatch.setattr(integrals, "_MAX_REFINE_ROUNDS", 1)
-        # ABS_FLOOR is 1e-9 of this chi and would meet rel_tol in round one
-        monkeypatch.setattr(integrals, "ABS_FLOOR", 0.0)
         cfg = replace(DEFAULT_CONFIG, rel_tol=1e-12)
         with pytest.raises(AccuracyError, match="did not converge within 1 rounds for 'CDD4'") as err:
             chi(cdd(4, 1e-6), gaas, bang_bang(), cfg)
         assert "panels" not in str(err.value)
-        assert err.value.estimate >= 0.0
-        assert err.value.error_bound > err.value.estimate
+        # the bound holds the region being refined and the tail above it only
+        assert abs(err.value.estimate - ORACLE_CHI_CDD4_1US) <= err.value.error_bound
+        assert err.value.error_bound < 1e-11 * err.value.estimate
 
     def test_tighter_tolerance_is_consistent(self, gaas):
         loose = chi(cdd(3, 1e-6), gaas, bang_bang(), replace(DEFAULT_CONFIG, rel_tol=1e-4))
@@ -624,9 +636,9 @@ class TestConfigAndFailure:
 class TestLinearInStrength:
     """chi is linear in the strength g, bit for bit for power-of-two factors.
 
-    With ABS_FLOOR = 0 every tolerance and tail test compares quantities
-    that all carry g, so a factor 2^k takes each walk through the same
-    panels and scales every additive budget field exactly.
+    Every tolerance and tail test compares quantities that all carry g, so
+    a factor 2^k takes each walk through the same panels and scales every
+    additive budget field exactly.
     """
 
     ROUTES = {
@@ -642,8 +654,7 @@ class TestLinearInStrength:
     @pytest.mark.parametrize("rolloff", ["gaussian", "hard", "power_law_18"])
     @pytest.mark.parametrize("shape", [bang_bang, lambda: dcg3(1e-8)], ids=["bb", "dcg_10ns"])
     @pytest.mark.parametrize("route", sorted(ROUTES))
-    def test_power_of_two_factors_scale_exactly(self, gaas, route, shape, rolloff, monkeypatch):
-        monkeypatch.setattr(integrals, "ABS_FLOOR", 0.0)
+    def test_power_of_two_factors_scale_exactly(self, gaas, route, shape, rolloff):
         rolloffs = {"gaussian": gaas.rolloff, "hard": HARD, "power_law_18": PowerLaw(18.0)}
         spec = replace(gaas, rolloff=rolloffs[rolloff])
         cfg = replace(DEFAULT_CONFIG, validate_crossover=False)

@@ -4,6 +4,8 @@ from dataclasses import replace
 import pytest
 
 from ddmemory import (
+    AccuracyError,
+    DEFAULT_CONFIG,
     DivergenceError,
     DomainError,
     HARD,
@@ -32,6 +34,7 @@ from ddmemory import (
     pulse_order,
     repeat_pattern,
     udd,
+    walsh,
 )
 from ddmemory import integrals, plateau
 
@@ -409,3 +412,30 @@ class TestOddBaseFinitePulses:
     def test_bang_bang_plateau_is_kept(self, gaas):
         limit = chi_plateau_limit(self.U5, gaas).chi_total
         assert limit == pytest.approx(chi_repeated(self.U5, 1000, gaas).chi_total, rel=1e-6, abs=0.0)
+
+
+class TestNoPlateauLevel:
+    """Where resonances inside a soft rolloff make chi grow linearly in m, the
+    comb walk's plateau part sums negative above the cutoff, or on both sides:
+    clamping it to 0 charges its size to quad_error, far above rel_tol * chi,
+    so no level is returned."""
+
+    W60 = walsh(60, 256e-6, 256)
+    CASES = {
+        # above the cutoff the walk sums to -1.86e-4, 10 times the level
+        "w60_256": (W60, None),
+        # the whole walk sums negative: the level would read 0.0 +- 0.47
+        "w25_64_r8": (walsh(25, 64 * 7.75e-6, 64), PowerLaw(8.0)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_plateau_limit_raises(self, gaas, name):
+        p, rolloff = self.CASES[name]
+        spec = gaas if rolloff is None else replace(gaas, rolloff=rolloff)
+        with pytest.raises(AccuracyError, match=f"exceeds the tolerance .* for {p.label!r}") as err:
+            chi_plateau_limit(p, spec)
+        assert err.value.error_bound > DEFAULT_CONFIG.rel_tol * abs(err.value.estimate)
+
+    def test_jitter_budget_is_not_built_on_it(self, gaas):
+        with pytest.raises(AccuracyError, match="for 'W60@256'"):
+            jitter_tolerance(self.W60, 10, gaas)
