@@ -37,6 +37,7 @@ from ddmemory import (  # noqa: E402
     chi_plateau_limit,
     chi_repeated,
     chi_with_jitter,
+    concat,
     dcg3,
     echo,
     free_evolution,
@@ -46,6 +47,7 @@ from ddmemory import (  # noqa: E402
     plateau_report,
     primitive,
     pulse_order,
+    repeat_pattern,
     suppression_order,
     udd,
     walsh,
@@ -103,6 +105,12 @@ def _calls():
     yield "chi_with_jitter/udd5/dcg_10ns", lambda: chi_with_jitter(
         u5, 1000, 1e-12, gaas, dcg3(1e-8)
     )
+    # off every grid and not at Uhrig's times: the exact integer moments of the float times
+    yb = load_preset("yb")
+    off_grid = (("udd5_x8", repeat_pattern(u5, 8)), ("udd4+udd6", concat(udd(4, 16e-6), udd(6, 16e-6))))
+    for name, q in off_grid:
+        for spec_name, spec in (("gaas", gaas), ("yb", yb)):
+            yield f"chi/{name}/{spec_name}", lambda q=q, spec=spec: chi(q, spec)
     # the comb walk lacks the junction cross terms: both refuse
     yield "chi_plateau_limit/udd5/dcg_10ns", lambda: chi_plateau_limit(u5, gaas, dcg3(1e-8))
     yield "plateau_report/udd5/dcg_10ns", lambda: plateau_report(u5, gaas, dcg3(1e-8))

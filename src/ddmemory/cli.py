@@ -20,7 +20,7 @@ import click
 import numpy as np
 
 from . import __version__
-from .errors import DDMemoryError
+from .errors import DDMemoryError, DomainError, require_positive
 from .integrals import DEFAULT_CONFIG, QuadratureConfig, chi_during, chi_repeated
 from .noise import NoiseSpectrum, calibrate_strength, load_preset, spectrum_to_json
 from .plateau import plateau_report
@@ -57,10 +57,8 @@ def build_sequence(spec: str, tau: Optional[float], duration: Optional[float]) -
         raise _usage("--tau/--duration", "give exactly one, not both")
     if tau is None and duration is None:
         raise _usage("--tau/--duration", "one is required")
-    if tau is not None and not tau > 0:
-        raise _usage("--tau", f"must be positive, got {tau}")
-    if duration is not None and not duration > 0:
-        raise _usage("--duration", f"must be positive, got {duration}")
+    option, value = ("--tau", tau) if tau is not None else ("--duration", duration)
+    require_positive(option, value)
     name, _, arg = spec.partition(":")
     try:
         if name == "free":
@@ -260,8 +258,10 @@ def ff_cmd(sequence, tau, duration, pulse, repeat, points, omega_min, omega_max,
     shape = build_pulse(pulse)
     w_lo = omega_min if omega_min is not None else 1e-3 / p.duration
     w_hi = omega_max if omega_max is not None else 8.0 * math.pi / min_interval(p)
-    if not 0 < w_lo < w_hi:
-        raise _usage("--omega-min/--omega-max", f"need 0 < min < max, got ({w_lo}, {w_hi})")
+    require_positive("--omega-min", w_lo)
+    require_positive("--omega-max", w_hi)
+    if not w_lo < w_hi:
+        raise DomainError(f"--omega-min/--omega-max: need min < max, got ({w_lo}, {w_hi})")
     grid = np.geomspace(w_lo, w_hi, points)
     doc = _resolved_doc(
         "ff", p, shape=shape,

@@ -22,12 +22,13 @@ keeps the zero at omega = 0 at every frequency, with no series branch.
 Other patterns are summed vertex by vertex. Direct summation destroys
 the high-order zero at omega = 0 through cancellation, so below
 |omega * T_p| <= 2 the sum is evaluated from its Taylor coefficients
-mu_k = sum_j c_j (t_j/T_p)^k / k! instead, computed in one of three ways:
-from integer slot indices with an exact integer sum and one correctly
-rounded division for patterns on a uniform slot grid; from an exact
-closed form for Uhrig's times, which are recognised from the pulse times
-themselves; and by compensated float sums otherwise. In all three cases
-the multiplicity of the zero survives in double precision.
+mu_k = sum_j c_j (t_j/T_p)^k / k! instead, computed in one of two ways:
+from an exact closed form for Uhrig's times, which are recognised from
+the pulse times themselves, and otherwise by an exact integer sum over
+a grid's slot indices or the float times over their least common
+denominator, with one correctly rounded division. Both give the exact
+mu_k of the pattern's times, rounded once, so the multiplicity of the
+zero survives in double precision.
 
 suppression_order reads the order alpha and amplitude A of that zero,
 F ~ |A|^2 omega^(2(alpha+1)), off _power_law_fit of |omega*y| near 0;
@@ -37,8 +38,6 @@ pulses.pulse_order runs the same fit on the dominant pulse quadrature.
 from __future__ import annotations
 
 import math
-import operator
-from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -86,17 +85,6 @@ def _vertex_coefficients(p: TimingPattern) -> tuple[np.ndarray, np.ndarray]:
     return times, coeff
 
 
-def _moment_recurrence(coeffs, taus, total, divide, unit) -> tuple[float, ...]:
-    """divide(total(c_j * tau_j**k), unit**k * k!) for k = 1 .. N_MOMENTS."""
-    out = []
-    powers, scale = list(taus), 1
-    for k in range(1, N_MOMENTS + 1):
-        scale *= k * unit
-        out.append(divide(total(c * pw for c, pw in zip(coeffs, powers)), scale))
-        powers = [pw * t for pw, t in zip(powers, taus)]
-    return tuple(out)
-
-
 @lru_cache(maxsize=256)
 def _udd_moments(n: int) -> tuple[float, ...]:
     """mu_k of Uhrig's n-pulse pattern from an exact rational, rounded once.
@@ -117,7 +105,7 @@ def _udd_moments(n: int) -> tuple[float, ...]:
             for i in range(r + 1)
             if (r - 2 * i - n - 1) % period == 0
         )
-        out.append(float(Fraction(period * s, 4**k * math.factorial(k))))
+        out.append(period * s / (4**k * math.factorial(k)))
     return tuple(out)
 
 
@@ -128,22 +116,29 @@ def _moments(times, duration, grid) -> tuple[float, ...]:
     mu_k = sum_j c_j tau_j^k / k! over the vertices tau_j = t_j / T_p; the
     t = 0 vertex drops out for k >= 1. Takes a pattern's pulse_times,
     duration and grid, all that the routes read, so that equal patterns
-    with and without a grid are cached apart. Pulses within _GRID_RTOL*T_p
-    of Uhrig's times take the closed form.
+    with and without a grid are cached apart. Off any grid, pulses within
+    _GRID_RTOL*T_p of Uhrig's times take the closed form; otherwise
+    tau_j = u_j / U in integers (grid slots, or the float times over their
+    least common denominator) and sum_j c_j u_j^k / (U^k k!) is rounded
+    once, by int / int.
     """
     n = len(times)
-    coeffs = [2 * (-1) ** l for l in range(1, n + 1)] + [(-1) ** (n + 1)]
     if grid is not None:
-        # integer slot indices: an exact sum and one correctly rounded division
-        n_slots, bounds = grid
-        return _moment_recurrence(
-            coeffs, [*bounds, n_slots], sum, lambda s, d: float(Fraction(s, d)), n_slots
-        )
-    tol = _GRID_RTOL * duration
-    if n and all(abs(t - u) <= tol for t, u in zip(times, udd(n, duration).pulse_times)):
-        return _udd_moments(n)
-    taus = [t / duration for t in times] + [1.0]
-    return _moment_recurrence(coeffs, taus, math.fsum, operator.truediv, 1.0)
+        ticks = [*grid[1], grid[0]]
+    else:
+        tol = _GRID_RTOL * duration
+        if n and all(abs(t - u) <= tol for t, u in zip(times, udd(n, duration).pulse_times)):
+            return _udd_moments(n)
+        ratios = [t.as_integer_ratio() for t in (*times, duration)]
+        den = math.lcm(*(d for _, d in ratios))
+        ticks = [a * (den // d) for a, d in ratios]
+    coeffs = [2 * (-1) ** l for l in range(1, n + 1)] + [(-1) ** (n + 1)]
+    out, powers, scale = [], ticks, 1
+    for k in range(1, N_MOMENTS + 1):
+        scale *= k * ticks[-1]
+        out.append(sum(c * pw for c, pw in zip(coeffs, powers)) / scale)
+        powers = [pw * u for pw, u in zip(powers, ticks)]
+    return tuple(out)
 
 
 def _series_eval(p: TimingPattern, theta: np.ndarray) -> np.ndarray:

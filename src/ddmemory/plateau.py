@@ -250,19 +250,22 @@ def m_max_soft_detail(
         raise DomainError(
             f"soft-cutoff repeat bound needs a power-law rolloff, got {spec.rolloff!r}"
         )
+    # both integrate only up to omega_c, where S is the hard cutoff's
+    chi_low_num = chi_asymptotic(p, spec, shape, config).chi_total
+    return _m_max_detail(p, spec, shape, chi_low_num, chi_infinity_leading_order(p, spec, shape))
+
+
+def _m_max_detail(
+    p: TimingPattern, spec: NoiseSpectrum, shape: PulseShape, chi_low_num: float, chi_low_closed: float
+) -> MMaxDetail:
+    """m_max_soft_detail's bound from the numerical and closed-form asymptotic levels."""
     if spec.g == 0.0:
         raise DomainError("soft-cutoff repeat bound undefined for g = 0")
     r = spec.rolloff.r
     x = p.duration * spec.omega_c / (2.0 * math.pi)
-    # both integrate only up to omega_c, where S is the hard cutoff's
-    chi_low_num = chi_asymptotic(p, spec, shape, config).chi_total
-    chi_low_closed = chi_infinity_leading_order(p, spec, shape)
-    f_max = passband_max(p)
-    scale = (24.0 / math.pi) / (spec.g * p.duration * f_max * x**r)
-    bound = scale * chi_low_num
-    closed_route = scale * chi_low_closed
+    scale = (24.0 / math.pi) / (spec.g * p.duration * passband_max(p) * x**r)
     specialized = _CDD4_COEFF * x ** (7.0 - r) if _matches_cdd4(p, shape) else None
-    return MMaxDetail(bound, closed_route, specialized)
+    return MMaxDetail(scale * chi_low_num, scale * chi_low_closed, specialized)
 
 
 def m_max_soft(
@@ -355,7 +358,8 @@ def plateau_report(
     t_max: Dict[str, float] = {}
     m_max: Optional[float] = None
     if isinstance(spec.rolloff, PowerLaw):
-        m_max = float(m_max_soft(p, spec, shape, config))
+        detail = _m_max_detail(p, spec, shape or bang_bang(), chi_inf.chi_total, closed)
+        m_max = float(max(1, int(detail.bound)))
         t_max["soft_cutoff"] = m_max * p.duration
     elif spec.rolloff == HARD:
         m_max = math.inf

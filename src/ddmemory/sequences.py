@@ -280,10 +280,10 @@ def repeat_pattern(p: TimingPattern, m: int) -> TimingPattern:
     """Explicit m-fold self-join; brute-force oracle for the repetition kernel.
 
     Each copy restarts at +1, so an odd-ending base acquires a junction
-    pulse at every block boundary. A base off any uniform grid (UDD, say)
-    repeats into a pattern whose small-frequency series comes from float
-    sums, which lose part of a high-order zero for many copies;
-    integrals.chi_repeated is the accurate route for such a base.
+    pulse at every block boundary. Off any uniform grid (UDD, say) the
+    series is exact for the tiled float times j*T_p + t, but their rounding
+    is a low-order term (16 copies of UDD5 over 16 us on yb: 6.4 times the
+    ideal chi); integrals.chi_repeated is the route for the ideal tiling.
     """
     require_count("repeat count", m)
     if m == 1:

@@ -5,7 +5,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from ddmemory import calibrate_strength, load_preset
+from ddmemory import calibrate_strength, cdd, chi, load_preset, walsh
 from ddmemory.cli import main
 
 
@@ -208,6 +208,66 @@ class TestExitCodes:
         conditions = json.loads(out)["report"]["conditions"]
         assert conditions["lowfreq_pulse"] == {"passed": False, "margin": -1.0}
         assert conditions["all_met"] is False
+
+
+_CDD4 = ["--sequence", "cdd:4"]
+_FF_CDD4 = ["ff", *_CDD4, "--tau", "1e-6", "--points", "4"]
+
+
+class TestTimeOptions:
+    # a time or frequency that is not finite and positive is a domain error naming its option
+    @pytest.mark.parametrize(
+        "args, option",
+        [(["error", *_CDD4, "--tau", v, "--spectrum", "gaas"], "--tau") for v in ("nan", "inf", "0", "-1e-6")]
+        + [(["error", *_CDD4, "--duration", v, "--spectrum", "gaas"], "--duration") for v in ("nan", "inf", "0")]
+        + [
+            ([*_FF_CDD4, "--omega-max", "inf"], "--omega-max"),
+            ([*_FF_CDD4, "--omega-min", "nan"], "--omega-min"),
+            ([*_FF_CDD4, "--omega-min", "0"], "--omega-min"),
+            ([*_FF_CDD4, "--omega-min", "1e8", "--omega-max", "1e6"], "--omega-min/--omega-max"),
+        ],
+        ids=["tau_nan", "tau_inf", "tau_0", "tau_negative", "duration_nan", "duration_inf",
+             "duration_0", "omega_max_inf", "omega_min_nan", "omega_min_0", "omega_min_above_max"],
+    )
+    def test_bad_time_is_three(self, capsys, args, option):
+        code, out, err = _run(capsys, args)
+        assert code == 3
+        assert out == ""
+        assert option in err
+
+
+class TestSequenceGrammar:
+    @pytest.mark.parametrize(
+        "sequence, times, pattern",
+        [
+            ("walsh:3/8", ["--tau", "1e-6"], walsh(3, 8e-6, 8)),
+            ("walsh:3/8", ["--duration", "8e-6"], walsh(3, 8e-6, 8)),
+            ("cp", ["--tau", "1e-6"], cdd(2, 1e-6)),
+        ],
+        ids=["walsh_tau", "walsh_duration", "cp"],
+    )
+    def test_spelled_sequence_gives_the_library_chi(self, capsys, gaas, sequence, times, pattern):
+        code, out, _ = _run(capsys, ["error", "--sequence", sequence, *times, "--spectrum", "gaas"])
+        assert code == 0
+        _, columns, rows = _parse_csv(out)
+        assert float(rows[0][columns.index("chi_total")]) == chi(pattern, gaas).chi_total
+
+    @pytest.mark.parametrize(
+        "args, option",
+        [
+            ([*_CDD4, "--tau", "1e-6", "--pulse", "bb:1e-9"], "--pulse"),
+            ([*_CDD4, "--tau", "1e-6", "--pulse", "gauss:1e-9"], "--pulse"),
+            ([*_CDD4, "--tau", "1e-6", "--pulse", "dcg:wide"], "--pulse"),
+            (_CDD4, "--tau/--duration"),
+            (["--sequence", "free", "--tau", "1e-6"], "--sequence free"),
+        ],
+        ids=["bb_width", "unknown_pulse", "malformed_width", "no_time", "free_with_tau"],
+    )
+    def test_malformed_form_is_a_usage_error(self, capsys, args, option):
+        code, out, err = _run(capsys, ["error", *args, "--spectrum", "gaas"])
+        assert code == 2
+        assert out == ""
+        assert option in err
 
 
 class TestFfCommand:

@@ -1,10 +1,11 @@
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ddmemory import (
@@ -31,6 +32,7 @@ from ddmemory import (
     y_tilde,
 )
 from ddmemory.filters import FIT_RESIDUAL_LIMIT, N_MOMENTS, THETA_SWITCH, dirichlet_ratio
+from ddmemory.sequences import _GRID_RTOL
 
 RNG = np.random.default_rng(20240817)
 
@@ -303,6 +305,24 @@ class TestMoments:
         hand = TimingPattern(u.pulse_times, u.duration, "hand")
         assert chi(hand, gaas).chi_total == chi(u, gaas).chi_total
         assert filters._moments(hand.pulse_times, hand.duration, None) == filters._udd_moments(5)
+
+    @given(
+        st.floats(1e-9, 1e-2),
+        st.lists(st.floats(1e-3, 0.999), min_size=1, max_size=12, unique=True),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_gridless_moments_are_the_correctly_rounded_rationals(self, duration, fracs):
+        times = tuple(sorted({f * duration for f in fracs}))
+        n = len(times)
+        tol = _GRID_RTOL * duration
+        assume(not all(abs(t - u) <= tol for t, u in zip(times, udd(n, duration).pulse_times)))
+        taus = [Fraction(t) / Fraction(duration) for t in times] + [Fraction(1)]
+        coeffs = [2 * (-1) ** l for l in range(1, n + 1)] + [(-1) ** (n + 1)]
+        want = tuple(
+            float(sum(c * tau**k for c, tau in zip(coeffs, taus)) / math.factorial(k))
+            for k in range(1, N_MOMENTS + 1)
+        )
+        assert filters._moments(times, duration, None) == want
 
     def test_cache_tells_a_grid_from_its_absence(self):
         # equal patterns that differ only in the grid take different routes,

@@ -28,6 +28,7 @@ from ddmemory import (
     bang_bang,
     cdd,
     chi_repeated,
+    concat,
     dcg3,
     echo,
     free_evolution,
@@ -60,7 +61,7 @@ PATTERNS = {
         repeat_pattern(cdd(3, TAU), 3),
         oracle._grid_pattern(np.tile(_THUE_MORSE_8, 3), TAU, 24 * TAU),
     ),
-    # off every grid and not at Uhrig's times: the float moment route
+    # off every grid and not at Uhrig's times: the exact moments of its float times
     "udd5_cut": (
         truncate(_UDD5, 0.55 * _UDD5.duration),
         oracle.truncated(oracle.udd_pattern(5, 16 * TAU), 0.55 * _UDD5.duration),
@@ -220,3 +221,24 @@ def test_odd_base_repeat_matches_tiled_reference(name, m):
         assert oracle.within(b.chi_total, b.quad_error, DEFAULT_CONFIG.rel_tol, ref), (
             f"{shape_name}: chi {b.chi_total!r} vs reference {ref.value!r} +- {ref.error!r}"
         )
+
+
+# off every grid and not at Uhrig's times: explicit UDD5 tilings and a join of
+# two UDD blocks, whose series the exact integer moments take from the float times
+OFF_GRID = {
+    "udd5_x2": repeat_pattern(_UDD5, 2),
+    "udd5_x8": repeat_pattern(_UDD5, 8),
+    "udd4+udd6": concat(udd(4, 16 * TAU), udd(6, 16 * TAU)),
+}
+
+
+@pytest.mark.parametrize("spec_name", ["gaas", "yb"])
+@pytest.mark.parametrize("name", sorted(OFF_GRID))
+def test_off_grid_pattern_matches_reference_on_its_float_times(name, spec_name):
+    p = OFF_GRID[name]
+    spec = SPECTRA[spec_name]
+    ref = oracle.chi_ref(oracle.Pattern(p.pulse_times, p.duration), spec, SHAPES["bb"])
+    b = chi_repeated(p, 1, spec)
+    assert oracle.within(b.chi_total, b.quad_error, DEFAULT_CONFIG.rel_tol, ref), (
+        f"chi {b.chi_total!r} vs reference {ref.value!r} +- {ref.error!r}"
+    )

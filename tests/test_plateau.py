@@ -327,6 +327,20 @@ class TestReport:
         assert rep.all_conditions_met and rep.m_max_bound is not None
         assert calls == {"suppression_order": 1, "pulse_order": pulse_calls}
 
+    def test_power_law_report_walks_the_comb_once(self, gaas_r18, monkeypatch):
+        # the repeat bound reads the plateau level the report has just computed
+        calls = []
+
+        def counting(*args, _limit=plateau.chi_plateau_limit):
+            calls.append(args)
+            return _limit(*args)
+
+        monkeypatch.setattr(plateau, "chi_plateau_limit", counting)
+        p, shape = cdd(4, 1e-6), dcg3(1e-8)
+        rep = plateau_report(p, gaas_r18, shape)
+        assert len(calls) == 1
+        assert rep.m_max_bound == float(m_max_soft(p, gaas_r18, shape))
+
     def test_hard_cutoff_reports_unbounded_lifetime(self, gaas_hard):
         rep = plateau_report(cdd(4, 1e-6), gaas_hard)
         assert rep.m_max_bound == math.inf
