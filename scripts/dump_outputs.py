@@ -53,6 +53,7 @@ from ddmemory import (  # noqa: E402
     walsh,
 )
 from ddmemory.cli import main as cli_main  # noqa: E402
+from ddmemory.pulses import pulse_quadratures  # noqa: E402
 
 _CDD4 = ["--sequence", "cdd:4", "--tau", "1e-6"]
 CLI_RUNS = [
@@ -74,6 +75,7 @@ CLI_RUNS = [
     ["calibrate", "--spectrum", "yb", "--t2", "1e-3"],
     ["ff", *_CDD4, "--points", "8", "--repeat", "-3"],
     ["ff", *_CDD4, "--points", "8", "--repeat", "0"],
+    ["plateau", *_CDD4, "--spectrum", "gaas", "--jitter-m", "0"],
 ]
 
 
@@ -114,8 +116,18 @@ def _calls():
     # the comb walk lacks the junction cross terms: both refuse
     yield "chi_plateau_limit/udd5/dcg_10ns", lambda: chi_plateau_limit(u5, gaas, dcg3(1e-8))
     yield "plateau_report/udd5/dcg_10ns", lambda: plateau_report(u5, gaas, dcg3(1e-8))
-    # chi grows linearly in m: the walk above the cutoff sums negative, far past rel_tol
+    # chi grows linearly in m from a negative intercept: no plateau level
     yield "chi_plateau_limit/w60_256", lambda: chi_plateau_limit(walsh(60, 256e-6, 256), gaas)
+    r8 = replace(gaas, rolloff=PowerLaw(8.0))
+    yield "chi_plateau_limit/w25_64_r8", lambda: chi_plateau_limit(walsh(25, 64 * 7.75e-6, 64), r8)
+    # the per-pulse quadratures around each segment resonance, and the DCG closed pair on more bases
+    for shape_name, shape in (("primitive_1ns", primitive(1e-9)), ("dcg_10ns", dcg3(1e-8))):
+        big_omega = shape.rabi_frequency
+        for w_name, w in (("1e3", 1e3), ("1e6", 1e6), ("Omega/2", 0.5 * big_omega),
+                          ("Omega", big_omega), ("1e9", 1e9)):
+            yield f"pulse_quadratures/{shape_name}/{w_name}", lambda shape=shape, w=w: pulse_quadratures(shape, w)
+    for base_name, base in (("cdd2", cdd(2, 1e-6)), ("udd4", udd(4, 16e-6))):
+        yield f"pulse_order/{base_name}/dcg_10ns", lambda base=base: pulse_order(base, dcg3(1e-8))
     r18 = replace(gaas, rolloff=PowerLaw(18.0))
     yield "m_max_soft_detail/r18", lambda: m_max_soft_detail(p, r18)
     # the comb path where h jumps (hard cutoff) or kinks (power law) inside its

@@ -192,9 +192,7 @@ def emit_table(
     _write_text(text, output)
 
 
-def emit_report(doc: Dict[str, object], fmt: str, output: Optional[str]) -> None:
-    if fmt != "json":
-        raise click.UsageError("--format: this subcommand emits a nested report; use json")
+def emit_report(doc: Dict[str, object], output: Optional[str]) -> None:
     _write_text(json.dumps(doc, indent=2) + "\n", output)
 
 
@@ -225,12 +223,12 @@ _rel_tol_opt = click.option(
 )
 
 
-def _out_opts(fmt_default: str = "csv"):
-    def add(f):
-        f = click.option("--format", "fmt", type=click.Choice(list(FORMATS)), default=fmt_default, show_default=True)(f)
-        return click.option("--output", type=click.Path(dir_okay=False, writable=True), default=None)(f)
+_output_opt = click.option("--output", type=click.Path(dir_okay=False, writable=True), default=None)
 
-    return add
+
+def _out_opts(f):
+    f = click.option("--format", "fmt", type=click.Choice(list(FORMATS)), default="csv", show_default=True)(f)
+    return _output_opt(f)
 
 
 @click.group()
@@ -249,7 +247,7 @@ def cli() -> None:
 @click.option("--points", type=click.IntRange(2, MAX_POINTS), default=2048, show_default=True)
 @click.option("--omega-min", type=float, default=None, help="Grid start in rad/s.")
 @click.option("--omega-max", type=float, default=None, help="Grid end in rad/s.")
-@_out_opts()
+@_out_opts
 def ff_cmd(sequence, tau, duration, pulse, repeat, points, omega_min, omega_max, output, fmt):
     """Tabulate the filter function on a log frequency grid."""
     p = build_sequence(sequence, tau, duration)
@@ -288,7 +286,7 @@ def ff_cmd(sequence, tau, duration, pulse, repeat, points, omega_min, omega_max,
 @click.option("--repeat", type=click.IntRange(min=1), default=1, show_default=True,
               help="Evaluate the pattern repeated m times (kernel route).")
 @_rel_tol_opt
-@_out_opts()
+@_out_opts
 def error_cmd(sequence, tau, duration, pulse, spectrum, repeat, rel_tol, output, fmt):
     """Decoupling error chi and coherence for one pattern."""
     p, shape, spec, config = _problem(sequence, tau, duration, pulse, spectrum, rel_tol)
@@ -311,7 +309,7 @@ def error_cmd(sequence, tau, duration, pulse, spectrum, repeat, rel_tol, output,
 @click.option("--points", type=click.IntRange(1, MAX_POINTS), default=25, show_default=True,
               help="Log-spaced repeat counts from 1 to --m-max.")
 @_rel_tol_opt
-@_out_opts()
+@_out_opts
 def sweep_m_cmd(sequence, tau, duration, pulse, spectrum, m_values, m_max, points,
                 rel_tol, output, fmt):
     """chi versus repeat count m for a repeated base pattern."""
@@ -334,7 +332,7 @@ def sweep_m_cmd(sequence, tau, duration, pulse, spectrum, m_values, m_max, point
 @_spectrum_opt
 @click.option("--points", type=click.IntRange(2, MAX_POINTS), default=400, show_default=True)
 @_rel_tol_opt
-@_out_opts()
+@_out_opts
 def trace_cmd(sequence, tau, duration, pulse, spectrum, points, rel_tol, output, fmt):
     """Mid-sequence error chi(t) for t in (0, T_p]."""
     p, shape, spec, config = _problem(sequence, tau, duration, pulse, spectrum, rel_tol)
@@ -354,11 +352,11 @@ def trace_cmd(sequence, tau, duration, pulse, spectrum, points, rel_tol, output,
               help="Markovian decay time in s; adds its lifetime limit.")
 @click.option("--jitter-budget-factor", type=float, default=None,
               help="Allowed chi growth factor; adds the jitter tolerance.")
-@click.option("--jitter-m", type=int, default=1000, show_default=True)
+@click.option("--jitter-m", type=click.IntRange(min=1), default=1000, show_default=True)
 @_rel_tol_opt
-@_out_opts("json")
+@_output_opt
 def plateau_cmd(sequence, tau, duration, pulse, spectrum, t_markov, jitter_budget_factor,
-                jitter_m, rel_tol, output, fmt):
+                jitter_m, rel_tol, output):
     """Coherence-plateau report: conditions, chi_infinity, lifetime bounds."""
     p, shape, spec, config = _problem(sequence, tau, duration, pulse, spectrum, rel_tol)
     report = plateau_report(
@@ -389,7 +387,7 @@ def plateau_cmd(sequence, tau, duration, pulse, spectrum, t_markov, jitter_budge
         "t_max_s": report.t_max,
         "jitter_tolerance_s": report.jitter_tolerance_s,
     }
-    emit_report(doc, fmt, output)
+    emit_report(doc, output)
 
 
 @cli.command("search")
@@ -401,7 +399,7 @@ def plateau_cmd(sequence, tau, duration, pulse, spectrum, t_markov, jitter_budge
 @click.option("--threads", type=click.IntRange(min=1), default=None,
               help="Ignored, kept for compatibility; must be >= 1. The search runs in one process.")
 @_rel_tol_opt
-@_out_opts()
+@_out_opts
 def search_cmd(tau, t_s_values, pulse, spectrum, threads, rel_tol, output, fmt):
     """Exhaustive Walsh-family minimum-chi search per storage time."""
     shape = build_pulse(pulse)
@@ -432,14 +430,14 @@ def search_cmd(tau, t_s_values, pulse, spectrum, threads, rel_tol, output, fmt):
 @cli.command("calibrate")
 @_spectrum_opt
 @click.option("--t2", type=float, required=True, help="Target free-evolution 1/e time in s.")
-@_out_opts("json")
-def calibrate_cmd(spectrum, t2, output, fmt):
+@_output_opt
+def calibrate_cmd(spectrum, t2, output):
     """Rescale a spectrum's strength so free evolution has chi(T2) = 1."""
     template = load_preset(spectrum)
     calibrated = calibrate_strength(template, t2)
     doc = _resolved_doc("calibrate", spec=calibrated, extra={"target_t2_s": t2})
     doc["preset_json_hz"] = spectrum_to_json(calibrated)
-    emit_report(doc, fmt, output)
+    emit_report(doc, output)
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -162,11 +162,12 @@ class ErrorBudget:
     chi_total = chi_low + chi_high (split at the spectrum's cutoff) and
     also chi_bb + chi_pul (ideal-pulse part vs finite-width excess).  The
     excess is signed: finite pulses can also lower the error, as 10 ns
-    DCG pulses do for UDD5 on gaas, and then chi_pul < 0.
-    coherence = exp(-chi_total).  m is the repeat count of the evaluated
-    pattern (None for asymptotic estimates).  quad_error bounds the
-    numerical error of chi_total.  growth_per_repeat, comb_path and
-    comb_agreement are filled by the resonance-comb path.
+    DCG pulses do for UDD5 on gaas, and then chi_pul < 0.  A plateau
+    level's chi_low and chi_high are parts of an intercept and may be
+    negative too.  coherence = exp(-chi_total).  m is the repeat count of
+    the evaluated pattern (None for asymptotic estimates).  quad_error
+    bounds the numerical error of chi_total.  growth_per_repeat, comb_path
+    and comb_agreement are filled by the resonance-comb path.
     """
 
     chi_total: float
@@ -476,12 +477,6 @@ def _assemble(
     growth: Optional[float] = None,
     comb_path: bool = False,
 ) -> ErrorBudget:
-    # finite-part cell corrections may dip a region slightly negative
-    for region in (low, high):
-        for i in range(2):
-            if region[i] < 0:
-                err += abs(float(region[i]))
-                region[i] = 0.0
     chi_low = float(low[0])
     chi_high = float(high[0])
     chi_total = chi_low + chi_high
@@ -788,7 +783,13 @@ def _chi_comb(
         k += 1
         if walk.stop((k - 0.5) * w1):
             break
-    return _assemble(*walk.totals(), walk.err, cfg, walk.label, m=m, growth=growth, comb_path=True)
+    low, high = walk.totals()
+    if m is None and low[0] + high[0] < 0.0:
+        raise DomainError(
+            f"no plateau level{walk.label}: chi grows by {growth:.3e} per repeat "
+            f"from a negative intercept {low[0] + high[0]:.3e}"
+        )
+    return _assemble(low, high, walk.err, cfg, walk.label, m=m, growth=growth, comb_path=True)
 
 
 def _deosc(t_p: float, x: np.ndarray) -> np.ndarray:
@@ -854,7 +855,8 @@ def chi_plateau_limit(
     chi_repeated.  For a hard cutoff meeting the plateau conditions the
     growth vanishes and this is the exact limit.  growth_per_repeat reports
     the linear term's slope for callers that need the full picture.  Raises
-    DomainError where the comb walk does not apply (see _comb_applies), and
-    AccuracyError where resonances leave no level within rel_tol.
+    DomainError where the comb walk does not apply (see _comb_applies) or
+    chi grows linearly from a negative intercept (no plateau level), and
+    AccuracyError where quad_error exceeds rel_tol.
     """
     return _chi_comb(p, None, spec, shape or bang_bang(), config or DEFAULT_CONFIG)

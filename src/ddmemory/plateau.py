@@ -295,7 +295,7 @@ def jitter_tolerance(
     (chi_plateau_limit), which equals the to-the-cutoff integral for hard
     cutoffs and extends it past the cutoff for soft rolloffs.  Raises
     DomainError when the error already exceeds the budget at delta_t = 0;
-    chi_plateau_limit's DomainError and AccuracyError pass through.
+    chi_plateau_limit's DomainError (no plateau level) and AccuracyError pass through.
     """
     require_positive("budget_factor", budget_factor)
     budget = budget_factor * chi_plateau_limit(p, spec, shape, config).chi_total
@@ -349,7 +349,7 @@ def plateau_report(
         require_positive("t_markov", t_markov)
     if jitter_budget_factor is not None:
         require_positive("jitter_budget_factor", jitter_budget_factor)
-        require_count("jitter_m", jitter_m)
+    require_count("jitter_m", jitter_m)
     base = check_conditions(p, spec, shape)
     if not base.all_conditions_met:
         return base

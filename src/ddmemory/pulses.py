@@ -11,13 +11,13 @@ of the Bloch sphere while being driven.  The total filter function is
 
 with r_z reducing to omega*y_tilde and r_y to zero as tau_pi -> 0.
 
-Two drive profiles are supported: a rectangular primitive pulse with Rabi
-rate Omega = pi/tau_pi, and a three-segment first-order dynamically
-corrected gate (DCG) built from such segments, whose effective footprint
-is 4*tau_pi.  The per-pulse quadratures contain removable singularities
-at omega = Omega (and Omega/2 for the DCG); they are evaluated here in an
-algebraically equivalent sinc form that is finite and smooth everywhere,
-so no pole windows or series switches are needed.
+Every pulse kind is a row of one table of rectangular drive segments
+(start, width, sign) in units of tau_pi: none for bang-bang, one for a
+primitive pi pulse, and +pi, -2pi, +pi back to back for the first-order
+dynamically corrected gate DCG3 (footprint 4 tau_pi).  The per-pulse
+quadratures sum one primitive response per segment, each in a sinc form
+without its removable singularity at omega = pi/tau_s, so no pole windows
+or series switches are needed.
 
 The pulses enter the whole sequence through u_p = sum_l (-1)^l e^{i omega t_l}
 over the pulse centers, read off the ideal transform by its vertex form
@@ -61,7 +61,12 @@ BANG_BANG = "bang_bang"
 PRIMITIVE = "primitive"
 DCG3 = "dcg3"
 
-_KINDS = (BANG_BANG, PRIMITIVE, DCG3)
+# drive segments (start, width, sign) of each pulse kind, in units of tau_pi
+_SEGMENTS = {
+    BANG_BANG: (),
+    PRIMITIVE: ((0, 1, 1),),
+    DCG3: ((0, 1, 1), (1, 2, -1), (3, 1, 1)),
+}
 
 _MISMATCH_WARN = 0.10
 
@@ -78,29 +83,22 @@ class PulseShape:
     tau_pi: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise DomainError(f"unknown pulse kind {self.kind!r}, expected one of {_KINDS}")
-        if self.kind == BANG_BANG:
-            if self.tau_pi != 0.0:
-                raise DomainError("bang-bang pulses have zero width")
-        else:
+        if self.kind not in _SEGMENTS:
+            raise DomainError(f"unknown pulse kind {self.kind!r}, expected one of {tuple(_SEGMENTS)}")
+        if _SEGMENTS[self.kind]:
             require_positive("pulse width tau_pi", self.tau_pi)
+        elif self.tau_pi != 0.0:
+            raise DomainError("bang-bang pulses have zero width")
 
     @property
     def rabi_frequency(self) -> float:
         """Omega = pi/tau_pi in rad/s; infinite in the bang-bang limit."""
-        if self.kind == BANG_BANG:
-            return math.inf
-        return math.pi / self.tau_pi
+        return math.pi / self.tau_pi if self.tau_pi else math.inf
 
     @property
     def footprint(self) -> float:
-        """Total time occupied by one pulse: 0, tau_pi, or 4*tau_pi (DCG)."""
-        if self.kind == BANG_BANG:
-            return 0.0
-        if self.kind == PRIMITIVE:
-            return self.tau_pi
-        return 4.0 * self.tau_pi
+        """Total time occupied by one pulse, its segments' widths: 0, tau_pi, or 4*tau_pi (DCG)."""
+        return self.tau_pi * sum(width for _, width, _ in _SEGMENTS[self.kind])
 
 
 def bang_bang() -> PulseShape:
@@ -117,64 +115,43 @@ def dcg3(tau_pi: float) -> PulseShape:
     return PulseShape(DCG3, float(tau_pi))
 
 
-def _sinc(x: np.ndarray) -> np.ndarray:
-    # sin(x)/x with the limit 1 at x = 0; np.sinc takes x/pi
-    return np.sinc(x / np.pi)
-
-
 def pulse_quadratures(
     shape: PulseShape, omega: Union[float, np.ndarray]
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Per-pulse control quadratures (r_z_pul, r_y_pul) at omega >= 0.
 
-    Primitive (Omega = pi/tau_pi):
+    r_z_pul = -omega^2 sum_s sigma_s P_s and r_y_pul = -i omega sum_s
+    sigma_s Omega_s P_s over the drive segments (start t_s, width tau_s,
+    sign sigma_s, Omega_s = pi/tau_s; bang-bang has none and gives zeros),
+    with the primitive response
 
-        r_z_pul = omega^2 (e^{i omega tau_pi} + 1) / (omega^2 - Omega^2)
-        r_y_pul = (i Omega / omega) r_z_pul
-
-    evaluated as -omega^2 tau_pi e^{i omega tau_pi/2}
-    sinc(tau_pi (omega - Omega)/2) / (omega + Omega), which is the same
-    function with the omega = Omega singularity removed.  The DCG form
-    combines two such terms with resonances at Omega and Omega/2.
-    Bang-bang returns (0, 0).
+        P_s = tau_s e^{i omega (t_s + tau_s/2)} sinc(tau_s (omega - Omega_s)/2) / (omega + Omega_s)
+            = e^{i omega t_s} (e^{i omega tau_s} + 1) / (Omega_s^2 - omega^2).
     """
     w = _omega_array(omega)
-    if shape.kind == BANG_BANG:
-        rz = np.zeros_like(w, dtype=complex)
-        ry = np.zeros_like(w, dtype=complex)
-    elif shape.kind == PRIMITIVE:
-        tau = shape.tau_pi
-        big_omega = shape.rabi_frequency
-        core = (
-            tau
-            * np.exp(0.5j * tau * w)
-            * _sinc(0.5 * tau * (w - big_omega))
-            / (w + big_omega)
-        )
-        rz = -(w**2) * core
-        ry = -1j * w * big_omega * core
-    else:
-        tau = shape.tau_pi
-        big_omega = shape.rabi_frequency
-        phase = tau * w
-        # c1 = (e^{3iw}+1)(e^{iw}+1), resonant at Omega; c2 = 2 e^{2iw} cos(w),
-        # resonant at Omega/2; both folded into finite sinc terms
-        term1 = (
-            (np.exp(3j * phase) + 1.0)
-            * np.exp(0.5j * phase)
-            * tau
-            * _sinc(0.5 * tau * (w - big_omega))
-            / (w + big_omega)
-        )
-        term2 = (
-            tau
-            * _sinc(tau * (w - 0.5 * big_omega))
-            * np.exp(2j * phase)
-            / (w + 0.5 * big_omega)
-        )
-        rz = (w**2) * (2.0 * term2 - term1)
-        ry = 1j * w * big_omega * (term2 - term1)
-    return _scalar_like(omega, rz), _scalar_like(omega, ry)
+    sum_p = ry = None  # the sums start from the first width, so one segment adds nothing
+    for width in dict.fromkeys(width for _, width, _ in _SEGMENTS[shape.kind]):
+        tau_s = width * shape.tau_pi
+        omega_s = math.pi / tau_s
+        # segments of one width share their sinc and pole; np.sinc(x) = sin(pi x)/(pi x)
+        p_s = tau_s * _phase_sum(shape, width, w) * np.sinc(0.5 * tau_s * (w - omega_s) / np.pi)
+        p_s /= w + omega_s
+        y_s = -1j * w * omega_s * p_s
+        sum_p, ry = (p_s, y_s) if ry is None else (sum_p + p_s, ry + y_s)
+    if ry is None:  # no segments: bang-bang
+        sum_p, ry = np.zeros((2,) + w.shape, dtype=complex)
+    return _scalar_like(omega, -(w**2) * sum_p), _scalar_like(omega, ry)
+
+
+def _phase_sum(shape: PulseShape, width: int, w: np.ndarray) -> np.ndarray:
+    """Sum of sigma_s e^{i omega (t_s + tau_s/2)} over the shape's segments of one width."""
+    total = None
+    for start, seg_width, sign in _SEGMENTS[shape.kind]:
+        if seg_width == width:
+            phase = np.exp(1j * (start + 0.5 * width) * shape.tau_pi * w)
+            phase *= sign  # in place, as the sum: a fresh 0.5 MB temporary is first-touched memory
+            total = phase if total is None else np.add(total, phase, out=total)
+    return total
 
 
 def _check_footprint(p: TimingPattern, shape: PulseShape) -> None:
@@ -279,31 +256,34 @@ class PulseOrder(NamedTuple):
 def pulse_order(p: TimingPattern, shape: PulseShape) -> PulseOrder:
     """Closed-form (alpha_pul, A_pul) plus a numerical cross-check.
 
-    Primitive: (1, -T_p tau_pi / pi), dominant quadrature r_y.
-    DCG:       (2, -2i T_p tau_pi^2 / (1 + 1/pi^2)), dominant quadrature
-               the pulse part of r_z.
+    The closed pair, from the segments' signs sigma_s and widths tau_s, is
+    that of a balanced base pattern (alternating-sign pulse centers summing
+    to T_p/2, as for the concatenated family), where u_p ~ i omega T_p/2:
+    r_y leads at order 1 with -T_p sum(sigma_s tau_s)/pi, else the pulse
+    part of r_z at order 2 with -i T_p (tau_pi^2/8 - sum(sigma_s tau_s^2)/pi^2).
+    Primitive: (1, -T_p tau_pi/pi); DCG3: (2, -i T_p tau_pi^2 (1/8 + 2/pi^2)).
 
-    The closed pair assumes a balanced base pattern (alternating-sign pulse
-    centers summing to T_p/2, as for the concatenated family).  The fit is
-    filters._power_law_fit of the dominant quadrature of the actual pattern,
-    taken from quadrature_components, so a footprint that does not fit
-    raises DomainError; a disagreement beyond 10% in amplitude, or a
-    shifted exponent (odd switching parity lowers it by one), is reported
-    in `warning` rather than raised.
+    The fit is filters._power_law_fit of the dominant quadrature of the
+    actual pattern, taken from quadrature_components, so a footprint that
+    does not fit raises DomainError; a disagreement beyond 10% in
+    amplitude, or a shifted exponent (odd switching parity lowers it by
+    one), is reported in `warning` rather than raised.
     """
-    if shape.kind == BANG_BANG:
+    segments = _SEGMENTS[shape.kind]
+    if not segments:
         raise DomainError("bang-bang pulses carry no finite-width contribution")
     if not p.pulse_times:
         raise DomainError(f"pattern {p.label!r} has no pulses")
     t_p = p.duration
     tau = shape.tau_pi
+    # signed sums of the widths and of their squares, in units of tau_pi
+    first = sum(sign * width for _, width, sign in segments)
+    second = sum(sign * width**2 for _, width, sign in segments)
     # part indexes the dominant quadrature in quadrature_components' triple
-    if shape.kind == PRIMITIVE:
-        alpha, part = 1, 2
-        amplitude = complex(-t_p * tau / math.pi)
+    if first:
+        alpha, part, amplitude = 1, 2, complex(-t_p * tau * first / math.pi)
     else:
-        alpha, part = 2, 1
-        amplitude = -2j * t_p * tau * tau / (1.0 + 1.0 / math.pi**2)
+        alpha, part, amplitude = 2, 1, -1j * t_p * tau * tau * (0.125 - second / math.pi**2)
     _, amplitude_fit, slope, _ = _power_law_fit(
         lambda w: quadrature_components(p, shape, w)[part], t_p
     )

@@ -5,7 +5,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from ddmemory import calibrate_strength, cdd, chi, load_preset, walsh
+from ddmemory import calibrate_strength, cdd, chi, filter_fn, load_preset, repeat_pattern, walsh
 from ddmemory.cli import main
 
 
@@ -269,6 +269,12 @@ class TestSequenceGrammar:
         assert out == ""
         assert option in err
 
+    def test_malformed_sequence_argument_names_the_option(self, capsys):
+        code, out, err = _run(capsys, ["error", "--sequence", "udd:x", "--tau", "1e-6", "--spectrum", "gaas"])
+        assert code == 2
+        assert out == ""
+        assert "--sequence: malformed argument in 'udd:x'" in err
+
 
 class TestFfCommand:
     def test_low_frequency_slope_is_ten_for_cdd4(self, capsys, tmp_path):
@@ -313,6 +319,15 @@ class TestFfCommand:
         assert code == 2
         assert out == ""
         assert f"'{option}'" in err
+
+    def test_repeat_tabulates_the_library_filter_of_the_repeat(self, capsys):
+        code, out, _ = _run(capsys, [*self._FF, "--repeat", "4", "--points", "32"])
+        assert code == 0
+        config, columns, rows = _parse_csv(out)
+        grid = np.geomspace(config["grid"]["omega_min"], config["grid"]["omega_max"], 32)
+        want = filter_fn(repeat_pattern(cdd(4, 1e-6), 4), grid)
+        assert [float(row[columns.index("omega_rad_s")]) for row in rows] == grid.tolist()
+        assert [float(row[columns.index("ff_total")]) for row in rows] == want.tolist()
 
     def test_ideal_total_equals_ideal_column(self, capsys):
         code, out, _ = _run(
@@ -364,6 +379,27 @@ class TestPlateauCommand:
         assert code == 3
         assert out == ""
         assert flag.lstrip("-").replace("-", "_") in err
+
+    def test_jitter_m_below_one_is_a_usage_error(self, capsys):
+        code, out, err = _run(
+            capsys,
+            ["plateau", "--sequence", "cdd:4", "--tau", "1e-6", "--spectrum", "gaas", "--jitter-m", "0"],
+        )
+        assert code == 2
+        assert out == ""
+        assert "'--jitter-m'" in err
+
+    @pytest.mark.parametrize(
+        "args",
+        [["plateau", "--sequence", "cdd:4", "--tau", "1e-6", "--spectrum", "gaas"],
+         ["calibrate", "--spectrum", "gaas", "--t2", "35e-9"]],
+        ids=["plateau", "calibrate"],
+    )
+    def test_json_reports_take_no_format(self, capsys, args):
+        code, out, err = _run(capsys, [*args, "--format", "json"])
+        assert code == 2
+        assert out == ""
+        assert "--format" in err
 
     def test_csv_format_rejected(self, capsys):
         code, _, err = _run(

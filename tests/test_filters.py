@@ -68,6 +68,14 @@ class TestClosedForms:
         w = np.geomspace(1e3, 1e7, 50)
         assert y_tilde(p, w) == pytest.approx(omega_y_tilde(p, w) / w, rel=1e-12)
 
+    @pytest.mark.parametrize("p, limit", [(free_evolution(1e-6), -1e-6j), (cdd(4, 1e-6), 0j)],
+                             ids=["free", "cdd4"])
+    def test_y_tilde_at_zero_frequency_is_its_limit(self, p, limit):
+        # the omega -> 0 limit i T_p mu_1, returned exactly at omega = 0
+        assert y_tilde(p, 0.0) == limit
+        got = y_tilde(p, np.array([0.0, 1e3]))
+        assert got[0] == limit and got[1] == y_tilde(p, 1e3)
+
 
 class TestEnvelopeBound:
     @given(st.integers(0, 40))

@@ -633,6 +633,26 @@ class TestConfigAndFailure:
         assert loose.chi_total == pytest.approx(tight.chi_total, rel=1e-4, abs=0.0)
 
 
+class TestCutoffAtTheBandStart:
+    """A hard cutoff at or below omega_min leaves no noise in the band: every
+    chi flavour, on both repeat paths, is exactly 0 with no error."""
+
+    CALLS = {
+        "chi": lambda p, spec: chi(p, spec),
+        "repeated_10": lambda p, spec: chi_repeated(p, 10, spec),
+        "repeated_5000": lambda p, spec: chi_repeated(p, 5000, spec),
+        "plateau_limit": lambda p, spec: chi_plateau_limit(p, spec),
+        "with_jitter": lambda p, spec: chi_with_jitter(p, 1000, 1e-7, spec),
+    }
+
+    @pytest.mark.parametrize("factor", [1.0, 0.5], ids=["at", "below"])
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    def test_chi_is_zero(self, gaas, name, factor):
+        spec = replace(gaas, rolloff=HARD, omega_c=factor * gaas.omega_min)
+        budget = self.CALLS[name](cdd(4, 1e-6), spec)
+        assert (budget.chi_total, budget.quad_error) == (0.0, 0.0)
+
+
 class TestLinearInStrength:
     """chi is linear in the strength g, bit for bit for power-of-two factors.
 

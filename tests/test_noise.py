@@ -250,6 +250,11 @@ class TestCalibrate:
         b = calibrate_strength(replace(gaas, g=1e6), 1e-6)
         assert a.g == pytest.approx(b.g, rel=1e-9)
 
+    def test_no_noise_in_the_band_cannot_be_calibrated(self, gaas):
+        spec = replace(gaas, rolloff=HARD, omega_c=gaas.omega_min)
+        with pytest.raises(CalibrationError, match="baseline free-evolution error is 0.0"):
+            calibrate_strength(spec, 1e-6)
+
     def test_bad_target_rejected(self, gaas):
         with pytest.raises(DomainError):
             calibrate_strength(gaas, 0.0)

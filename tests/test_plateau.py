@@ -1,13 +1,14 @@
 import math
+import re
 from dataclasses import replace
 
 import pytest
 
 from ddmemory import (
-    AccuracyError,
     DEFAULT_CONFIG,
     DivergenceError,
     DomainError,
+    ErrorBudget,
     HARD,
     PowerLaw,
     TimingPattern,
@@ -107,6 +108,18 @@ class TestChiAsymptotic:
             chi_asymptotic(free_evolution(1e-6), gaas)
         with pytest.raises(DivergenceError):
             chi_asymptotic(cdd(4, 1e-6), gaas, primitive(1e-9))
+
+    def test_resonance_failure_is_named(self, gaas):
+        # T_p = 160 us puts the cutoff past the first resonance
+        with pytest.raises(DivergenceError, match=r"T_p\*omega_c < 2\*pi fails .* = 1.6 >= 1"):
+            chi_asymptotic(cdd(4, 1e-5), gaas)
+
+    def test_noiseless_spectrum_has_a_zero_level(self, gaas):
+        p, silent = cdd(4, 1e-6), replace(gaas, g=0.0)
+        assert chi_asymptotic(p, silent) == ErrorBudget(0.0, 0.0, 0.0, 0.0, 0.0, 1.0, m=None)
+        assert chi_infinity_leading_order(p, silent) == 0.0
+        with pytest.raises(DomainError, match="undefined for g = 0"):
+            m_max_soft_detail(p, replace(silent, rolloff=PowerLaw(8.0)))
 
     def test_halving_tolerance_is_stable(self, gaas_hard):
         from ddmemory import DEFAULT_CONFIG
@@ -357,6 +370,10 @@ class TestReport:
         with pytest.raises(DomainError, match=name):
             plateau_report(cdd(4, 1e-6), gaas, primitive(1e-9), **{name: math.nan})
 
+    def test_bad_jitter_m_rejected_without_a_budget(self, gaas):
+        with pytest.raises(DomainError, match="jitter_m"):
+            plateau_report(cdd(4, 1e-6), gaas, jitter_m=0)
+
     def test_bad_jitter_m_rejected_before_short_circuit(self, gaas):
         with pytest.raises(DomainError, match="jitter_m"):
             plateau_report(
@@ -430,26 +447,27 @@ class TestOddBaseFinitePulses:
 
 class TestNoPlateauLevel:
     """Where resonances inside a soft rolloff make chi grow linearly in m, the
-    comb walk's plateau part sums negative above the cutoff, or on both sides:
-    clamping it to 0 charges its size to quad_error, far above rel_tol * chi,
-    so no level is returned."""
+    comb walk's plateau part, the intercept P of chi(m) = P + m * growth, sums
+    negative: there is no plateau level, and the refusal names the growth per
+    repeat and the intercept."""
 
     W60 = walsh(60, 256e-6, 256)
     CASES = {
-        # above the cutoff the walk sums to -1.86e-4, 10 times the level
-        "w60_256": (W60, None),
-        # the whole walk sums negative: the level would read 0.0 +- 0.47
-        "w25_64_r8": (walsh(25, 64 * 7.75e-6, 64), PowerLaw(8.0)),
+        # the two-m fit of chi_repeated at m = 2000 and 4000 gives P = -1.66e-4, growth 2.05e-3
+        "w60_256": (W60, None, "2.052e-03", "-1.663e-04"),
+        # the whole walk sums negative
+        "w25_64_r8": (walsh(25, 64 * 7.75e-6, 64), PowerLaw(8.0), "1.184e+00", "-2.369e-01"),
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_plateau_limit_raises(self, gaas, name):
-        p, rolloff = self.CASES[name]
+        p, rolloff, growth, intercept = self.CASES[name]
         spec = gaas if rolloff is None else replace(gaas, rolloff=rolloff)
-        with pytest.raises(AccuracyError, match=f"exceeds the tolerance .* for {p.label!r}") as err:
+        msg = (f"no plateau level for {p.label!r}: chi grows by {growth} per repeat "
+               f"from a negative intercept {intercept}")
+        with pytest.raises(DomainError, match=re.escape(msg)):
             chi_plateau_limit(p, spec)
-        assert err.value.error_bound > DEFAULT_CONFIG.rel_tol * abs(err.value.estimate)
 
     def test_jitter_budget_is_not_built_on_it(self, gaas):
-        with pytest.raises(AccuracyError, match="for 'W60@256'"):
+        with pytest.raises(DomainError, match="no plateau level for 'W60@256'"):
             jitter_tolerance(self.W60, 10, gaas)

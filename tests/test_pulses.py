@@ -19,6 +19,7 @@ from ddmemory import (
     dcg3,
     echo,
     filter_fn,
+    free_evolution,
     jitter_tolerance,
     omega_y_tilde,
     primitive,
@@ -178,6 +179,21 @@ class TestPulseOrder:
         with pytest.raises(DomainError):
             pulse_order(cdd(2, 1e-6), bang_bang())
 
+    @pytest.mark.parametrize(
+        "base", [cdd(2, 1e-6), cdd(4, 1e-6), udd(4, 16e-6), udd(6, 16e-6)],
+        ids=["cdd2", "cdd4", "udd4", "udd6"],
+    )
+    @pytest.mark.parametrize("shape", [primitive(1e-9), dcg3(1e-8)], ids=["primitive", "dcg3"])
+    def test_closed_pair_is_the_fit_on_balanced_bases(self, base, shape):
+        # the fit's own error is about 3e-9 relative
+        fit = pulse_order(base, shape)
+        assert abs(fit.amplitude_fit - fit.amplitude) <= 1e-7 * abs(fit.amplitude)
+        assert fit.warning is None
+
+    def test_pattern_without_pulses_is_refused(self):
+        with pytest.raises(DomainError, match="'free' has no pulses"):
+            pulse_order(free_evolution(1e-6), primitive(1e-9))
+
     def test_footprint_that_does_not_fit_is_refused(self):
         # a 4 ns DCG in a 1 ns half-interval: the filter functions refuse it, and so does the fit
         with pytest.raises(DomainError, match="footprint"):
@@ -279,3 +295,63 @@ def test_finite_pulses_run_no_phasor_sum(monkeypatch, gaas):
     chi_plateau_limit(p, gaas, shape)
     jitter_tolerance(p, 1000, gaas, shape)
     assert calls == []
+
+
+# -- the segment table against the hand-expanded forms it replaced -------------
+
+
+def _expanded_quadratures(shape, w):
+    """(r_z_pul, r_y_pul) as the primitive and DCG3 formulas were written out by hand."""
+    tau = shape.tau_pi
+    big_omega = math.pi / tau
+    sinc = lambda x: np.sinc(x / np.pi)  # noqa: E731
+    if shape.kind == "primitive":
+        core = tau * np.exp(0.5j * tau * w) * sinc(0.5 * tau * (w - big_omega)) / (w + big_omega)
+        return -(w**2) * core, -1j * w * big_omega * core
+    phase = tau * w
+    # (e^{3iw}+1)(e^{iw}+1) resonant at Omega, 2 e^{2iw} cos(w) at Omega/2
+    term1 = (
+        (np.exp(3j * phase) + 1.0) * np.exp(0.5j * phase) * tau
+        * sinc(0.5 * tau * (w - big_omega)) / (w + big_omega)
+    )
+    term2 = tau * sinc(tau * (w - 0.5 * big_omega)) * np.exp(2j * phase) / (w + 0.5 * big_omega)
+    return (w**2) * (2.0 * term2 - term1), 1j * w * big_omega * (term2 - term1)
+
+
+def _segment_scales(shape, w):
+    """Sum over segments of |omega^2 P_s| and of |omega Omega_s P_s|: the size of the terms summed."""
+    widths = (1.0,) if shape.kind == "primitive" else (1.0, 2.0, 1.0)
+    z = y = 0.0
+    for width in widths:
+        tau_s = width * shape.tau_pi
+        omega_s = math.pi / tau_s
+        size = tau_s * np.abs(np.sinc(0.5 * tau_s * (w - omega_s) / np.pi)) / (w + omega_s)
+        z, y = z + w**2 * size, y + w * omega_s * size
+    return z, y
+
+
+@pytest.mark.parametrize("tau_pi", [1e-9, 3.7e-9, 1e-8, 2.5e-8])
+@pytest.mark.parametrize("make", [primitive, dcg3], ids=["primitive", "dcg3"])
+def test_segment_sum_equals_the_expanded_forms(make, tau_pi):
+    shape = make(tau_pi)
+    big_omega = math.pi / tau_pi
+    w = np.r_[0.0, np.geomspace(1.0, 1e10, 20_001), big_omega, 0.5 * big_omega]
+    scale_z, scale_y = _segment_scales(shape, w)
+    slack = 8.0 * EPS * (1.0 + w * shape.footprint)
+    for got, ref, scale in zip(pulses.pulse_quadratures(shape, w), _expanded_quadratures(shape, w),
+                               (scale_z, scale_y)):
+        assert np.all(np.abs(got - ref) <= slack * scale)
+
+
+def test_bang_bang_has_no_segments_and_zero_quadratures():
+    rz, ry = pulses.pulse_quadratures(bang_bang(), np.geomspace(1e3, 1e9, 7))
+    assert rz.dtype == complex and ry.dtype == complex
+    assert np.all(rz == 0.0) and np.all(ry == 0.0)
+    got = pulses.pulse_quadratures(bang_bang(), 1e5)
+    assert [type(q) for q in got] == [complex, complex] and got == (0j, 0j)
+
+
+def test_footprint_is_the_sum_of_segment_widths():
+    assert [s.footprint for s in (bang_bang(), primitive(3.7e-9), dcg3(3.7e-9))] == [
+        0.0, 3.7e-9, 4.0 * 3.7e-9
+    ]

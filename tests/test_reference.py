@@ -18,7 +18,10 @@ so it holds the bang-bang chi as chi_bb and the negative difference.
 The chi_low/chi_high split of the three chi_repeated entries at m = 1000
 was re-frozen once the cutoff became a panel edge there: a kernel node
 within 1e-12 of omega_c used to stand in for it, and the panel above that
-node counted below the cutoff.  Their chi_total did not move.
+node counted below the cutoff.  Their chi_total did not move.  The DCG
+pulse-order mismatch was re-frozen (0.8196 -> 3.3e-9) once its closed pair
+was derived from the pulse's drive segments; its fitted exponent and
+amplitude did not move.
 """
 
 import json

@@ -343,6 +343,20 @@ class TestGrid:
     def test_udd_has_no_grid(self):
         assert udd(5, 1e-6).grid is None
 
+    @pytest.mark.parametrize(
+        "times, match",
+        [((0.5e-6, 0.5e-6), "strictly increasing"), ((0.6e-6, 0.4e-6), "strictly increasing"),
+         ((0.5e-6, 1e-6), "inside")],
+        ids=["repeated", "decreasing", "at_duration"],
+    )
+    def test_times_must_increase_inside_the_duration(self, times, match):
+        with pytest.raises(DomainError, match=match):
+            TimingPattern(times, 1e-6, "x")
+
+    def test_grid_bound_count_must_match_the_pulses(self):
+        with pytest.raises(DomainError, match="boundary count does not match pulse count"):
+            TimingPattern((0.25e-6, 0.5e-6), 1e-6, "x", grid=(4, (1, 2, 3)))
+
     def test_times_off_the_grid_raise(self):
         # the time says 0.3 of the duration, the grid says the midpoint
         with pytest.raises(DomainError, match="grid"):

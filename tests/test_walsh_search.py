@@ -12,6 +12,7 @@ from ddmemory import (
     best_sequence,
     cdd,
     chi,
+    dcg3,
     detect_structure,
     enumerate_walsh,
     min_interval,
@@ -120,6 +121,15 @@ class TestBestSequence:
         assert res.winner_index == 0
         assert res.winner.n_pulses == 0
         assert res.chi.chi_total == 0.0
+
+    def test_candidates_whose_pulses_do_not_fit_are_skipped(self, gaas):
+        # a 4 ns DCG footprint fits no interval of 1 ns slots: only free evolution is scored
+        res = best_sequence(8e-9, 1e-9, gaas, dcg3(1e-9))
+        assert res.winner_index == 0
+        assert not res.candidates[0].skipped
+        for c in res.candidates[1:]:
+            assert c.skipped and c.chi_total is None
+            assert c.note.startswith("domain: pulse footprint 4.000e-09s does not fit")
 
     def test_winner_beats_free_and_expressible_concatenations(self, gaas):
         res = best_sequence(16 * TAU, TAU, gaas)
