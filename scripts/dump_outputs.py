@@ -130,6 +130,11 @@ def _calls():
         yield f"pulse_order/{base_name}/dcg_10ns", lambda base=base: pulse_order(base, dcg3(1e-8))
     r18 = replace(gaas, rolloff=PowerLaw(18.0))
     yield "m_max_soft_detail/r18", lambda: m_max_soft_detail(p, r18)
+    # the cutoff inside resonance cell 1 (pi/T_p < omega_c): the comb walk's chi_low
+    # takes that cell's part below the cutoff
+    q = cdd(4, 4e-6)
+    yield "chi_repeated/cdd4_4us/1001", lambda: chi_repeated(q, 1001, gaas)
+    yield "chi_plateau_limit/cdd4_4us/r18", lambda: chi_plateau_limit(q, r18)
     # the comb path where h jumps (hard cutoff) or kinks (power law) inside its
     # de-oscillated parts, each break a panel edge
     for spec_name, spec in (("hard", replace(gaas, rolloff=HARD)), ("r18", r18)):

@@ -15,13 +15,11 @@ sin^2(m w T_p/2)/sin^2(w T_p/2), which oscillates on the scale
 A blind adaptive integrator misses those spikes, so integration panels
 are aligned to the kernel nodes, the quiet region below 1/T is covered
 by a log ladder, and the spectrum's cutoff is always a panel edge.
-For m above a configurable crossover the comb walk (_chi_comb), whose
+For m above a configurable crossover m0 the comb walk (_chi_comb), whose
 cost does not depend on m, takes over.  The two paths are cross-checked
-at the crossover the first time the comb walk is used for a given
-problem, against a direct budget memoised per problem that chi_repeated
-at m = comb_crossover also returns.  With m -> infinity the same comb
-walk, minus the masses that grow with m, is the plateau level
-chi_plateau_limit.
+at m0 once per problem, in one memo that also keeps the direct budget at
+m0.  With m -> infinity the same comb walk, minus the masses that grow
+with m, is the plateau level chi_plateau_limit.
 
 Every flavour builds its integrand with one rows factory: the rows
 S F / omega^2 of m repeats, or their read-delay basis; the comb walk
@@ -167,7 +165,8 @@ class ErrorBudget:
     negative too.  coherence = exp(-chi_total).  m is the repeat count of
     the evaluated pattern (None for asymptotic estimates).  quad_error
     bounds the numerical error of chi_total.  growth_per_repeat, comb_path
-    and comb_agreement are filled by the resonance-comb path.
+    and comb_agreement (the comb walk's relative gap from the direct walk
+    at comb_crossover) are filled by the resonance-comb path.
     """
 
     chi_total: float
@@ -475,7 +474,6 @@ def _assemble(
     label: str,
     m: Optional[int],
     growth: Optional[float] = None,
-    comb_path: bool = False,
 ) -> ErrorBudget:
     chi_low = float(low[0])
     chi_high = float(high[0])
@@ -495,7 +493,7 @@ def _assemble(
         m=m,
         quad_error=float(err),
         growth_per_repeat=growth,
-        comb_path=comb_path,
+        comb_path=growth is not None,  # every comb walk reports its growth
     )
 
 
@@ -556,10 +554,9 @@ def chi_repeated(
     The base filter picks up the Dirichlet factor sin^2(m w T_p/2) /
     sin^2(w T_p/2); panels are aligned to its nodes.  Beyond the configured
     crossover the resonance-comb path evaluates the same integral from its
-    m -> infinity structure (see chi's module notes), after a one-time
-    agreement check between the two paths at the crossover.  That check
-    and a call at m = comb_crossover share one memoised direct budget per
-    problem.
+    m -> infinity structure (see chi's module notes).  The first call at
+    m >= comb_crossover checks the two paths there once per problem, and
+    raises ConsistencyError where they disagree (see _crossover_agreement).
 
     A base pattern with odd pulse count restarts each repeat with a junction
     pulse.  With finite-width pulses the direct path takes those through the
@@ -570,12 +567,12 @@ def chi_repeated(
     shape = shape or bang_bang()
     cfg = config or DEFAULT_CONFIG
     if m == cfg.comb_crossover and cfg.validate_crossover and _comb_applies(p, shape):
-        return _direct_at_crossover(p, spec, shape, cfg)
+        return _crossover_agreement(p, spec, shape, cfg)[0]
     if m <= cfg.comb_crossover:
         return _chi_direct(p, m, spec, shape, cfg)
     # _chi_comb refuses where the comb walk does not apply, before the crossover check
     budget = _chi_comb(p, m, spec, shape, cfg)
-    agreement = _crossover_agreement(p, spec, shape, cfg) if cfg.validate_crossover else None
+    agreement = _crossover_agreement(p, spec, shape, cfg)[1] if cfg.validate_crossover else None
     return replace(budget, comb_agreement=agreement)
 
 
@@ -665,23 +662,13 @@ def chi_with_jitter(
     return jitter_curve(p, m, spec, shape, config)(delta_t)
 
 
-_CROSSOVER_STORE = 64  # problems whose crossover budget and agreement are kept
-
-
-@lru_cache(maxsize=_CROSSOVER_STORE)
-def _direct_at_crossover(
-    p: TimingPattern, spec: NoiseSpectrum, shape: PulseShape, cfg: QuadratureConfig
-) -> ErrorBudget:
-    """The direct budget at m = comb_crossover, shared by chi_repeated and the crossover check."""
-    return _chi_direct(p, cfg.comb_crossover, spec, shape, cfg)
-
-
-@lru_cache(maxsize=_CROSSOVER_STORE)
+@lru_cache(maxsize=64)  # problems whose crossover budget and agreement are kept
 def _crossover_agreement(
     p: TimingPattern, spec: NoiseSpectrum, shape: PulseShape, cfg: QuadratureConfig
-) -> float:
+) -> Tuple[ErrorBudget, float]:
+    """The direct budget at m0 = comb_crossover and the comb walk's relative gap from it; > 10% raises."""
     m0 = cfg.comb_crossover
-    direct = _direct_at_crossover(p, spec, shape, cfg)
+    direct = _chi_direct(p, m0, spec, shape, cfg)
     comb = _chi_comb(p, m0, spec, shape, cfg)
     gap = abs(comb.chi_total - direct.chi_total)
     agreement = gap / direct.chi_total if direct.chi_total else 0.0  # 0 only at g = 0
@@ -693,7 +680,7 @@ def _crossover_agreement(
             estimate=comb.chi_total,
             error_bound=gap,
         )
-    return agreement
+    return direct, agreement
 
 
 def _comb_applies(p: TimingPattern, shape: PulseShape) -> bool:
@@ -721,7 +708,8 @@ def _chi_comb(
     and one walk costs about the same at every m.  The cell
     masses grow linearly in m (reported as growth_per_repeat).  With m=None
     the result is the m -> infinity plateau level: the weight averages to 1,
-    and the cell masses do not enter.
+    and the cell masses do not enter.  A cell's finite part sits at its centre,
+    so where the cutoff lies in a cell, chi_low is a walk of the band below it.
     """
     if not _comb_applies(p, shape):
         need = (
@@ -732,12 +720,30 @@ def _chi_comb(
             f"pattern {p.label!r} has odd pulse count; with finite-width pulses the "
             f"comb path does not apply, and {need}"
         )
+    walk, growth = _comb_walk(p, m, spec, shape, cfg)
+    low, high = walk.totals()
+    if m is None and low[0] + high[0] < 0.0:
+        raise DomainError(
+            f"no plateau level{walk.label}: chi grows by {growth:.3e} per repeat "
+            f"from a negative intercept {low[0] + high[0]:.3e}"
+        )
+    budget = _assemble(low, high, walk.err, cfg, walk.label, m=m, growth=growth)
+    if max(spec.omega_min, math.pi / p.duration) < spec.omega_c < _band_top(spec):
+        below = sum(_comb_walk(p, m, replace(spec, omega_max=spec.omega_c), shape, cfg)[0].totals())
+        budget = replace(budget, chi_low=float(below[0]), chi_high=budget.chi_total - float(below[0]))
+    return budget
+
+
+def _comb_walk(
+    p: TimingPattern, m: Optional[int], spec: NoiseSpectrum, shape: PulseShape, cfg: QuadratureConfig
+) -> Tuple[_Walk, float]:
+    """The comb walk of _chi_comb over spec's band, and its growth per repeat."""
     # the comb walk's filter bound is m + 1 times the base one, twice it for m = None
     walk = _Walk(spec, cfg, ((m + 1) if m is not None else 2) * _filter_bound(p), _label(p, m))
     t_p = p.duration
     w_lo, w_hi = spec.omega_min, _band_top(spec)
     if not w_lo < w_hi:
-        return _assemble(*walk.totals(), walk.err, cfg, walk.label, m=m, growth=0.0, comb_path=True)
+        return walk, 0.0
     h_rows = _ff_rows_factory(p, shape, spec)
     mt = None if m is None else m * t_p
     rule = _k15 if mt is None else partial(_repeat_weighted, mt)
@@ -783,13 +789,7 @@ def _chi_comb(
         k += 1
         if walk.stop((k - 0.5) * w1):
             break
-    low, high = walk.totals()
-    if m is None and low[0] + high[0] < 0.0:
-        raise DomainError(
-            f"no plateau level{walk.label}: chi grows by {growth:.3e} per repeat "
-            f"from a negative intercept {low[0] + high[0]:.3e}"
-        )
-    return _assemble(low, high, walk.err, cfg, walk.label, m=m, growth=growth, comb_path=True)
+    return walk, growth
 
 
 def _deosc(t_p: float, x: np.ndarray) -> np.ndarray:

@@ -9,14 +9,11 @@ TWO_PI = 2.0 * math.pi
 
 @pytest.fixture(autouse=True)
 def cold_crossover_check():
-    """Start and leave every test with no memoised crossover agreement or
-    direct crossover budget, so a patched evaluation cannot leak into
-    another test's check."""
+    """Start and leave every test with no memoised crossover check, so a
+    patched evaluation cannot leak into another test's check."""
     integrals._crossover_agreement.cache_clear()
-    integrals._direct_at_crossover.cache_clear()
     yield
     integrals._crossover_agreement.cache_clear()
-    integrals._direct_at_crossover.cache_clear()
 
 
 @pytest.fixture(scope="session")

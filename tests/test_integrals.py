@@ -39,6 +39,7 @@ from ddmemory import (
 )
 from ddmemory import integrals
 from ddmemory.filters import filter_fn
+from ddmemory.plateau import chi_asymptotic
 
 TWO_PI = 2.0 * math.pi
 
@@ -49,6 +50,11 @@ TWO_PI = 2.0 * math.pi
 ORACLE_CHI_FREE_35NS = 1.00107220004571620725656206413
 ORACLE_CHI_ECHO_2US = 2.85819221609217150601607830261e-6
 ORACLE_CHI_CDD4_1US = 1.22448664158290302467211543086e-9
+# 40-digit mpmath.quad of S * 4 sin^2(omega T/2) / omega^2 on yb, T = 16 ms,
+# split on a log ladder of 24 pieces below 2 pi/T and at every node 2 pi k/T
+# up to sqrt(745) omega_c, where the library's gaussian rolloff is 0 (67 pieces)
+# (a 48-piece ladder at 50 digits gives the same 30 digits)
+ORACLE_CHI_FREE_16MS_YB = 3.81729243369436589929071039928e-4
 
 
 class TestOracles:
@@ -63,6 +69,13 @@ class TestOracles:
     def test_cdd4_matches_oracle(self, gaas):
         budget = chi(cdd(4, 1e-6), gaas, bang_bang())
         assert budget.chi_total == pytest.approx(ORACLE_CHI_CDD4_1US, rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("m", [1000, 1], ids=["16us_x1000", "16ms"])
+    def test_long_free_evolution_on_yb_matches_oracle(self, yb, m):
+        # the kernel walk of 1000 repeats and the single run integrate the same
+        # closed form; bench/oracle.py's kernel route lies 1.02e-12 chi above it
+        budget = chi_repeated(free_evolution(16e-3 / m), m, yb)
+        assert abs(budget.chi_total - ORACLE_CHI_FREE_16MS_YB) <= 1e-14 * ORACLE_CHI_FREE_16MS_YB
 
     @pytest.mark.parametrize("rel_tol", [1e-6, 1e-9, 1e-12])
     def test_cdd4_meets_each_tolerance(self, gaas, rel_tol):
@@ -202,9 +215,9 @@ class TestRepetitionKernel:
         m0 = DEFAULT_CONFIG.comb_crossover
         with pytest.raises(DomainError, match="odd pulse count"):
             chi_repeated(echo(2e-6), m0 + 1, gaas, primitive(1e-9))
-        # no comb call could use a direct budget at the crossover: none is memoised
+        # no comb call could use a crossover check: none runs, and none is memoised
         chi_repeated(echo(2e-6), m0, gaas, primitive(1e-9))
-        assert integrals._direct_at_crossover.cache_info().currsize == 0
+        assert integrals._crossover_agreement.cache_info().currsize == 0
 
 
 class TestKronrodRule:
@@ -326,6 +339,30 @@ class TestCombPath:
         inflated_error = unchecked.quad_error + 10 * rel_tol * unchecked.chi_total
         assert (info.value.estimate, info.value.error_bound) == (unchecked.chi_total, inflated_error)
 
+    @pytest.mark.parametrize("tau", [4e-6, 6e-6])
+    @pytest.mark.parametrize("shape", [bang_bang(), dcg3(1e-8)], ids=["bb", "dcg"])
+    def test_comb_splits_at_a_cutoff_inside_a_cell(self, gaas, tau, shape):
+        # pi/T_p < omega_c: the cutoff lies inside resonance cell 1, whose part
+        # below it is low, as on the direct walk
+        p = cdd(4, tau)
+        m0 = DEFAULT_CONFIG.comb_crossover
+        direct = integrals._chi_direct(p, m0, gaas, shape, DEFAULT_CONFIG)
+        cfg = replace(DEFAULT_CONFIG, comb_crossover=m0 - 1, validate_crossover=False)
+        comb = chi_repeated(p, m0, gaas, shape, cfg)
+        assert comb.comb_path
+        assert abs(comb.chi_low - direct.chi_low) <= 1e-12 * direct.chi_total
+        assert comb.chi_high == comb.chi_total - comb.chi_low
+
+    def test_plateau_level_splits_at_a_cutoff_inside_a_cell(self, gaas):
+        # its low part is the same walk on the band cut at the cutoff: chi_asymptotic
+        # (on gaas' gaussian rolloff this pattern has no plateau level)
+        r18 = replace(gaas, rolloff=PowerLaw(18.0))
+        p = cdd(4, 4e-6)
+        assert math.pi / p.duration < r18.omega_c
+        level = chi_plateau_limit(p, r18)
+        assert level.chi_low == chi_asymptotic(p, r18).chi_total
+        assert level.chi_high == level.chi_total - level.chi_low
+
     def test_large_m_saturates_at_plateau_limit(self, gaas):
         base = cdd(4, 1e-6)
         plateau = chi_plateau_limit(base, gaas, bang_bang()).chi_total
@@ -334,8 +371,9 @@ class TestCombPath:
 
 
 class TestCrossoverReuse:
-    """The direct budget at m0 = comb_crossover is memoised per problem: the
-    comb path's first crossover check and chi_repeated at m0 share it."""
+    """One memo per problem keeps the crossover check at m0 = comb_crossover:
+    its direct budget, which chi_repeated at m0 returns, and its agreement,
+    which the comb path reports."""
 
     M0 = DEFAULT_CONFIG.comb_crossover
 
@@ -363,7 +401,6 @@ class TestCrossoverReuse:
         chi_repeated(p, self.M0, gaas)
         reused = chi_repeated(p, 62_500, gaas)
         integrals._crossover_agreement.cache_clear()
-        integrals._direct_at_crossover.cache_clear()
         cold = chi_repeated(p, 62_500, gaas)
         assert reused.comb_agreement == cold.comb_agreement
         assert dataclasses.astuple(reused) == dataclasses.astuple(cold)
@@ -376,14 +413,23 @@ class TestCrossoverReuse:
         assert calls == []
         assert again == first == integrals._chi_direct(p, self.M0, gaas, bang_bang(), DEFAULT_CONFIG)
 
+    def test_one_cache_clear_makes_the_m0_call_cold(self, gaas, monkeypatch):
+        p = cdd(4, 1e-6)
+        chi_repeated(p, self.M0, gaas)
+        integrals._crossover_agreement.cache_clear()
+        calls = self._count_direct(monkeypatch)
+        chi_repeated(p, self.M0, gaas)
+        assert calls == [self.M0]
+
     def test_without_validation_nothing_is_stored(self, gaas):
         cfg = replace(DEFAULT_CONFIG, validate_crossover=False)
         chi_repeated(cdd(4, 1e-6), self.M0, gaas, bang_bang(), cfg)
-        assert integrals._direct_at_crossover.cache_info().currsize == 0
+        assert integrals._crossover_agreement.cache_info().currsize == 0
 
     def test_memo_keeps_as_many_problems_as_the_agreement_cache(self):
-        assert integrals._direct_at_crossover.cache_parameters() == {"maxsize": 64, "typed": False}
+        # the agreement cache is the one memo: no second cache holds the direct budget
         assert integrals._crossover_agreement.cache_parameters() == {"maxsize": 64, "typed": False}
+        assert not hasattr(integrals, "_direct_at_crossover")
 
     @pytest.mark.parametrize("warm", [False, True], ids=["cold", "reused"])
     def test_disagreement_still_raises(self, gaas, monkeypatch, warm):
@@ -394,15 +440,16 @@ class TestCrossoverReuse:
             return replace(budget, chi_total=1.2 * budget.chi_total)
 
         p = cdd(4, 1e-6)
-        if warm:
-            direct = chi_repeated(p, self.M0, gaas).chi_total
-        else:
-            direct = integrals._chi_direct(p, self.M0, gaas, bang_bang(), DEFAULT_CONFIG).chi_total
+        direct = integrals._chi_direct(p, self.M0, gaas, bang_bang(), DEFAULT_CONFIG).chi_total
         calls = self._count_direct(monkeypatch)
         monkeypatch.setattr(integrals, "_chi_comb", off_by_a_fifth)
-        with pytest.raises(ConsistencyError, match=rf"disagree by 2\d\.\d% at the crossover m={self.M0} ") as info:
+        disagree = rf"disagree by 2\d\.\d% at the crossover m={self.M0} "
+        if warm:  # the call at m0 runs the check; its failure is not memoised
+            with pytest.raises(ConsistencyError, match=disagree):
+                chi_repeated(p, self.M0, gaas)
+        with pytest.raises(ConsistencyError, match=disagree) as info:
             chi_repeated(p, 62_500, gaas)
-        assert calls == ([] if warm else [self.M0])
+        assert calls == [self.M0] * (2 if warm else 1)
         shifted = 1.2 * comb(p, self.M0, gaas, bang_bang(), DEFAULT_CONFIG).chi_total
         assert info.value.estimate == shifted
         assert info.value.error_bound == abs(shifted - direct)
