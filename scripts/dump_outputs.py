@@ -16,7 +16,9 @@ A run takes about 10 s on a 2-CPU machine.
 
 import contextlib
 import io
+import json
 import sys
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
@@ -40,6 +42,7 @@ from ddmemory import (  # noqa: E402
     concat,
     dcg3,
     echo,
+    spectrum_to_json,
     free_evolution,
     jitter_tolerance,
     load_preset,
@@ -76,7 +79,15 @@ CLI_RUNS = [
     ["ff", *_CDD4, "--points", "8", "--repeat", "-3"],
     ["ff", *_CDD4, "--points", "8", "--repeat", "0"],
     ["plateau", *_CDD4, "--spectrum", "gaas", "--jitter-m", "0"],
+    # a read delay after 5e4 repeats: one comb walk per delay
+    ["plateau", *_CDD4, "--spectrum", "gaas", "--pulse", "dcg:1e-08", "--jitter-budget-factor", "2",
+     "--jitter-m", "50000"],
 ]
+# an odd base with finite pulses on s = 1, where its plateau conditions hold;
+# S1_SPECTRUM is replaced by the path of that spectrum's file
+S1_SPECTRUM = "<gaas with s = 1>"
+CLI_RUNS.append(["plateau", "--sequence", "udd:5", "--duration", "16e-6", "--spectrum", S1_SPECTRUM,
+                 "--pulse", "dcg:1e-08"])
 
 
 def _calls():
@@ -90,7 +101,7 @@ def _calls():
     yield "jitter_tolerance/cdd4/primitive_1ns", lambda: jitter_tolerance(
         p, 1000, gaas, primitive(1e-9)
     )
-    # an odd base with finite pulses: refused, as its budget is the comb walk's plateau
+    # an odd base with finite pulses: its budget is the comb walk's plateau level
     yield "jitter_tolerance/echo/primitive_1ns/16", lambda: jitter_tolerance(
         echo(2e-6), 16, gaas, primitive(1e-9)
     )
@@ -100,9 +111,10 @@ def _calls():
     )
     yield "chi_with_jitter/bb", lambda: chi_with_jitter(p, 1000, 1e-7, gaas)
     yield "chi_with_jitter/dcg_10ns", lambda: chi_with_jitter(p, 1000, 1e-7, gaas, dcg3(1e-8))
-    # an odd base with finite pulses: junction pulses through the repetition factor
+    # an odd base with finite pulses: junction pulses through the repetition factor,
+    # and past the crossover through the comb walk's r = G X - Y
     u5 = udd(5, 16e-6)
-    for m in (8, 64, 1000):
+    for m in (8, 64, 1000, 1001, 10**6):
         yield f"chi_repeated/udd5/dcg_10ns/{m}", lambda m=m: chi_repeated(u5, m, gaas, dcg3(1e-8))
     yield "chi_with_jitter/udd5/dcg_10ns", lambda: chi_with_jitter(
         u5, 1000, 1e-12, gaas, dcg3(1e-8)
@@ -113,9 +125,14 @@ def _calls():
     for name, q in off_grid:
         for spec_name, spec in (("gaas", gaas), ("yb", yb)):
             yield f"chi/{name}/{spec_name}", lambda q=q, spec=spec: chi(q, spec)
-    # the comb walk lacks the junction cross terms: both refuse
+    # the comb walk's level on gaas, whose plateau conditions fail on the fitted pulse order,
+    # and on s = 1, where they hold
     yield "chi_plateau_limit/udd5/dcg_10ns", lambda: chi_plateau_limit(u5, gaas, dcg3(1e-8))
     yield "plateau_report/udd5/dcg_10ns", lambda: plateau_report(u5, gaas, dcg3(1e-8))
+    s1 = replace(gaas, s=1.0)
+    yield "chi_plateau_limit/udd5/dcg_10ns/s1", lambda: chi_plateau_limit(u5, s1, dcg3(1e-8))
+    # a read delay after 5e4 repeats, past the reach of a direct walk
+    yield "jitter_tolerance/cdd4/dcg_10ns/50000", lambda: jitter_tolerance(p, 5 * 10**4, gaas, dcg3(1e-8))
     # chi grows linearly in m from a negative intercept: no plateau level
     yield "chi_plateau_limit/w60_256", lambda: chi_plateau_limit(walsh(60, 256e-6, 256), gaas)
     r8 = replace(gaas, rolloff=PowerLaw(8.0))
@@ -202,8 +219,12 @@ def main() -> None:
         except DDMemoryError as exc:
             text = f"{type(exc).__name__}({str(exc)!r})"
         print(f"{name}: {text}")
-    for args in CLI_RUNS:
-        print(f"$ ddmemory {' '.join(args)}\n{_cli(args)}")
+    with tempfile.TemporaryDirectory() as tmp:
+        s1 = Path(tmp) / "gaas_s1.json"
+        s1.write_text(json.dumps(spectrum_to_json(replace(load_preset("gaas"), s=1.0))))
+        for args in CLI_RUNS:
+            run = [str(s1) if a == S1_SPECTRUM else a for a in args]
+            print(f"$ ddmemory {' '.join(args)}\n{_cli(run)}")
 
 
 if __name__ == "__main__":

@@ -21,30 +21,22 @@ at m0 once per problem, in one memo that also keeps the direct budget at
 m0.  With m -> infinity the same comb walk, minus the masses that grow
 with m, is the plateau level chi_plateau_limit.
 
-Every flavour builds its integrand with one rows factory: the rows
-S F / omega^2 of m repeats, or their read-delay basis; the comb walk
-weights the single-run rows with _deosc.  Every direct chi is one
-_Walk.band walk up the band (integrate_rows) and every comb chi one
-_chi_comb; each keeps its panel budget, contributions, error, tail stop
-and failure in one _Walk.  Panel integrals use a 7-point Gauss /
-15-point Kronrod pair derived at import, and _refine splits panels on
-exactly the error its panel rule charges (_k15, or _repeat_weighted on
-the comb walk with m given).
+Every direct chi is one _Walk.band walk up the band (integrate_rows) of
+the rows S F / omega^2 of m repeats (_ff_rows_factory).  Every comb chi is
+one _comb_walk of r = G X - Y per quadrature, G the repetition factor: an
+odd base's junction pulses and a read delay after the repeats are its
+terms X conj(Y) and |Y|^2 (_repeat_terms), so jitter_curve, and
+chi_with_jitter at one delay, take one comb walk per delay.  Each walk
+keeps its panel budget, contributions, error, tail stop and failure in
+one _Walk.  Panel integrals use a 7-point Gauss / 15-point Kronrod pair
+derived at import, and _Walk.integrate splits panels on exactly the error its
+panel rule charges (_k15, or _repeat_weighted on the comb walk with m given).
 
 rel_tol is the only accuracy rule; no tolerance is absolute, so chi is
-linear in the strength g.  _refine holds each region to (1 - _TAIL_SHARE)
+linear in the strength g.  _Walk.integrate holds each region to (1 - _TAIL_SHARE)
 rel_tol of its total, a walk stops once its tail is within _TAIL_SHARE
 rel_tol of its running total, and _assemble, which every result passes
 through, raises AccuracyError where quad_error > rel_tol |chi_total|.
-
-A read delay delta after the repeats makes |r_z|^2 the zero-delay row plus
-sin^2(omega delta/2) and sin(omega delta) times two rows that do not depend
-on delta.  So jitter_curve walks the band once at delta = 0, keeps the node
-values of those three rows on its accepted panels, and re-weights them for
-each delta.  Each delta gets its own K15-G7 gap per block, splitting only
-the panels that miss, and its own tail check, walking on past the stop if
-that misses, under the walk's panel budget.  chi_with_jitter is that curve
-at one delay.
 """
 
 from __future__ import annotations
@@ -109,7 +101,7 @@ _LADDER_PER_DECADE = 8
 _WALK_BLOCK_LOBES = 1024
 _TAIL_SHARE = 0.25  # of rel_tol, spent on the truncated tail; the panels get the rest
 _MAX_REFINE_ROUNDS = 60
-_REWEIGHT_ULPS = 8  # rounding charge of a re-weighted read-delay row, in eps
+_ROUNDING_ULPS = 2  # rounding charge of a comb walk whose terms cancel, in eps of their size
 _FILON_SERIES = 2.0  # m T_p h up to which a comb panel integrates its weighted rows by K15
 _FILON_RECURRENCE = 30.0  # m T_p h above which Legendre moments use the Bessel recurrence
 
@@ -120,7 +112,7 @@ _GL_X, _GL_W = np.polynomial.legendre.leggauss(80)
 _GL_P = np.polynomial.legendre.legvander(_GL_X, 14) * _GL_W[:, None]
 
 RowsFn = Callable[[np.ndarray], np.ndarray]
-# a panel rule: integrals (R, P) and row 0's errors (P,) of panels [a_i, b_i] from node values (R, P, 15)
+# a panel rule: integrals (R', P) and row 0's errors (P,) of panels [a_i, b_i] from node values (R, P, 15)
 RuleFn = Callable[[np.ndarray, np.ndarray, np.ndarray], Tuple[np.ndarray, np.ndarray]]
 
 
@@ -201,47 +193,6 @@ def _k15(a: np.ndarray, b: np.ndarray, vals: np.ndarray) -> Tuple[np.ndarray, np
     return k15, np.abs(k15[0] - vals[0] @ _WG7 * half)
 
 
-def _refine(rule: RuleFn, rows_fn: RowsFn, a: np.ndarray, b: np.ndarray, vals: np.ndarray, walk: _Walk, top):
-    """Integrals of panels [a_i, b_i] by rule from their node values (R, P, 15), split to tolerance.
-
-    Panels whose error by rule (see RuleFn) is large are halved, and rows_fn
-    evaluates the halves, until the errors sum within (1 - _TAIL_SHARE)
-    rel_tol of row 0's total, or of eps times the walk's running total if
-    larger: a region too small to move that total is not refined to its size.
-    Each batch of node values is integrated once.  While refined, the region,
-    which reaches the frequency top, is the walk's open one.  Returns
-    (left_edges, right_edges, row_integrals (R, P), total_error, node values
-    (R, P, 15)), panels sorted by position.
-    """
-    integrals, err = rule(a, b, vals)
-    for _ in range(_MAX_REFINE_ROUNDS):
-        total = float(np.sum(integrals[0]))
-        err_total = float(np.sum(err))
-        walk.open = (total, err_total, top)
-        size = max(abs(total), np.finfo(float).eps * abs(walk.total + total))
-        if err_total <= (1.0 - _TAIL_SHARE) * walk.cfg.rel_tol * size:
-            break
-        split = err > max(err_total / (4 * len(a)), 1e-3 * float(err.max()))
-        if not split.any():
-            split[int(np.argmax(err))] = True
-        walk.spend(int(split.sum()))
-        mids = 0.5 * (a[split] + b[split])
-        new_a = np.concatenate([a[split], mids])
-        new_b = np.concatenate([mids, b[split]])
-        new_vals = _node_values(rows_fn, new_a, new_b)
-        new_integrals, new_err = rule(new_a, new_b, new_vals)
-        a = np.concatenate([a[~split], new_a])
-        b = np.concatenate([b[~split], new_b])
-        vals = np.concatenate([vals[:, ~split], new_vals], axis=1)
-        integrals = np.concatenate([integrals[:, ~split], new_integrals], axis=1)
-        err = np.concatenate([err[~split], new_err])
-    else:
-        walk.fail(f"refinement did not converge within {_MAX_REFINE_ROUNDS} rounds")
-    walk.open = (0.0, 0.0, top)
-    order = np.argsort(a, kind="stable")
-    return a[order], b[order], integrals[:, order], float(np.sum(err)), vals[:, order]
-
-
 def _ladder_and_lobes(w_lo: float, w_hi: float, lobe: float, walk: _Walk) -> np.ndarray:
     """Log ladder while spacing < lobe width, then half-lobe edges on the node grid."""
     w_switch = min(w_hi, max(w_lo, 3.0 * lobe))
@@ -293,12 +244,10 @@ def _filter_bound(p: TimingPattern) -> float:
 class _Walk:
     """State of one band walk: panel budget, contributions, running error and tail stop.
 
-    Contributions (R, P), R = 2 or 1, arrive at frequencies (P,) and are
-    split at the cutoff.  The totals are math.fsum over each region, which
-    is correctly rounded, so they depend neither on the order contributions
-    arrive in nor on how the work was divided.  With nodes set to a list,
-    each region also appends its accepted panels (a, b) and their node values
-    (R - 1, P, 15) of every row but row 1, for a caller that re-weights them.
+    Contributions (R, P), R = 2, or 3 where a comb walk adds up |Y|^2 W,
+    arrive at frequencies (P,) and are split at the cutoff.  The totals are
+    math.fsum over each region, which is correctly rounded, so they depend
+    neither on the order contributions arrive in nor on how the work was divided.
     """
 
     spec: NoiseSpectrum
@@ -310,8 +259,7 @@ class _Walk:
     err: float = 0.0
     at: List[np.ndarray] = field(default_factory=lambda: [np.zeros(0)])
     rows: List[np.ndarray] = field(default_factory=lambda: [np.zeros((2, 0))])
-    nodes: Optional[List[Tuple[np.ndarray, np.ndarray, np.ndarray]]] = None
-    open: Tuple[float, float, float] = (0.0, 0.0, 0.0)  # the region _refine holds: row 0 total, error, top
+    open: Tuple[float, float, float] = (0.0, 0.0, 0.0)  # the region integrate holds: row 0 total, error, top
 
     def tail(self, w: float) -> float:
         """Bound of what the walk would still add above w: twice ff_bound * integral of S/w^2."""
@@ -343,47 +291,71 @@ class _Walk:
         self.err += err
 
     def integrate(self, rows_fn: RowsFn, edges: np.ndarray, top: float, rule: RuleFn = _k15):
-        """Panels between edges by rule, refined: _refine's result, under the panel budget."""
+        """Integrals of rows_fn by rule over the panels between edges, split to tolerance.
+
+        Panels whose error by rule (see RuleFn) is large are halved, and rows_fn
+        evaluates the halves, until the errors sum within (1 - _TAIL_SHARE)
+        rel_tol of row 0's total, or of eps times the walk's running total if
+        larger: a region too small to move that total is not refined to its size.
+        Each batch of node values is integrated once, under the panel budget.
+        While refined, the region, which reaches the frequency top, is the
+        walk's open one.  Returns (left_edges, row_integrals (R', P),
+        total_error), panels sorted by position.
+        """
         a = np.asarray(edges[:-1], dtype=float)
         b = np.asarray(edges[1:], dtype=float)
-        wide = b > a
-        a, b = a[wide], b[wide]
+        a, b = a[b > a], b[b > a]
         self.spend(a.size)
-        return _refine(rule, rows_fn, a, b, _node_values(rows_fn, a, b), self, top)
+        integrals, err = rule(a, b, _node_values(rows_fn, a, b))
+        for _ in range(_MAX_REFINE_ROUNDS):
+            total = float(np.sum(integrals[0]))
+            err_total = float(np.sum(err))
+            self.open = (total, err_total, top)
+            size = max(abs(total), np.finfo(float).eps * abs(self.total + total))
+            if err_total <= (1.0 - _TAIL_SHARE) * self.cfg.rel_tol * size:
+                break
+            split = err > max(err_total / (4 * len(a)), 1e-3 * float(err.max()))
+            if not split.any():
+                split[int(np.argmax(err))] = True
+            self.spend(int(split.sum()))
+            mids = 0.5 * (a[split] + b[split])
+            new_a = np.concatenate([a[split], mids])
+            new_b = np.concatenate([mids, b[split]])
+            new_integrals, new_err = rule(new_a, new_b, _node_values(rows_fn, new_a, new_b))
+            a = np.concatenate([a[~split], new_a])
+            b = np.concatenate([b[~split], new_b])
+            integrals = np.concatenate([integrals[:, ~split], new_integrals], axis=1)
+            err = np.concatenate([err[~split], new_err])
+        else:
+            self.fail(f"refinement did not converge within {_MAX_REFINE_ROUNDS} rounds")
+        self.open = (0.0, 0.0, top)
+        order = np.argsort(a, kind="stable")
+        return a[order], integrals[:, order], float(np.sum(err))
 
     def region(self, rows_fn: RowsFn, edges: np.ndarray, rule: RuleFn = _k15) -> None:
-        """Integrate rows_fn between edges by rule, with the cutoff as an extra edge, and add rows 0-1."""
-        with_cutoff = _with_breakpoint(edges, self.spec.omega_c)
-        a, b, rows, err, vals = self.integrate(rows_fn, with_cutoff, edges[-1], rule)
-        self.add(a, rows[:2], err)
-        if self.nodes is not None:
-            self.nodes.append((a, b, np.delete(vals, 1, axis=0)))
+        """Integrate rows_fn between edges by rule, with the cutoff as an extra edge, and add the rows."""
+        a, rows, err = self.integrate(rows_fn, _with_breakpoint(edges, self.spec.omega_c), edges[-1], rule)
+        self.add(a, rows, err)
 
-    def band(self, rows_fn: RowsFn, t_osc: float) -> float:
-        """Walk rows_fn up from omega_min until the tail is negligible; returns where it stopped.
+    def band(self, rows_fn: RowsFn, t_osc: float) -> None:
+        """Walk rows_fn up from omega_min until the tail is negligible.
 
         t_osc is the slowest coherent timescale of the rows and sets the
         panel width: a log ladder up to a few lobes pi/t_osc, then half-lobe
-        panels in blocks of _WALK_BLOCK_LOBES lobes (see climb).
+        panels in blocks of _WALK_BLOCK_LOBES lobes, with a tail check after each.
         """
         w_lo, w_hi = self.spec.omega_min, _band_top(self.spec)
         if not w_lo < w_hi:
-            return w_hi
+            return
         lobe = math.pi / t_osc
         w = min(w_hi, max(1.25 * self.spec.omega_c, w_lo * 10.0, 6.0 * lobe))
         self.region(rows_fn, _ladder_and_lobes(w_lo, w, lobe, self))
-        return self.climb(rows_fn, w, lobe)
-
-    def climb(self, rows_fn: RowsFn, w: float, lobe: float) -> float:
-        """Walk blocks up from w, checking the tail after each, until it passes or the band ends."""
-        w_hi = _band_top(self.spec)
         while w < w_hi:
             w_next = min(w_hi, w + _WALK_BLOCK_LOBES * lobe)
             self.region(rows_fn, _ladder_and_lobes(w, w_next, lobe, self))
             w = w_next
             if w < w_hi and self.stop(w):
                 break
-        return w
 
     def stop(self, w: float) -> bool:
         """Whether the tail above w is negligible; if it is, it joins the error."""
@@ -407,34 +379,20 @@ def _label(p: TimingPattern, m: Optional[int]) -> str:
     return f" for {p.label!r}" + (f" repeated {m} times" if m not in (None, 1) else "")
 
 
-def _ff_rows_factory(
-    p: TimingPattern,
-    shape: PulseShape,
-    spec: NoiseSpectrum,
-    m: int = 1,
-    basis: bool = False,
-) -> RowsFn:
-    """Rows [S*F_total/w^2, S*F_ideal/w^2] of p repeated m times, or their read-delay basis.
+def _ff_rows_factory(p: TimingPattern, shape: PulseShape, spec: NoiseSpectrum, m: int = 1) -> RowsFn:
+    """Rows [S*F_total/w^2, S*F_ideal/w^2] of p repeated m times.
 
-    With G = e^{i(m-1)theta} sin(m theta)/sin(theta), theta = w T_p/2, and b, c_y what
-    one pulse of phasor 1 adds, the junction pulses of an odd base make
-    r_z = G (omega*y_p + dz) + b (G - 1) and r_y = G r_y_p + c_y (G - 1).  Without
-    junctions the rows are the base rows times the Dirichlet kernel |G|^2; the comb
-    walk weights the m = 1 rows with the de-oscillated kernel _deosc instead.
-
-    A read delay delta adds D (1 - e^{i w delta}) to r_z = R, D = end_sign e^{i w m T_p},
-    so |r_z|^2 = |R|^2 + 4 sin^2(w delta/2) (1 + Re conj(R) D) + 2 sin(w delta) Im conj(R) D.
-    With basis set the rows are [(|R|^2 + |r_y|^2) W, S*F_ideal/w^2, (1 + Re conj(R) D) W,
-    Im conj(R) D W], W = S/w^2: row 0 is the total at delta = 0, and rows 0, 2
-    and 3 give it at any delta (see _delay_row).
+    Without junctions the rows are the base rows times the Dirichlet kernel |G|^2,
+    G = e^{i(m-1)theta} sin(m theta)/sin(theta), theta = w T_p/2.  With b, c_y what one
+    pulse of phasor 1 adds, the junction pulses of an odd base make
+    r_z = G (omega*y_p + dz) + b (G - 1) and r_y = G r_y_p + c_y (G - 1).
     """
     t_p = p.duration
 
     def rows(w: np.ndarray) -> np.ndarray:
         base, dz, ry = quadrature_components(p, shape, w)
         weight = evaluate(spec, w) / w**2
-        junction = m > 1 and dz is not None and p.end_sign < 0
-        if not (basis or junction):
+        if not (m > 1 and dz is not None and p.end_sign < 0):
             f_bb = np.abs(base) ** 2
             f_total = f_bb if dz is None else np.abs(base + dz) ** 2 + np.abs(ry) ** 2
             if m > 1:
@@ -443,27 +401,51 @@ def _ff_rows_factory(
         theta = 0.5 * t_p * w
         ratio = dirichlet_ratio(m, theta)
         g_rep = np.exp(1j * (m - 1) * theta) * ratio
-        rz = base if dz is None else base + dz
+        rz = base + dz
         rz = g_rep * rz  # g_rep * (base + dz) rounds differently: numpy reuses the temporary
-        if junction:
-            b, c_y = _unit_pulse_terms(shape, w)
-            rz = rz + b * (g_rep - 1.0)
-            f_y = np.abs(g_rep * ry + c_y * (g_rep - 1.0)) ** 2
-        else:
-            f_y = 0.0 if ry is None else ratio**2 * np.abs(ry) ** 2
-        out = [(np.abs(rz) ** 2 + f_y) * weight, ratio**2 * np.abs(base) ** 2 * weight]
-        if basis:
-            rd = np.conj(rz) * (p.end_sign * np.exp(1j * w * (m * t_p)))
-            out += [(1.0 + rd.real) * weight, rd.imag * weight]
-        return np.stack(out)
+        b, c_y = _unit_pulse_terms(shape, w)
+        f_total = np.abs(rz + b * (g_rep - 1.0)) ** 2 + np.abs(g_rep * ry + c_y * (g_rep - 1.0)) ** 2
+        return np.stack([f_total * weight, ratio**2 * np.abs(base) ** 2 * weight])
 
     return rows
 
 
-def _delay_row(basis: np.ndarray, w: np.ndarray, delta: float) -> np.ndarray:
-    """Total row (1, ...) after a read delay delta, from basis rows 0, 2 and 3 (3, ...) at w."""
-    cross = 4.0 * np.sin(0.5 * delta * w) ** 2 * basis[1] + 2.0 * np.sin(delta * w) * basis[2]
-    return (basis[0] + cross)[None]
+def _repeat_terms(
+    p: TimingPattern, shape: PulseShape, spec: NoiseSpectrum, delay: float = 0.0
+) -> Optional[RowsFn]:
+    """The comb walk's rows of one repeat in r = G X - Y, G as in _ff_rows_factory.
+
+    With b, c_y from _unit_pulse_terms for an odd base with finite pulses (0
+    otherwise), X = (omega*y + dz + b, r_y + c_y) and Y = (b, c_y) per quadrature.
+    A read delay after the repeats adds D (1 - e^{i w delay}) to r_z,
+    D = end_sign e^{i w m T_p} = end_sign (1 + 2i sin(theta) e^{i theta} G), so with
+    E = end_sign (1 - e^{i w delay}) X_z gains 2i sin(theta) e^{i theta} E and Y_z is b - E.
+    The rows, W = S/w^2 and both quadratures summed, are [|X|^2 W, |omega*y|^2 W,
+    X conj(Y) W, |Y|^2 W] (complex); None where Y = 0, as the rows of m = 1 are then
+    the first two.
+    """
+    junction = p.end_sign < 0 and shape.kind != BANG_BANG and bool(p.pulse_times)
+    if not (junction or delay):
+        return None
+
+    def rows(w: np.ndarray) -> np.ndarray:
+        base, dz, ry = quadrature_components(p, shape, w)
+        xz = base if dz is None else base + dz
+        xy = 0.0 if ry is None else ry
+        yz = yy = 0.0
+        if junction:
+            yz, yy = _unit_pulse_terms(shape, w)
+            xz, xy = xz + yz, xy + yy
+        if delay:
+            e = -2j * p.end_sign * np.sin(0.5 * delay * w) * np.exp(0.5j * delay * w)
+            theta = 0.5 * p.duration * w
+            xz = xz + 2j * np.sin(theta) * np.exp(1j * theta) * e
+            yz = yz - e
+        terms = [np.abs(xz) ** 2 + np.abs(xy) ** 2, np.abs(base) ** 2]
+        terms += [xz * np.conj(yz) + xy * np.conj(yy), np.abs(yz) ** 2 + np.abs(yy) ** 2]
+        return np.stack(terms) * (evaluate(spec, w) / w**2)
+
+    return rows
 
 
 def _assemble(
@@ -559,18 +541,16 @@ def chi_repeated(
     raises ConsistencyError where they disagree (see _crossover_agreement).
 
     A base pattern with odd pulse count restarts each repeat with a junction
-    pulse.  With finite-width pulses the direct path takes those through the
-    same geometric factor (see _ff_rows_factory); beyond comb_crossover they
-    raise DomainError (see _comb_applies) before the crossover check runs.
+    pulse, which finite-width pulses feel: both paths take those through the
+    repetition factor (see _ff_rows_factory and _repeat_terms).
     """
     require_count("repeat count", m)
     shape = shape or bang_bang()
     cfg = config or DEFAULT_CONFIG
-    if m == cfg.comb_crossover and cfg.validate_crossover and _comb_applies(p, shape):
+    if m == cfg.comb_crossover and cfg.validate_crossover:
         return _crossover_agreement(p, spec, shape, cfg)[0]
     if m <= cfg.comb_crossover:
         return _chi_direct(p, m, spec, shape, cfg)
-    # _chi_comb refuses where the comb walk does not apply, before the crossover check
     budget = _chi_comb(p, m, spec, shape, cfg)
     agreement = _crossover_agreement(p, spec, shape, cfg)[1] if cfg.validate_crossover else None
     return replace(budget, comb_agreement=agreement)
@@ -602,49 +582,20 @@ def jitter_curve(
 
     The delay appends coherently: r_z = R + D (1 - e^(i omega delta_t)), with
     R the repeat's r_z (an odd base adds its junction pulses through the
-    repetition factor) and D = end_sign e^(i omega m T_p).  One band walk at
-    delta_t = 0 serves every delay (see the module notes); each delay counts
-    its panels afresh from the walk's, so its result does not depend on the
-    delays evaluated before it.  quad_error adds the rounding of the
-    re-weighting, a few eps times the zero-delay chi, which dominates where
-    a delay cancels most of that error.  chi_bb reports the delta_t = 0
-    ideal-pulse value, so chi_pul carries pulse width and jitter excess
+    repetition factor) and D = end_sign e^(i omega m T_p).  Each delay is one
+    comb walk of r = G X - Y (see _repeat_terms), whose cost does not depend
+    on m, and nothing is kept between delays.  chi_bb is the ideal-pulse
+    value without the delay, so chi_pul carries pulse width and jitter excess
     together.  The returned function raises DomainError for a delay that is
     negative or not finite.
     """
     require_count("repeat count", m)
+    shape = shape or bang_bang()
     cfg = config or DEFAULT_CONFIG
-    basis = _ff_rows_factory(p, shape or bang_bang(), spec, m, basis=True)
-    # 2 (n+1) per repeat plus 2 for the delay phasor, squared and doubled, at every delay
-    bound = 2 * (math.sqrt(_filter_bound(p)) * m + 2) ** 2
-    walk = _Walk(spec, cfg, bound, _label(p, m), nodes=[])
-    lobe = math.pi / (m * p.duration)
-    try:
-        w_stop = walk.band(basis, m * p.duration)
-    except AccuracyError as exc:  # its estimate is the zero-delay chi: it bounds no other delay
-        raise AccuracyError(f"{exc} at zero delay", exc.estimate, math.inf) from None
-    low, high = walk.totals()
-    chi0 = float(low[0] + high[0])
 
     def at(delta_t: float) -> ErrorBudget:
         require_nonnegative("read delay delta_t", delta_t)
-
-        def rows(w: np.ndarray) -> np.ndarray:
-            return _delay_row(np.delete(basis(w), 1, axis=0), w, delta_t)
-
-        replay = _Walk(spec, cfg, walk.ff_bound, walk.label, walk.panels, rows=[np.zeros((1, 0))])
-        for a, b, vals in walk.nodes:
-            delayed = _delay_row(vals, _panel_nodes(a, b), delta_t)
-            a, _, integrals, err, _ = _refine(_k15, rows, a, b, delayed, replay, b[-1])
-            replay.add(a, integrals, err)
-        if w_stop < _band_top(spec) and not replay.stop(w_stop):
-            replay.climb(rows, w_stop, lobe)
-        # a node's row 0 + X, X the delay terms, rounds to a few eps (row 0 + |X|),
-        # and row 0 + |X| <= 2 row 0 + the delayed row: where the delay cancels
-        # most of row 0, that rounding is larger than the quadrature error
-        replay.err += _REWEIGHT_ULPS * np.finfo(float).eps * (2.0 * chi0 + replay.total)
-        low_d, high_d = replay.totals()
-        return _assemble(np.r_[low_d, low[1]], np.r_[high_d, high[1]], replay.err, cfg, walk.label, m=m)
+        return _chi_comb(p, m, spec, shape, cfg, delta_t)
 
     return at
 
@@ -658,7 +609,6 @@ def chi_with_jitter(
     config: Optional[QuadratureConfig] = None,
 ) -> ErrorBudget:
     """Error of m repeats followed by an unrefocused read delay delta_t (see jitter_curve)."""
-    require_nonnegative("read delay delta_t", delta_t)  # before the walk
     return jitter_curve(p, m, spec, shape, config)(delta_t)
 
 
@@ -669,7 +619,8 @@ def _crossover_agreement(
     """The direct budget at m0 = comb_crossover and the comb walk's relative gap from it; > 10% raises."""
     m0 = cfg.comb_crossover
     direct = _chi_direct(p, m0, spec, shape, cfg)
-    comb = _chi_comb(p, m0, spec, shape, cfg)
+    walk, growth = _comb_walk(p, m0, spec, shape, cfg)
+    comb = _assemble(*walk.totals(), walk.err, cfg, walk.label, m0, growth)  # its chi_low split is not read
     gap = abs(comb.chi_total - direct.chi_total)
     agreement = gap / direct.chi_total if direct.chi_total else 0.0  # 0 only at g = 0
     if agreement > 0.10:
@@ -683,44 +634,23 @@ def _crossover_agreement(
     return direct, agreement
 
 
-def _comb_applies(p: TimingPattern, shape: PulseShape) -> bool:
-    """False for an odd base with finite pulses: the comb walk lacks its junction cross terms."""
-    return p.end_sign > 0 or shape.kind == BANG_BANG
-
-
 def _chi_comb(
     p: TimingPattern,
     m: Optional[int],
     spec: NoiseSpectrum,
     shape: PulseShape,
     cfg: QuadratureConfig,
+    delay: float = 0.0,
 ) -> ErrorBudget:
     """Resonance-comb evaluation of the m-repeat integral, or its plateau part.
 
-    The kernel is 1 - cos(m T_p x) times the de-oscillated kernel _deosc,
-    so with h = S F / w^2 the walk integrates over the band
-      - g = h _deosc, x = w, up to the first resonance cell boundary pi/T_p;
-      - per resonance cell k: the exact period mass m (2 pi/T_p) h(w_k)
-        plus the symmetrized finite part g of the remainder, x the
-        distance from the resonance,
-    each g weighted by 1 - cos(m T_p x) by the panel rule _repeat_weighted,
-    exact for g's interpolant, so the panels resolve g and not the weight
-    and one walk costs about the same at every m.  The cell
+    By _comb_walk, followed by a read delay where one is given.  The cell
     masses grow linearly in m (reported as growth_per_repeat).  With m=None
-    the result is the m -> infinity plateau level: the weight averages to 1,
-    and the cell masses do not enter.  A cell's finite part sits at its centre,
-    so where the cutoff lies in a cell, chi_low is a walk of the band below it.
+    the result is the m -> infinity plateau level, which those masses do not
+    enter.  A cell's finite part sits at its centre, so where the cutoff lies
+    in a cell, chi_low is a walk of the band below it.
     """
-    if not _comb_applies(p, shape):
-        need = (
-            "the plateau level needs it" if m is None
-            else f"m={m} exceeds comb_crossover={cfg.comb_crossover}"
-        )
-        raise DomainError(
-            f"pattern {p.label!r} has odd pulse count; with finite-width pulses the "
-            f"comb path does not apply, and {need}"
-        )
-    walk, growth = _comb_walk(p, m, spec, shape, cfg)
+    walk, growth = _comb_walk(p, m, spec, shape, cfg, delay)
     low, high = walk.totals()
     if m is None and low[0] + high[0] < 0.0:
         raise DomainError(
@@ -729,27 +659,62 @@ def _chi_comb(
         )
     budget = _assemble(low, high, walk.err, cfg, walk.label, m=m, growth=growth)
     if max(spec.omega_min, math.pi / p.duration) < spec.omega_c < _band_top(spec):
-        below = sum(_comb_walk(p, m, replace(spec, omega_max=spec.omega_c), shape, cfg)[0].totals())
+        below = sum(_comb_walk(p, m, replace(spec, omega_max=spec.omega_c), shape, cfg, delay)[0].totals())
         budget = replace(budget, chi_low=float(below[0]), chi_high=budget.chi_total - float(below[0]))
     return budget
 
 
 def _comb_walk(
-    p: TimingPattern, m: Optional[int], spec: NoiseSpectrum, shape: PulseShape, cfg: QuadratureConfig
+    p: TimingPattern,
+    m: Optional[int],
+    spec: NoiseSpectrum,
+    shape: PulseShape,
+    cfg: QuadratureConfig,
+    delay: float = 0.0,
 ) -> Tuple[_Walk, float]:
-    """The comb walk of _chi_comb over spec's band, and its growth per repeat."""
-    # the comb walk's filter bound is m + 1 times the base one, twice it for m = None
-    walk = _Walk(spec, cfg, ((m + 1) if m is not None else 2) * _filter_bound(p), _label(p, m))
+    """The comb walk over spec's band, and its growth per repeat.
+
+    With h, q, y the rows |X|^2 W, X conj(Y) W, |Y|^2 W of _repeat_terms, the
+    integrand |G X - Y|^2 W is |G|^2 h - 2 Re(G q) + y.  |G|^2 is 1 - cos(m T_p x)
+    times the de-oscillated kernel _deosc, and G is (e^{i m T_p x} - 1) times
+    _order_one / 2, so each term but y is Re u (1 - e^{i m T_p x}) for a u
+    free of m.  The walk integrates
+      - u = h _deosc + q _order_one, x = w, up to the first resonance cell
+        boundary pi/T_p;
+      - per resonance cell k: the exact masses m (2 pi/T_p) h(w_k), from the
+        period mean m of |G|^2, and -2 (2 pi/T_p) Re q(w_k), from that of G (1),
+        plus the finite part u of the remainder, symmetrized in the distance
+        x from the resonance;
+    and y as it is, each u weighted by the panel rule _repeat_weighted, exact
+    for u's interpolant, so the panels resolve u and not the weight and one
+    walk costs about the same at every m.  With m=None the weight averages
+    to 1 and the masses m (2 pi/T_p) h(w_k), the growth, do not enter.
+    """
+    bound = _filter_bound(p)
+    if delay:  # a cell's mean of |G X - Y|^2 is at most 2 m |X|^2 + 2 |Y|^2; |2 sin(theta) E|, |Y| <= 4
+        bound = 2.0 * (math.sqrt(bound) + 4.0) ** 2
+    terms = _repeat_terms(p, shape, spec, delay)
+    h_rows = terms or _ff_rows_factory(p, shape, spec)
+    # the comb walk's filter bound is m + 1 times the base one, twice it for m = None;
+    # where Y != 0 it adds up y in a third row
+    walk = _Walk(spec, cfg, ((m + 1) if m is not None else 2) * bound, _label(p, m),
+                 rows=[np.zeros((2 if terms is None else 3, 0))])
     t_p = p.duration
     w_lo, w_hi = spec.omega_min, _band_top(spec)
     if not w_lo < w_hi:
         return walk, 0.0
-    h_rows = _ff_rows_factory(p, shape, spec)
     mt = None if m is None else m * t_p
     rule = _k15 if mt is None else partial(_repeat_weighted, mt)
 
+    def weighted(two: np.ndarray, one: np.ndarray, zero: np.ndarray) -> np.ndarray:
+        """The rule's rows from the de-oscillated order-two rows, the order-one row and y."""
+        u = two[0] + one
+        return np.stack([u.real + zero if mt is None else u, two[1], zero])
+
     def deosc_rows(w: np.ndarray) -> np.ndarray:
-        return h_rows(w) * _deosc(t_p, w)
+        h = h_rows(w)
+        two = h[:2].real * _deosc(t_p, w)
+        return two if len(h) == 2 else weighted(two, _order_one(t_p, w) * h[2], h[3].real)
 
     # de-oscillated average up to the first cell
     w_b = min(math.pi / t_p, w_hi)
@@ -766,35 +731,55 @@ def _comb_walk(
         w_k = k * w1
         # zero when the cell centre lies past the band
         h_k = h_rows(np.array([w_k]))[:, 0]
-        growth += w1 * float(h_k[0])
-        if m is not None:
-            walk.add(w_k, m * w1 * h_k)
+        growth += w1 * float(h_k[0].real)
+        mass = (m or 0) * w1 * h_k[:2].real
+        if len(h_k) > 2:  # the order-one mass; y has none
+            mass = np.array([mass[0] - 2.0 * w1 * h_k[2].real, mass[1], 0.0])
+        walk.add(w_k, mass)
 
-        def pv_rows(delta: np.ndarray, w_center=w_k, h_center=h_k) -> np.ndarray:
-            # delta <= w1/2 <= w_center/2, so the lower node w_center - delta stays positive
-            pair = h_rows(w_center + delta) + h_rows(w_center - delta)
-            return (pair - 2.0 * h_center[:, None]) * _deosc(t_p, delta)
+        def pv_rows(x: np.ndarray, w_center=w_k, h_center=h_k) -> np.ndarray:
+            # x <= w1/2 <= w_center/2, so the lower node w_center - x stays positive
+            plus, minus = h_rows(w_center + x), h_rows(w_center - x)
+            two = (plus[:2] + minus[:2] - 2.0 * h_center[:2, None]).real * _deosc(t_p, x)
+            if len(plus) == 2:
+                return two
+            # G(-x) = conj G(x): the pair's order-one part is Re u (1 - e^{i m T_p x})
+            one = _order_one(t_p, x) * (plus[2] + np.conj(minus[2]) - 2.0 * h_center[2].real)
+            return weighted(two, one, (plus[3] + minus[3]).real)
 
         d_min = 1e-6 * w1
         edges = np.geomspace(d_min, 0.5 * w1, 41)
         for crossing in (w_k - spec.omega_c, spec.omega_c - w_k, w_hi - w_k, w_k - w_lo):
             edges = _with_breakpoint(edges, crossing)
-        _, _, rows_i, err_i, _ = walk.integrate(pv_rows, edges, w_k + 0.5 * w1, rule)
+        _, rows_i, err_i = walk.integrate(pv_rows, edges, w_k + 0.5 * w1, rule)
         # the finite part is flat on [0, d_min]: its weighted length there
-        width = d_min if mt is None else d_min - math.sin(mt * d_min) / mt
-        patch = pv_rows(np.array([d_min]))[:, 0] * width
+        flat = pv_rows(np.array([d_min]))[:, 0]
+        patch = flat.real * (d_min if mt is None else d_min - math.sin(mt * d_min) / mt)
+        if len(flat) > 2 and mt is not None:  # Im u sin(mt x) and y, unweighted
+            patch[0] += flat[0].imag * 2.0 * math.sin(0.5 * mt * d_min) ** 2 / mt + flat[2].real * d_min
+            patch[2] = flat[2].real * d_min
         # a cell centred past the band draws only on its lower half
         walk.add(w_k if w_k <= w_hi else w_k - 0.5 * w1, rows_i.sum(axis=1) + patch, err_i)
 
         k += 1
         if walk.stop((k - 0.5) * w1):
             break
+    if terms is not None:
+        # a node's |G|^2 h - 2 Re(G q) + y rounds to eps times its terms' sum, at most
+        # 4 |G X - Y|^2 + 6 y: where the terms cancel, that can exceed the panels' error
+        chi_total, _, y = sum(walk.totals())
+        walk.err += _ROUNDING_ULPS * np.finfo(float).eps * (4.0 * abs(chi_total) + 6.0 * y)
     return walk, growth
 
 
 def _deosc(t_p: float, x: np.ndarray) -> np.ndarray:
     """1/(2 sin^2(t_p x/2)): the de-oscillated kernel, the Dirichlet kernel's local average."""
     return 0.5 / np.sin(0.5 * t_p * x) ** 2
+
+
+def _order_one(t_p: float, x: np.ndarray) -> np.ndarray:
+    """-i e^{-i t_p x/2} / sin(t_p x/2): twice G/(e^{i m t_p x} - 1), G the repetition factor."""
+    return -1j * np.exp(-0.5j * t_p * x) / np.sin(0.5 * t_p * x)
 
 
 def _legendre_moments(lam: np.ndarray) -> np.ndarray:
@@ -815,28 +800,36 @@ def _legendre_moments(lam: np.ndarray) -> np.ndarray:
 
 
 def _repeat_weighted(mt: float, a: np.ndarray, b: np.ndarray, vals: np.ndarray):
-    """Integrals (R, P) of rows g times 1 - cos(mt x) over panels [a_i, b_i], and row 0's errors (P,).
+    """Integrals (R, P) of rows Re u (1 - e^{i mt x}) over panels [a_i, b_i], and row 0's errors (P,).
 
-    The comb walk's panel rule when m is given: vals are g's values at the
-    panels' Kronrod nodes (R, P, 15), and _refine splits on the errors it
-    returns.  With h a panel's half-width and lam = mt h, a panel with
-    lam <= _FILON_SERIES integrates g 2 sin^2(mt x/2) by _k15, its error
-    that product's K15-G7 gap.  A wider one subtracts from g's K15 integral
-    the integral of cos(mt x) against g's degree-14 Legendre interpolant on
-    the nodes (Filon's method, by the moments _legendre_moments); its error
-    is g's K15-G7 gap plus 2 h (|a_13| + |a_14|), a_n the interpolant's top
-    coefficients.
+    The comb walk's panel rule when m is given: vals are the rows' values at
+    the panels' Kronrod nodes, (2, P, 15) real, or (3, P, 15) complex with a
+    row 2, y, that is integrated unweighted into rows 0 and 2; _Walk.integrate
+    splits on the errors it returns.  With h a panel's half-width and lam = mt h, a panel with
+    lam <= _FILON_SERIES integrates the weighted rows by _k15, its error
+    their K15-G7 gap.  A wider one subtracts from the K15 integral of the
+    unweighted rows the integral of e^{i mt x} against u's degree-14 Legendre
+    interpolant on the nodes (Filon's method, by the moments
+    _legendre_moments); its error is the K15-G7 gap plus 2 h (|a_13| + |a_14|),
+    a_n the interpolant's top coefficients.
     """
     half, centre = 0.5 * (b - a), 0.5 * (a + b)
     lam = mt * half
-    out, gap = _k15(a, b, vals)
+    u = vals[:2]
+    plain = u.real if len(vals) == 2 else np.stack([u[0].real + vals[2].real, u[1].real, vals[2].real])
+    out, gap = _k15(a, b, plain)
     narrow = lam <= _FILON_SERIES
-    product = vals[:, narrow] * (2.0 * np.sin(0.5 * mt * _panel_nodes(a[narrow], b[narrow])) ** 2)
-    out[:, narrow], gap[narrow] = _k15(a[narrow], b[narrow], product)
+    phase = mt * _panel_nodes(a[narrow], b[narrow])
+    # Re u (1 - e^{i phase}) = Re u 2 sin^2(phase/2) + Im u sin(phase)
+    product = u[:, narrow].real * (2.0 * np.sin(0.5 * phase) ** 2)
+    if len(vals) > 2:
+        product = product + u[:, narrow].imag * np.sin(phase)
+        product[0] += vals[2, narrow].real
+    out[:2, narrow], gap[narrow] = _k15(a[narrow], b[narrow], product)
     wide = ~narrow
-    coef = vals[:, wide] @ _TO_LEGENDRE.T
+    coef = u[:, wide] @ _TO_LEGENDRE.T
     phase = np.exp(1j * mt * centre[wide]) * half[wide]
-    out[:, wide] -= (phase * np.sum(coef * _legendre_moments(lam[wide]), axis=-1)).real
+    out[:2, wide] -= (phase * np.sum(coef * _legendre_moments(lam[wide]), axis=-1)).real
     gap[wide] += 2.0 * half[wide] * np.abs(coef[0, :, 13:]).sum(axis=-1)
     return out, gap
 
@@ -855,8 +848,7 @@ def chi_plateau_limit(
     chi_repeated.  For a hard cutoff meeting the plateau conditions the
     growth vanishes and this is the exact limit.  growth_per_repeat reports
     the linear term's slope for callers that need the full picture.  Raises
-    DomainError where the comb walk does not apply (see _comb_applies) or
-    chi grows linearly from a negative intercept (no plateau level), and
-    AccuracyError where quad_error exceeds rel_tol.
+    DomainError where chi grows linearly from a negative intercept (no
+    plateau level), and AccuracyError where quad_error exceeds rel_tol.
     """
     return _chi_comb(p, None, spec, shape or bang_bang(), config or DEFAULT_CONFIG)

@@ -20,9 +20,9 @@ leading-order closed form per contribution 2 g |A|^2 omega_c^(2a-1) /
 Lifetime bounds cover three failure mechanisms: spectral weight above
 the cutoff (power-law rolloff curbs the usable repeat count m_max),
 access jitter when appending a read delay to the repeated block (its
-error, from one band walk re-weighted for every delay, is jitter_curve in
-integrals; chi_with_jitter is re-exported here), and a residual Markovian
-noise floor.
+error, one comb walk per delay whose cost does not depend on the repeat
+count, is jitter_curve in integrals; chi_with_jitter is re-exported
+here), and a residual Markovian noise floor.
 """
 
 from __future__ import annotations
@@ -290,10 +290,10 @@ def jitter_tolerance(
 
     Bisects delta_t for the repeated-plus-delay scenario of chi_with_jitter
     against the asymptotic plateau budget, reading every delay off one
-    jitter_curve: one band walk at delta_t = 0, re-weighted and checked for
-    each delay.  The reference is the rolloff-aware plateau level
-    (chi_plateau_limit), which equals the to-the-cutoff integral for hard
-    cutoffs and extends it past the cutoff for soft rolloffs.  Raises
+    jitter_curve, one comb walk per delay.  The reference is the
+    rolloff-aware plateau level (chi_plateau_limit), which equals the
+    to-the-cutoff integral for hard cutoffs and extends it past the cutoff
+    for soft rolloffs.  Raises
     DomainError when the error already exceeds the budget at delta_t = 0;
     chi_plateau_limit's DomainError (no plateau level) and AccuracyError pass through.
     """

@@ -17,7 +17,9 @@ primitive pi pulse, and +pi, -2pi, +pi back to back for the first-order
 dynamically corrected gate DCG3 (footprint 4 tau_pi).  The per-pulse
 quadratures sum one primitive response per segment, each in a sinc form
 without its removable singularity at omega = pi/tau_s, so no pole windows
-or series switches are needed.
+are needed.  Where the signed segment widths sum to zero (DCG3) the r_y sum
+cancels at low omega, and there it is the Taylor series of exact integer
+coefficients (_ry_series).
 
 The pulses enter the whole sequence through u_p = sum_l (-1)^l e^{i omega t_l}
 over the pulse centers, read off the ideal transform by its vertex form
@@ -69,6 +71,31 @@ _SEGMENTS = {
 }
 
 _MISMATCH_WARN = 0.10
+_RY_SERIES_X = 0.15  # omega tau_pi up to which a cancelling r_y takes 16 Taylor terms: 5e-17 of it is left
+
+
+def _ry_series(kind: str) -> Optional[np.ndarray]:
+    """Taylor coefficients (8, 2) of r_y / (-i pi omega tau_pi) = E(x^2) + i x O(x^2), x = omega tau_pi.
+
+    That is S(x) = sum_s sigma_s w_s e^{i x a_s} (1 + e^{i x w_s}) / (pi^2 - x^2 w_s^2) over segments
+    of start a_s and width w_s in units of tau_pi, which cancels when sum_s sigma_s w_s = 0: to
+    O(x^2) for DCG3, where the sinc form keeps eps/x^2 of its digits.  S(x) = sum_n r_n (i x)^n, r_n
+    summing (-1)^k / ((n-2k)! pi^(2k+2)) times the integer sum_s sigma_s w_s^(2k+1) (a_s^j + (a_s + w_s)^j),
+    j = n - 2k; columns E and O take r_(2k) and r_(2k+1) times (-1)^k.  None where S does not cancel.
+    """
+    segments = _SEGMENTS[kind]
+    if not segments or sum(sign * width for _, width, sign in segments):
+        return None
+    coef = np.zeros(16)
+    for n in range(16):
+        for k in range(n // 2 + 1):
+            j = n - 2 * k
+            exact = sum(s * w ** (2 * k + 1) * (a**j + (a + w) ** j) for a, w, s in segments)
+            coef[n] += (-1) ** k * exact / (math.factorial(j) * math.pi ** (2 * k + 2))
+    return coef.reshape(8, 2) * (-1.0) ** np.arange(8)[:, None]
+
+
+_RY_SERIES = {kind: _ry_series(kind) for kind in _SEGMENTS}
 
 
 @dataclass(frozen=True)
@@ -126,7 +153,9 @@ def pulse_quadratures(
     with the primitive response
 
         P_s = tau_s e^{i omega (t_s + tau_s/2)} sinc(tau_s (omega - Omega_s)/2) / (omega + Omega_s)
-            = e^{i omega t_s} (e^{i omega tau_s} + 1) / (Omega_s^2 - omega^2).
+            = e^{i omega t_s} (e^{i omega tau_s} + 1) / (Omega_s^2 - omega^2),
+
+    and r_y_pul from _ry_series up to omega tau_pi = _RY_SERIES_X where its sum cancels.
     """
     w = _omega_array(omega)
     sum_p = ry = None  # the sums start from the first width, so one segment adds nothing
@@ -140,6 +169,15 @@ def pulse_quadratures(
         sum_p, ry = (p_s, y_s) if ry is None else (sum_p + p_s, ry + y_s)
     if ry is None:  # no segments: bang-bang
         sum_p, ry = np.zeros((2,) + w.shape, dtype=complex)
+    series = _RY_SERIES[shape.kind]
+    if series is not None:  # the cancelling r_y sum: its series at low omega
+        low = shape.tau_pi * w <= _RY_SERIES_X
+        x = shape.tau_pi * w[low]
+        # the terms that reach 1e-17 of the largest at the top x: few, where x is small
+        size = np.abs(series) * (x.max(initial=0.0) ** 2) ** np.arange(8)[:, None]
+        terms = 1 + np.flatnonzero(size.max(axis=1) >= 1e-17 * size.max()).max(initial=0)
+        even, odd = np.polynomial.polynomial.polyval(x * x, series[:terms])
+        ry.real[low], ry.imag[low] = math.pi * x * x * odd, -math.pi * x * even
     return _scalar_like(omega, -(w**2) * sum_p), _scalar_like(omega, ry)
 
 

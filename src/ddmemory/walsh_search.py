@@ -54,8 +54,8 @@ class DetectedStructure:
 
     kernel_chi is the repetition-kernel evaluation of the same pattern;
     kernel_agreement its relative gap from the full-length integral.
-    Both are None when the kernel route is unavailable (odd-count base
-    with finite-width pulses, repeated more than comb_crossover times).
+    Both are None where the base is refused (DomainError): a pulse
+    footprint that fits the winner's intervals but not the base's end ones.
     """
 
     base: TimingPattern

@@ -5,7 +5,9 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from ddmemory import calibrate_strength, cdd, chi, filter_fn, load_preset, repeat_pattern, walsh
+from ddmemory import (
+    calibrate_strength, cdd, chi, chi_asymptotic, dcg3, filter_fn, load_preset, repeat_pattern, udd, walsh,
+)
 from ddmemory.cli import main
 
 
@@ -175,28 +177,35 @@ class TestExitCodes:
         assert "rel_tol" in err
 
     def test_domain_error_from_module_is_three(self, capsys):
-        # odd pulse count with finite widths has no comb path past the crossover
+        # a 4 us DCG footprint does not fit the echo's 1 us half-interval: the
+        # pulses module refuses it when the comb walk first evaluates the filter
         code, _, err = _run(
             capsys,
             ["error", "--sequence", "echo", "--tau", "1e-6", "--spectrum", "gaas",
-             "--pulse", "primitive:1e-9", "--repeat", "1001"],
+             "--pulse", "dcg:1e-6", "--repeat", "1001"],
         )
         assert code == 3
+        assert "footprint" in err
 
     def test_plateau_of_odd_base_with_finite_pulses_is_three(self, capsys, tmp_path, gaas):
         from ddmemory import spectrum_to_json
 
-        # s = 1 meets the fitted pulse-order condition, so the comb walk refuses
+        # s = 1 meets the fitted pulse-order condition, and the comb walk takes the
+        # junction pulses: the report holds the library's plateau level
+        spec = replace(gaas, s=1.0)
         path = tmp_path / "s1.json"
-        path.write_text(json.dumps(spectrum_to_json(replace(gaas, s=1.0))))
+        path.write_text(json.dumps(spectrum_to_json(spec)))
         code, out, err = _run(
             capsys,
             ["plateau", "--sequence", "udd:5", "--duration", "16e-6", "--spectrum", str(path),
              "--pulse", "dcg:1e-08"],
         )
-        assert code == 3
-        assert out == ""
-        assert "odd pulse count" in err
+        assert code == 0
+        assert err == ""
+        report = json.loads(out)["report"]
+        assert report["conditions"]["all_met"] is True
+        level = chi_asymptotic(udd(5, 16e-6), spec, dcg3(1e-8)).chi_total
+        assert report["chi_infinity"]["chi_total"] == level
 
     def test_plateau_of_odd_base_on_gaas_reads_the_fitted_pulse_order(self, capsys):
         code, out, _ = _run(
@@ -366,6 +375,16 @@ class TestPlateauCommand:
         doc = json.loads(out)
         assert doc["report"]["conditions"]["all_met"] is False
         assert doc["report"]["chi_infinity"] is None
+
+    def test_jitter_after_many_repeats_exits_zero(self, capsys):
+        # each delay is one comb walk, whose cost does not grow with --jitter-m
+        code, out, err = _run(
+            capsys,
+            ["plateau", "--sequence", "cdd:4", "--tau", "1e-6", "--spectrum", "gaas",
+             "--pulse", "dcg:1e-8", "--jitter-budget-factor", "2", "--jitter-m", "50000"],
+        )
+        assert (code, err) == (0, "")
+        assert 0.15e-12 <= json.loads(out)["report"]["jitter_tolerance_s"] <= 15e-12
 
     @pytest.mark.parametrize(
         "flag, value",

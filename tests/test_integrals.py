@@ -212,12 +212,15 @@ class TestRepetitionKernel:
         assert via_kernel == pytest.approx(via_explicit, rel=1e-9, abs=0.0)
 
     def test_finite_width_odd_base_large_m_rejected(self, gaas):
+        # past the crossover the comb walk takes the junction pulses as r = G X - Y,
+        # and the crossover check runs for it as for any other base
         m0 = DEFAULT_CONFIG.comb_crossover
-        with pytest.raises(DomainError, match="odd pulse count"):
-            chi_repeated(echo(2e-6), m0 + 1, gaas, primitive(1e-9))
-        # no comb call could use a crossover check: none runs, and none is memoised
-        chi_repeated(echo(2e-6), m0, gaas, primitive(1e-9))
-        assert integrals._crossover_agreement.cache_info().currsize == 0
+        p, shape = echo(2e-6), primitive(1e-9)
+        comb = chi_repeated(p, m0 + 1, gaas, shape)
+        assert comb.comb_path and comb.comb_agreement < 1e-9
+        assert integrals._crossover_agreement.cache_info().currsize == 1
+        direct = integrals._chi_direct(p, m0 + 1, gaas, shape, DEFAULT_CONFIG)
+        assert abs(comb.chi_total - direct.chi_total) <= 1e-9 * direct.chi_total
 
 
 class TestKronrodRule:
@@ -273,8 +276,7 @@ class TestCombPath:
         spec = request.getfixturevalue(spec_name)
         p = _COMB_VS_DIRECT[name]
         cfg = replace(DEFAULT_CONFIG, comb_crossover=16, validate_crossover=False)
-        shapes = [s for s in (bang_bang(), primitive(1e-9), dcg3(1e-8)) if integrals._comb_applies(p, s)]
-        for shape in shapes:
+        for shape in (bang_bang(), primitive(1e-9), dcg3(1e-8)):
             comb = integrals._chi_comb(p, m, spec, shape, cfg)
             direct = integrals._chi_direct(p, m, spec, shape, cfg)
             assert comb.comb_path and not direct.comb_path
@@ -289,8 +291,6 @@ class TestCombPath:
         tight = replace(DEFAULT_CONFIG, rel_tol=1e-9)
         spec = gaas if on_gaas else yb
         for shape in (bang_bang(), dcg3(1e-8)):
-            if not integrals._comb_applies(p, shape):
-                continue
             comb = integrals._chi_comb(p, m, spec, shape, tight)
             direct = integrals._chi_direct(p, m, spec, shape, tight)
             assert abs(comb.chi_total - direct.chi_total) <= 1e-9 * direct.chi_total, shape.kind
@@ -426,6 +426,22 @@ class TestCrossoverReuse:
         chi_repeated(cdd(4, 1e-6), self.M0, gaas, bang_bang(), cfg)
         assert integrals._crossover_agreement.cache_info().currsize == 0
 
+    def test_crossover_check_runs_one_comb_walk(self, gaas, monkeypatch):
+        # the check reads only chi_total: no cut-band walk for chi_low, although
+        # the cutoff lies inside resonance cell 1 of this 64 us base
+        p = cdd(4, 4e-6)
+        assert math.pi / p.duration < gaas.omega_c
+        walks = []
+        comb_walk = integrals._comb_walk
+
+        def counted(*args):
+            walks.append(args[1])
+            return comb_walk(*args)
+
+        monkeypatch.setattr(integrals, "_comb_walk", counted)
+        chi_repeated(p, self.M0, gaas)
+        assert walks == [self.M0]
+
     def test_memo_keeps_as_many_problems_as_the_agreement_cache(self):
         # the agreement cache is the one memo: no second cache holds the direct budget
         assert integrals._crossover_agreement.cache_parameters() == {"maxsize": 64, "typed": False}
@@ -433,16 +449,17 @@ class TestCrossoverReuse:
 
     @pytest.mark.parametrize("warm", [False, True], ids=["cold", "reused"])
     def test_disagreement_still_raises(self, gaas, monkeypatch, warm):
-        comb = integrals._chi_comb
+        comb_walk = integrals._comb_walk
 
         def off_by_a_fifth(*args):
-            budget = comb(*args)
-            return replace(budget, chi_total=1.2 * budget.chi_total)
+            walk, growth = comb_walk(*args)
+            walk.rows = [1.2 * rows for rows in walk.rows]
+            return walk, growth
 
         p = cdd(4, 1e-6)
         direct = integrals._chi_direct(p, self.M0, gaas, bang_bang(), DEFAULT_CONFIG).chi_total
         calls = self._count_direct(monkeypatch)
-        monkeypatch.setattr(integrals, "_chi_comb", off_by_a_fifth)
+        monkeypatch.setattr(integrals, "_comb_walk", off_by_a_fifth)
         disagree = rf"disagree by 2\d\.\d% at the crossover m={self.M0} "
         if warm:  # the call at m0 runs the check; its failure is not memoised
             with pytest.raises(ConsistencyError, match=disagree):
@@ -450,7 +467,8 @@ class TestCrossoverReuse:
         with pytest.raises(ConsistencyError, match=disagree) as info:
             chi_repeated(p, 62_500, gaas)
         assert calls == [self.M0] * (2 if warm else 1)
-        shifted = 1.2 * comb(p, self.M0, gaas, bang_bang(), DEFAULT_CONFIG).chi_total
+        # the patched walk's chi, which the comb path would report at m0
+        shifted = integrals._chi_comb(p, self.M0, gaas, bang_bang(), DEFAULT_CONFIG).chi_total
         assert info.value.estimate == shifted
         assert info.value.error_bound == abs(shifted - direct)
 
@@ -520,51 +538,30 @@ class TestJitterCurve:
         got = jitter_curve(p, m, gaas, shape)(delta_t)
         assert _meets(got, chi(_delayed(p, m, delta_t), gaas, shape))
 
-    def test_long_delay_splits_only_its_panels(self, gaas, monkeypatch):
-        # the zero-delay panels resolve e^(i omega delta) up to a few block
-        # lengths (no delay up to 5 T_p splits a panel for the bases above or
-        # for 128 us blocks); 8 T_p after one 128 us CDD4 block needs its own
+    def test_long_delay_splits_only_its_panels(self, gaas):
+        # 8 T_p after one 128 us CDD4 block: e^(i omega delta) turns 8 times
+        # across each resonance cell, which the comb walk's panels resolve
         p, delta_t = cdd(4, 8e-6), 8 * 128e-6
-        curve = jitter_curve(p, 1, gaas)
-        evaluated = []
-        original = integrals._node_values
-
-        def counted(rows_fn, a, b):
-            evaluated.append(len(a))
-            return original(rows_fn, a, b)
-
-        monkeypatch.setattr(integrals, "_node_values", counted)
-        got = curve(delta_t)
-        monkeypatch.undo()
-        assert 0 < sum(evaluated) < 100
+        got = jitter_curve(p, 1, gaas)(delta_t)
         assert _meets(got, chi(_delayed(p, 1, delta_t), gaas))
 
-    def test_delay_that_cancels_the_error_walks_past_the_stop(self, gaas, monkeypatch):
+    def test_delay_that_cancels_the_error_walks_past_the_stop(self, gaas):
         # pulses at 0.2 T and 0.9 T leave a net area of -0.4 T per copy, which
-        # a delay of 0.4 m T all but cancels: chi falls 1e6-fold, so under a
-        # power-law tail the zero-delay walk stopped too low for this delay
+        # a delay of 0.4 m T all but cancels: chi falls 1e6-fold, and the walk
+        # for this delay stops on its own tail check under the power-law tail
         p = TimingPattern((0.2e-6, 0.9e-6), 1e-6, "y")
         spec = replace(gaas, rolloff=PowerLaw(2.0))
         m, delta_t = 10, 0.3999 * 10e-6
         ref = chi(_delayed(p, m, delta_t), spec)
         curve = jitter_curve(p, m, spec)
-        climbs = []
-        original = integrals._Walk.climb
-
-        def counted(walk, *args):
-            climbs.append(args)
-            return original(walk, *args)
-
-        monkeypatch.setattr(integrals._Walk, "climb", counted)
         got = curve(delta_t)
-        assert len(climbs) == 1
         assert got.chi_total < 1e-5 * curve(0.0).chi_total
         assert _meets(got, ref)
 
     def test_quad_error_covers_the_rounding_of_a_cancelling_delay(self, gaas):
         # one pulse at 0.6 T leaves a net area of 0.2 T, which a delay of
-        # 0.2 T cancels: chi falls 1e8-fold, and rows of size chi(0) cancel
-        # to the last 8 digits in the re-weighted delay row
+        # 0.2 T cancels: chi falls 1e8-fold, and the terms of |G X - Y|^2,
+        # each of the size of the zero-delay chi, cancel to the last 8 digits
         p, delta_t = TimingPattern((0.6e-6,), 1e-6, "x"), 0.2e-6
         got = jitter_curve(p, 1, gaas)(delta_t)
         ref = chi(_delayed(p, 1, delta_t), gaas)
@@ -622,8 +619,9 @@ class TestConfigAndFailure:
         ids=["chi", "chi_repeated", "chi_with_jitter"],
     )
     def test_exhausted_panel_budget_reports_estimate(self, gaas, direct):
-        cfg = replace(DEFAULT_CONFIG, max_panels=64, rel_tol=1e-12)
-        with pytest.raises(AccuracyError, match="64 panels exhausted for 'CDD4'") as err:
+        # 100 panels: the comb walk of chi_with_jitter spends 69 on its first region
+        cfg = replace(DEFAULT_CONFIG, max_panels=100, rel_tol=1e-12)
+        with pytest.raises(AccuracyError, match="100 panels exhausted for 'CDD4'") as err:
             direct(cdd(4, 1e-6), gaas, cfg)
         assert err.value.estimate > 0.0
         # the bound holds the walked band, the region being refined and the

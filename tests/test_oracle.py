@@ -223,6 +223,23 @@ def test_odd_base_repeat_matches_tiled_reference(name, m):
         )
 
 
+@pytest.mark.parametrize("name", ["echo", "udd5"])
+def test_odd_base_comb_walk_matches_tiled_reference(name):
+    # the same junction pulses through the comb walk's r = G X - Y, whose
+    # order-one and order-zero terms only an odd base with finite pulses has
+    m = 64
+    p, ref_p = PATTERNS[name]
+    shapes = {k: SHAPES[k] for k in ("primitive_1ns", "dcg_10ns")}
+    refs = oracle.chi_refs(_tiled(ref_p, m), _GAAS, tuple(shapes.values()))
+    cfg = replace(DEFAULT_CONFIG, comb_crossover=16, validate_crossover=False)
+    for (shape_name, shape), ref in zip(shapes.items(), refs):
+        b = chi_repeated(p, m, _GAAS, shape, cfg)
+        assert b.comb_path, shape_name
+        assert oracle.within(b.chi_total, b.quad_error, DEFAULT_CONFIG.rel_tol, ref), (
+            f"{shape_name}: chi {b.chi_total!r} vs reference {ref.value!r} +- {ref.error!r}"
+        )
+
+
 # off every grid and not at Uhrig's times: explicit UDD5 tilings and a join of
 # two UDD blocks, whose series the exact integer moments take from the float times
 OFF_GRID = {

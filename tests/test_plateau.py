@@ -197,6 +197,14 @@ class TestJitter:
         dt = jitter_tolerance(cdd(4, 1e-6), 1000, gaas, budget_factor=2.0)
         assert 0.15e-12 <= dt <= 15e-12
 
+    def test_tolerance_after_many_repeats_keeps_the_plateau_one(self, gaas):
+        # past the plateau the repeats add almost nothing, and each delay's comb
+        # walk costs the same at any m: 5e4 repeats, out of a direct walk's reach
+        shape = dcg3(1e-8)
+        at_1000 = jitter_tolerance(cdd(4, 1e-6), 1000, gaas, shape)
+        at_50000 = jitter_tolerance(cdd(4, 1e-6), 50_000, gaas, shape)
+        assert at_50000 == pytest.approx(at_1000, rel=plateau.JITTER_REL_TOL, abs=0.0)
+
     def test_tolerance_solves_the_budget(self, gaas):
         p = cdd(4, 1e-6)
         budget = 2.0 * chi_plateau_limit(p, gaas, bang_bang()).chi_total
@@ -235,16 +243,24 @@ class TestJitter:
 
     @pytest.mark.parametrize("preset", ["gaas", "yb"])
     def test_tolerance_runs_one_band_walk(self, preset, monkeypatch):
-        walks = []
-        original = integrals._Walk.band
+        # one comb walk per delay and one for the plateau level, and no direct walk
+        bands, walks = [], []
+        band, comb_walk = integrals._Walk.band, integrals._comb_walk
 
-        def counted(walk, *args):
-            walks.append(args)
-            return original(walk, *args)
+        def counted_band(walk, *args):
+            bands.append(args)
+            return band(walk, *args)
 
-        monkeypatch.setattr(integrals._Walk, "band", counted)
+        def counted(*args):
+            walks.append(args[1::4])  # (m, delay)
+            return comb_walk(*args)
+
+        monkeypatch.setattr(integrals._Walk, "band", counted_band)
+        monkeypatch.setattr(integrals, "_comb_walk", counted)
         jitter_tolerance(cdd(4, 1e-6), 1000, load_preset(preset), budget_factor=2.0)
-        assert len(walks) == 1
+        assert bands == []
+        assert walks[:2] == [(None, 0.0), (1000, 0.0)]
+        assert len(walks) == len(set(walks)) > 10
 
     def test_infeasible_budget_rejected(self, gaas):
         with pytest.raises(DomainError):
@@ -382,13 +398,13 @@ class TestReport:
 
 
 class TestOddBaseFinitePulses:
-    """Every quantity resting on the comb walk refuses an odd base with finite pulses.
+    """Every quantity resting on the comb walk takes an odd base with finite pulses.
 
-    The comb walk lacks the junction pulses' cross terms: for UDD5 with
-    10 ns DCG pulses it would put the plateau 443 times above the direct
-    chi_repeated.  On gaas (s = -2) the plateau conditions fail first: odd
-    switching parity lowers the fitted pulse order from 2 to 1, so
-    s + 2 alpha_pul - 1 = -1.  With s = 1 they pass and the refusal shows.
+    The comb walk carries the junction pulses as r = G X - Y, whose cross
+    term G X conj(Y) and |Y|^2 it integrates along with |G|^2 |X|^2.  On gaas
+    (s = -2) the plateau conditions fail first: odd switching parity lowers
+    the fitted pulse order from 2 to 1, so s + 2 alpha_pul - 1 = -1.  With
+    s = 1 they pass, and each call returns the value its definition gives.
     """
 
     U5 = udd(5, 16e-6)
@@ -404,8 +420,25 @@ class TestOddBaseFinitePulses:
 
     @pytest.mark.parametrize("name", sorted(CALLS))
     def test_comb_resting_call_is_refused(self, gaas, name):
-        with pytest.raises(DomainError, match="odd pulse count"):
-            self.CALLS[name](self.U5, replace(gaas, s=1.0), dcg3(1e-8))
+        # where the comb walk once refused, each call now meets its definition
+        spec, shape = replace(gaas, s=1.0), dcg3(1e-8)
+        got = self.CALLS[name](self.U5, spec, shape)
+        level = chi_plateau_limit(self.U5, spec, shape)
+        if name == "chi_plateau_limit":
+            # chi(m) = level + m growth + a transient: the direct walk at m = 1000
+            direct = chi_repeated(self.U5, 1000, spec, shape).chi_total
+            assert abs(direct - 1000 * got.growth_per_repeat - got.chi_total) <= 1e-9 * direct
+        elif name == "chi_asymptotic":
+            clamped = replace(spec, omega_max=spec.omega_c)
+            assert got.chi_total == chi_plateau_limit(self.U5, clamped, shape).chi_total > 0.0
+        elif name == "m_max_soft_detail":
+            assert got.bound == pytest.approx(got.closed_route, rel=0.1, abs=0.0)
+        elif name == "jitter_tolerance":
+            at_dt = chi_with_jitter(self.U5, 1000, got, spec, shape).chi_total
+            assert at_dt == pytest.approx(2.0 * level.chi_total, rel=5e-3, abs=0.0)
+        else:
+            assert got.all_conditions_met
+            assert got.chi_infinity == chi_asymptotic(self.U5, spec, shape)
 
     @pytest.mark.parametrize("name", ["chi_asymptotic", "m_max_soft_detail"])
     def test_fitted_pulse_order_fails_on_gaas(self, gaas, name):

@@ -343,6 +343,32 @@ def test_segment_sum_equals_the_expanded_forms(make, tau_pi):
         assert np.all(np.abs(got - ref) <= slack * scale)
 
 
+def _mp_ry(shape, w):
+    """r_y_pul = -i omega sum_s sigma_s Omega_s P_s over the segment table, at 50 digits."""
+    with mp.workdps(50):
+        w, tau, total = mp.mpf(w), mp.mpf(shape.tau_pi), 0
+        for start, width, sign in pulses._SEGMENTS[shape.kind]:
+            big_omega = mp.pi / (width * tau)
+            total += sign * big_omega * mp.exp(1j * w * start * tau) * (mp.exp(1j * w * width * tau) + 1) / (
+                big_omega**2 - w**2
+            )
+        return complex(-1j * w * total)
+
+
+@pytest.mark.parametrize(
+    "w, rel",
+    [(1.0, 1e-15), (1e3, 1e-15), (1e5, 1e-15), (0.15e8 * (1 - 1e-9), 1e-15), (0.15e8 * (1 + 1e-9), 3e-14)],
+    ids=["1", "1e3", "1e5", "below_series_top", "above_series_top"],
+)
+def test_dcg_ry_keeps_its_low_frequency_digits(w, rel):
+    # sum_s sigma_s tau_s = 0 cancels DCG3's r_y sum to O((omega tau_pi)^2) below
+    # its terms: up to omega tau_pi = 0.15 its exact-coefficient series keeps them,
+    # and above it the sum keeps all but about 2.5e-16 / (omega tau_pi)^2 of them
+    shape = dcg3(1e-8)
+    ref = _mp_ry(shape, w)
+    assert abs(pulses.pulse_quadratures(shape, w)[1] - ref) <= rel * abs(ref)
+
+
 def test_bang_bang_has_no_segments_and_zero_quadratures():
     rz, ry = pulses.pulse_quadratures(bang_bang(), np.geomspace(1e3, 1e9, 7))
     assert rz.dtype == complex and ry.dtype == complex
