@@ -166,7 +166,7 @@ def _calls():
         free_evolution(16e-6), 1001, load_preset("yb")
     )
     yield "chi_repeated/r18/udd4_16us/10000", lambda: chi_repeated(udd(4, 16e-6), 10**4, r18)
-    # free evolution on gaas just past the crossover and at twice it: no pulses, so
+    # free evolution on gaas at m = 1001 and 2000, on the comb walk: no pulses, so
     # chi is set by the panel rule alone, and the oracle compares it at a few ulp
     for m in (1001, 2000):
         yield f"chi_repeated/free_16us/{m}", lambda m=m: chi_repeated(free_evolution(16e-6), m, gaas)
@@ -183,12 +183,16 @@ def _calls():
     tight = replace(small, rel_tol=1e-12)
     bb = bang_bang()
     yield "exhausted/chi", lambda: chi(p, gaas, bb, tight)
-    yield "exhausted/chi_repeated_direct", lambda: chi_repeated(p, 1000, gaas, bb, small)
+    yield "exhausted/chi_repeated_direct", lambda: chi_repeated(p, 100, gaas, bb, small)  # m0: still direct
     yield "exhausted/chi_repeated_comb", lambda: chi_repeated(p, 10**6, gaas, bb, small)
     yield "exhausted/chi_plateau_limit", lambda: chi_plateau_limit(p, gaas, bb, small)
     yield "exhausted/chi_with_jitter", lambda: chi_with_jitter(p, 1000, 1e-7, gaas, bb, small)
-    yield "exhausted/w555_1024/1000", lambda: chi_repeated(walsh(555, 1024e-6, 1024), 1000, gaas)
-    # CDD4 with 1.26 us slots just past the crossover: the comb walk meets rel_tol = 1e-9
+    # a 1.024 ms block 1000 times: the direct walk runs out of panels there, the comb walk does not
+    yield "chi_repeated/w555_1024/1000", lambda: chi_repeated(walsh(555, 1024e-6, 1024), 1000, gaas)
+    # CDD4 at and just past the default crossover: the crossover check's direct budget, then the comb walk
+    for m in (100, 101):
+        yield f"chi_repeated/cdd4/{m}", lambda m=m: chi_repeated(p, m, gaas)
+    # CDD4 with 1.26 us slots at m = 1001: the comb walk meets rel_tol = 1e-9
     yield "chi_repeated/cdd4_1.26us/1001/rel_tol_1e-9", lambda: chi_repeated(
         cdd(4, 1.26e-6), 1001, gaas, config=replace(DEFAULT_CONFIG, rel_tol=1e-9)
     )

@@ -65,7 +65,7 @@ __all__ = [
 
 # coefficient of the level-4 concatenated specialization, 3*pi^6/(5*2^25)
 _CDD4_COEFF = 3.0 * math.pi**6 / (5.0 * 2.0**25)
-JITTER_REL_TOL = 1e-3  # jitter_tolerance stops bisecting at this bracket width, relative
+JITTER_REL_TOL = 1e-3  # jitter_tolerance stops once its bracket is this narrow, relative to its top
 
 
 @dataclass(frozen=True)
@@ -288,9 +288,16 @@ def jitter_tolerance(
 ) -> float:
     """Largest read delay keeping total error within budget_factor * chi_inf.
 
-    Bisects delta_t for the repeated-plus-delay scenario of chi_with_jitter
+    Solves for delta_t in the repeated-plus-delay scenario of chi_with_jitter
     against the asymptotic plateau budget, reading every delay off one
-    jitter_curve, one comb walk per delay.  The reference is the
+    jitter_curve, one comb walk per delay.  From the zero-delay error, delays
+    double from a physical scale until one exceeds the budget.  Each round
+    then fits a power law c delta^k to the excess error chi(delta) - chi(0)
+    through the bracket's ends (k = 2 from zero) and probes its root times
+    1 -+ 0.4 JITTER_REL_TOL; a round that does not halve the bracket bisects
+    it once more.  The midpoint of the first bracket within JITTER_REL_TOL
+    of its top is returned.  On CDD4 the excess is close to delta^2, so after
+    the plateau level this takes four comb walks.  The reference is the
     rolloff-aware plateau level (chi_plateau_limit), which equals the
     to-the-cutoff integral for hard cutoffs and extends it past the cutoff
     for soft rolloffs.  Raises
@@ -309,18 +316,37 @@ def jitter_tolerance(
     # physical starting scale: extra error of a bare delay is about dt^2 * total power
     grid = np.geomspace(spec.omega_min, spec.omega_max, 4097)
     power = float(np.trapezoid(evaluate(spec, grid), grid))
-    hi = math.sqrt((budget - chi0) / power) if power > 0 else p.duration
-    for doublings in range(80):
-        if curve(hi).chi_total > budget:
+    target = budget - chi0
+    hi = math.sqrt(target / power) if power > 0 else p.duration
+    # the bracket [lo, hi] and the excess chi - chi0 at its ends: within the target at lo, above at hi
+    lo = excess_lo = 0.0
+    for _ in range(80):
+        excess_hi = curve(hi).chi_total - chi0
+        if excess_hi > target:
             break
+        lo, excess_lo = hi, excess_hi  # within the target: the bracket starts here
         hi *= 2.0
     else:
-        raise DomainError("read-delay error never reaches the budget; nothing to bisect")
-    # hi / 2, the first midpoint from 0, was already found within budget
-    lo = 0.5 * hi if doublings else 0.0
+        raise DomainError("read-delay error never reaches the budget; no bracket to close")
+
+    def probe(delta_t: float) -> None:
+        nonlocal lo, hi, excess_lo, excess_hi
+        if lo < delta_t < hi:
+            excess = curve(delta_t).chi_total - chi0
+            if excess > target:
+                hi, excess_hi = delta_t, excess
+            else:
+                lo, excess_lo = delta_t, excess
+
     while hi - lo > JITTER_REL_TOL * hi:
-        mid = 0.5 * (lo + hi)
-        lo, hi = (lo, mid) if curve(mid).chi_total > budget else (mid, hi)
+        width = hi - lo
+        # the power law c delta^k through the bracket ends (delta^2 from zero) meets the target at aim
+        k = math.log(excess_hi / excess_lo) / math.log(hi / lo) if excess_lo > 0.0 else 2.0
+        aim = hi * (target / excess_hi) ** (1.0 / k)
+        probe(aim * (1.0 - 0.4 * JITTER_REL_TOL))
+        probe(aim * (1.0 + 0.4 * JITTER_REL_TOL))
+        if hi - lo > max(0.5 * width, JITTER_REL_TOL * hi):
+            probe(0.5 * (lo + hi))  # the aim missed: bisect once
     return 0.5 * (lo + hi)
 
 

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from ddmemory import (
-    calibrate_strength, cdd, chi, chi_asymptotic, dcg3, filter_fn, load_preset, repeat_pattern, udd, walsh,
+    DEFAULT_CONFIG, calibrate_strength, cdd, chi, chi_asymptotic, dcg3, filter_fn, load_preset, repeat_pattern,
+    udd, walsh,
 )
 from ddmemory.cli import main
 
@@ -159,14 +160,15 @@ class TestExitCodes:
         assert named in err
 
     def test_block_beyond_panel_budget_is_four(self, capsys):
-        # the first walk block of 16 s CDD4 repeated 1000 times exceeds the
-        # panel budget, which is reported before its edges are built
+        # the first walk block of 160 s CDD4 repeated 100 times, the crossover
+        # check's direct walk, exceeds the panel budget, which is reported
+        # before its edges are built
         code, _, err = _run(
             capsys,
-            ["error", "--sequence", "cdd:4", "--tau", "1", "--spectrum", "gaas", "--repeat", "1000"],
+            ["error", "--sequence", "cdd:4", "--tau", "10", "--spectrum", "gaas", "--repeat", "100"],
         )
         assert code == 4
-        assert "exhausted for 'CDD4' repeated 1000 times" in err
+        assert "exhausted for 'CDD4' repeated 100 times" in err
 
     def test_non_finite_rel_tol_is_three(self, capsys):
         code, _, err = _run(
@@ -487,7 +489,7 @@ class TestSweepAndTrace:
         )
         assert code == 0
         config, _, _ = _parse_csv(out)
-        assert config["quadrature"]["comb_crossover"] == 1000
+        assert config["quadrature"]["comb_crossover"] == DEFAULT_CONFIG.comb_crossover
 
     def test_trace_ends_at_duration(self, capsys):
         code, out, _ = _run(

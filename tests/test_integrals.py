@@ -72,7 +72,7 @@ class TestOracles:
 
     @pytest.mark.parametrize("m", [1000, 1], ids=["16us_x1000", "16ms"])
     def test_long_free_evolution_on_yb_matches_oracle(self, yb, m):
-        # the kernel walk of 1000 repeats and the single run integrate the same
+        # the comb walk of 1000 repeats and the single run integrate the same
         # closed form; bench/oracle.py's kernel route lies 1.02e-12 chi above it
         budget = chi_repeated(free_evolution(16e-3 / m), m, yb)
         assert abs(budget.chi_total - ORACLE_CHI_FREE_16MS_YB) <= 1e-14 * ORACLE_CHI_FREE_16MS_YB
@@ -369,6 +369,16 @@ class TestCombPath:
         at_62500 = chi_repeated(base, 62500, gaas, bang_bang()).chi_total
         assert at_62500 == pytest.approx(plateau, rel=1e-3, abs=0.0)
 
+    @pytest.mark.parametrize("m", [1000, 2000])
+    def test_long_walsh_block_takes_the_comb_walk(self, gaas, m):
+        # a direct walk of a 1.024 ms block resolves every node 2 pi/(m T_p) and
+        # runs out of panels at m = 1000; past the crossover the comb walk takes
+        # it at any m, and the crossover check's direct walk at m0 fits the budget
+        b = chi_repeated(walsh(555, 1024e-6, 1024), m, gaas)
+        assert b.comb_path
+        assert b.quad_error <= DEFAULT_CONFIG.rel_tol * b.chi_total
+        assert b.comb_agreement <= 1e-9
+
 
 class TestCrossoverReuse:
     """One memo per problem keeps the crossover check at m0 = comb_crossover:
@@ -630,12 +640,13 @@ class TestConfigAndFailure:
         assert abs(err.value.estimate - full.chi_total) <= err.value.error_bound + full.quad_error
 
     def test_block_beyond_budget_fails_before_it_is_built(self, gaas):
-        # 16 s blocks repeated 1000 times: the first walk block alone holds
-        # about 8e8 half-lobe edges, 6 GB of numpy arrays had it been built
+        # 160 s blocks repeated 100 times, the crossover check's direct walk: its
+        # first walk block alone holds about 8e8 half-lobe edges, 6 GB of numpy
+        # arrays had it been built
         tracemalloc.start()
         try:
-            with pytest.raises(AccuracyError, match="exhausted for 'CDD4' repeated 1000 times"):
-                chi_repeated(cdd(4, 1.0), 1000, gaas)
+            with pytest.raises(AccuracyError, match="exhausted for 'CDD4' repeated 100 times"):
+                chi_repeated(cdd(4, 10.0), 100, gaas)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -708,7 +719,7 @@ class TestLinearInStrength:
 
     ROUTES = {
         "direct": lambda p, spec, shape, cfg: chi(p, spec, shape, cfg),
-        "kernel": lambda p, spec, shape, cfg: chi_repeated(p, 1000, spec, shape, cfg),
+        "kernel": lambda p, spec, shape, cfg: chi_repeated(p, 100, spec, shape, cfg),
         "comb": lambda p, spec, shape, cfg: chi_repeated(p, 10**6, spec, shape, cfg),
         "plateau_limit": chi_plateau_limit,
     }

@@ -74,7 +74,8 @@ SPECTRA = {
     "gaas_r18": replace(_GAAS, rolloff=PowerLaw(18.0)),
     "yb": load_preset("yb"),
 }
-# W555@1024 repeated 1000 times exhausts the default panel budget, by design
+# W555@1024 is not repeated here: the reference would hold one panel per kernel
+# period 2 pi/(m T_p) up to its band top, far too many at m = 1000
 CHI_CASES = [
     (name, spec_name, m)
     for m in (1, 1000)
@@ -147,9 +148,9 @@ def test_comb_growth_fits_the_error_budget(name, spec_name):
         assert gap <= max(b.quad_error, cfg.rel_tol * b.chi_total), shape_name
 
 
-# the comb path just past the crossover and at m = 1e4, where the direct path
-# took over before: CDD4 across the benchmark's slot widths, UDD4, and W37@64,
-# whose chi the resonance masses carry
+# the comb path just past the crossover, at m = 1001 and at m = 1e4: CDD4
+# across the benchmark's slot widths, UDD4, and W37@64, whose chi the
+# resonance masses carry
 COMB_PATTERNS = {
     **{
         f"cdd4_{x}us": (cdd(4, x * TAU), oracle.cdd_pattern(4, x * TAU), SHAPES)
@@ -160,7 +161,7 @@ COMB_PATTERNS = {
 }
 
 
-_COMB_M = (DEFAULT_CONFIG.comb_crossover + 1, 10**4)
+_COMB_M = (DEFAULT_CONFIG.comb_crossover + 1, 1001, 10**4)
 # every pattern on gaas, whose Gaussian rolloff leaves h smooth; CDD4 at two
 # slot widths on the hard cutoff (a jump of h), the r = 18 power law (a
 # kink) and yb, where h's break is a panel edge of the comb walk
@@ -188,7 +189,7 @@ def test_comb_error_bound_holds_and_meets_rel_tol(name, m, spec_name):
         assert b.quad_error <= DEFAULT_CONFIG.rel_tol * b.chi_total, shape_name
 
 
-@pytest.mark.parametrize("m", [DEFAULT_CONFIG.comb_crossover + 1, 2000])
+@pytest.mark.parametrize("m", [DEFAULT_CONFIG.comb_crossover + 1, 1001, 2000])
 def test_free_evolution_repeat_is_within_its_bound(m):
     # no pulses, so the gap is the panel rule's own: K15 weights whose sum
     # misses 2 by a few ulp scale every panel and show here

@@ -21,7 +21,12 @@ within 1e-12 of omega_c used to stand in for it, and the panel above that
 node counted below the cutoff.  Their chi_total did not move.  The DCG
 pulse-order mismatch was re-frozen (0.8196 -> 3.3e-9) once its closed pair
 was derived from the pulse's drive segments; its fitted exponent and
-amplitude did not move.
+amplitude did not move.  When the comb crossover moved from m = 1000 to
+100, the three chi_repeated entries at m = 1000 were re-frozen on the comb
+walk: their path flag and growth term are now set, and chi moved by at most
+3.1e-14 relative, inside quad_error.  When jitter_tolerance began to aim at
+the root of a power-law fit instead of bisecting, its two entries were
+re-frozen too; they moved by at most 2.9e-4 relative, inside JITTER_REL_TOL.
 """
 
 import json
