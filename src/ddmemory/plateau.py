@@ -318,30 +318,31 @@ def jitter_tolerance(
     power = float(np.trapezoid(evaluate(spec, grid), grid))
     target = budget - chi0
     hi = math.sqrt(target / power) if power > 0 else p.duration
-    # the bracket [lo, hi] and the excess chi - chi0 at its ends: within the target at lo, above at hi
+    # the bracket [lo, hi], within budget at lo and above at hi, and the excess chi - chi0 at its ends
     lo = excess_lo = 0.0
     for _ in range(80):
-        excess_hi = curve(hi).chi_total - chi0
-        if excess_hi > target:
+        chi_hi = curve(hi).chi_total
+        if chi_hi > budget:
             break
-        lo, excess_lo = hi, excess_hi  # within the target: the bracket starts here
+        lo, excess_lo = hi, chi_hi - chi0  # within budget: the bracket starts here
         hi *= 2.0
     else:
         raise DomainError("read-delay error never reaches the budget; no bracket to close")
+    excess_hi = chi_hi - chi0
 
     def probe(delta_t: float) -> None:
         nonlocal lo, hi, excess_lo, excess_hi
         if lo < delta_t < hi:
-            excess = curve(delta_t).chi_total - chi0
-            if excess > target:
-                hi, excess_hi = delta_t, excess
+            chi_t = curve(delta_t).chi_total
+            if chi_t > budget:
+                hi, excess_hi = delta_t, chi_t - chi0
             else:
-                lo, excess_lo = delta_t, excess
+                lo, excess_lo = delta_t, chi_t - chi0
 
     while hi - lo > JITTER_REL_TOL * hi:
         width = hi - lo
         # the power law c delta^k through the bracket ends (delta^2 from zero) meets the target at aim
-        k = math.log(excess_hi / excess_lo) / math.log(hi / lo) if excess_lo > 0.0 else 2.0
+        k = math.log(excess_hi / excess_lo) / math.log(hi / lo) if 0.0 < excess_lo < excess_hi else 2.0
         aim = hi * (target / excess_hi) ** (1.0 / k)
         probe(aim * (1.0 - 0.4 * JITTER_REL_TOL))
         probe(aim * (1.0 + 0.4 * JITTER_REL_TOL))

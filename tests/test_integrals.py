@@ -70,11 +70,16 @@ class TestOracles:
         budget = chi(cdd(4, 1e-6), gaas, bang_bang())
         assert budget.chi_total == pytest.approx(ORACLE_CHI_CDD4_1US, rel=1e-9, abs=0.0)
 
-    @pytest.mark.parametrize("m", [1000, 1], ids=["16us_x1000", "16ms"])
-    def test_long_free_evolution_on_yb_matches_oracle(self, yb, m):
-        # the comb walk of 1000 repeats and the single run integrate the same
-        # closed form; bench/oracle.py's kernel route lies 1.02e-12 chi above it
-        budget = chi_repeated(free_evolution(16e-3 / m), m, yb)
+    @pytest.mark.parametrize(
+        "m, walk",
+        [(1000, integrals._chi_direct), (1000, chi_repeated), (1, integrals._chi_direct)],
+        ids=["16us_x1000", "16us_x1000_comb", "16ms"],
+    )
+    def test_long_free_evolution_on_yb_matches_oracle(self, yb, m, walk):
+        # the kernel walk and the comb walk of 1000 repeats and the single run
+        # integrate the same closed form; bench/oracle.py's kernel route lies
+        # 1.02e-12 chi above it
+        budget = walk(free_evolution(16e-3 / m), m, yb, bang_bang(), DEFAULT_CONFIG)
         assert abs(budget.chi_total - ORACLE_CHI_FREE_16MS_YB) <= 1e-14 * ORACLE_CHI_FREE_16MS_YB
 
     @pytest.mark.parametrize("rel_tol", [1e-6, 1e-9, 1e-12])

@@ -74,11 +74,12 @@ SPECTRA = {
     "gaas_r18": replace(_GAAS, rolloff=PowerLaw(18.0)),
     "yb": load_preset("yb"),
 }
-# W555@1024 is not repeated here: the reference would hold one panel per kernel
-# period 2 pi/(m T_p) up to its band top, far too many at m = 1000
+# m = comb_crossover is the direct walk and m = 1000 the comb walk.  W555@1024
+# is not repeated here: the reference would hold one panel per kernel period
+# 2 pi/(m T_p) up to its band top, far too many at m = 1000
 CHI_CASES = [
     (name, spec_name, m)
-    for m in (1, 1000)
+    for m in (1, DEFAULT_CONFIG.comb_crossover, 1000)
     for spec_name in SPECTRA
     for name in sorted(PATTERNS)
     if not (name == "w555_1024" and m > 1)
