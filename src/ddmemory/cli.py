@@ -24,7 +24,7 @@ from .errors import DDMemoryError, DomainError, require_positive
 from .integrals import DEFAULT_CONFIG, QuadratureConfig, chi_during, chi_repeated
 from .noise import NoiseSpectrum, calibrate_strength, load_preset, spectrum_to_json
 from .plateau import plateau_report
-from .pulses import BANG_BANG, PulseShape, bang_bang, dcg3, primitive, quadrature_components
+from .pulses import BANG_BANG, PulseShape, _totals, bang_bang, dcg3, primitive, quadrature_components
 from .sequences import (
     TimingPattern,
     carr_purcell,
@@ -265,13 +265,12 @@ def ff_cmd(sequence, tau, duration, pulse, repeat, points, omega_min, omega_max,
         "ff", p, shape=shape,
         extra={"grid": {"omega_min": w_lo, "omega_max": w_hi, "points": points}},
     )
-    base, dz, ry = quadrature_components(p, shape, grid)
+    base, *pulse = quadrature_components(p, shape, grid)
     ff_ideal = np.abs(base) ** 2
     columns = ["omega_rad_s", "ff_total", "ff_ideal", "re_omega_y", "im_omega_y"]
     values = [grid, ff_ideal, ff_ideal, base.real, base.imag]
     if shape.kind != BANG_BANG:
-        rz, ry = (base, np.zeros_like(base)) if dz is None else (base + dz, ry)
-        rz_sq, ry_sq = np.abs(rz) ** 2, np.abs(ry) ** 2
+        rz_sq, ry_sq = (np.abs(r) ** 2 for r in _totals(base, *pulse))
         values[1] = rz_sq + ry_sq
         columns += ["rz_sq", "ry_sq"]
         values += [rz_sq, ry_sq]
@@ -284,7 +283,7 @@ def ff_cmd(sequence, tau, duration, pulse, repeat, points, omega_min, omega_max,
 @_pulse_opt
 @_spectrum_opt
 @click.option("--repeat", type=click.IntRange(min=1), default=1, show_default=True,
-              help="Evaluate the pattern repeated m times (kernel route).")
+              help="Evaluate the pattern repeated m times.")
 @_rel_tol_opt
 @_out_opts
 def error_cmd(sequence, tau, duration, pulse, spectrum, repeat, rel_tol, output, fmt):

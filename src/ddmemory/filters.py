@@ -55,10 +55,10 @@ _CHUNK_TERMS = 1 << 22
 
 
 def _omega_array(omega) -> np.ndarray:
-    """omega as a float array of at least one dimension; DomainError unless every entry is >= 0."""
+    """omega as a float array of at least one dimension; DomainError unless every entry is finite and >= 0."""
     w = np.atleast_1d(np.asarray(omega, dtype=float))
-    if not np.all(w >= 0.0):
-        raise DomainError("angular frequency omega must be >= 0")
+    if w.size and not (0.0 <= w.min() and w.max() < math.inf):  # min and max propagate NaN
+        raise DomainError("angular frequency omega must be finite and >= 0")
     return w
 
 

@@ -22,14 +22,14 @@ direct budget at m0, where a direct walk costs about as much as one of a
 single run.  With m -> infinity the same comb walk, minus the masses that
 grow with m, is the plateau level chi_plateau_limit.
 
-Every direct chi is one _Walk.band walk up the band (integrate_rows) of
-the rows S F / omega^2 of m repeats (_ff_rows_factory).  Every comb chi is
-one _comb_walk of r = G X - Y per quadrature, G the repetition factor: an
-odd base's junction pulses and a read delay after the repeats are its
-terms X conj(Y) and |Y|^2 (_repeat_terms), so jitter_curve, and
-chi_with_jitter at one delay, take one comb walk per delay.  Each walk
-keeps its panel budget, contributions, error, tail stop and failure in
-one _Walk.  Panel integrals use a 7-point Gauss / 15-point Kronrod pair
+m repeats make r = G X - Y per quadrature, G the repetition factor and Y
+an odd base's junction pulses and a read delay; _repeat_nodes forms each
+node's omega*y, X and Y from one pulse evaluation.  Every direct chi is one
+_Walk.band walk (integrate_rows) of S |G X - Y|^2 / omega^2 (_ff_rows_factory),
+every comb chi one _comb_walk of |X|^2, X conj(Y) and |Y|^2 (_repeat_terms),
+so jitter_curve, and chi_with_jitter at one delay, take one comb walk per
+delay.  Each walk keeps its panel budget, contributions, error, tail stop
+and failure in one _Walk.  Panel integrals use a 7-point Gauss / 15-point Kronrod pair
 derived at import, and _Walk.integrate splits panels on exactly the error its
 panel rule charges (_k15, or _repeat_weighted on the comb walk with m given).
 
@@ -54,7 +54,7 @@ from .errors import (
 )
 from .filters import dirichlet_factor, dirichlet_ratio
 from .noise import HARD, NoiseSpectrum, evaluate
-from .pulses import BANG_BANG, PulseShape, _unit_pulse_terms, bang_bang, quadrature_components
+from .pulses import BANG_BANG, PulseShape, bang_bang, quadrature_components
 from .sequences import TimingPattern, truncate
 
 __all__ = [
@@ -383,33 +383,49 @@ def _label(p: TimingPattern, m: Optional[int]) -> str:
     return f" for {p.label!r}" + (f" repeated {m} times" if m not in (None, 1) else "")
 
 
-def _ff_rows_factory(p: TimingPattern, shape: PulseShape, spec: NoiseSpectrum, m: int = 1) -> RowsFn:
-    """Rows [S*F_total/w^2, S*F_ideal/w^2] of p repeated m times.
+def _repeat_nodes(p: TimingPattern, shape: PulseShape, w: np.ndarray, junction: bool, delay: float = 0.0):
+    """(omega*y, X, Y) at nodes w from one quadrature_components call: m repeats make r = G X - Y.
 
-    Without junctions the rows are the base rows times the Dirichlet kernel |G|^2,
-    G = e^{i(m-1)theta} sin(m theta)/sin(theta), theta = w T_p/2.  With b, c_y what one
-    pulse of phasor 1 adds, the junction pulses of an odd base make
-    r_z = G (omega*y_p + dz) + b (G - 1) and r_y = G r_y_p + c_y (G - 1).
+    Per quadrature (z, y), G = e^{i(m-1)theta} sin(m theta)/sin(theta), theta = w T_p/2, X is
+    (omega*y + b u_p, c_y u_p), b and c_y what one pulse of phasor 1 adds, and Y = 0.  An odd
+    base's junction pulses add (b, c_y) to X, and Y = (b, c_y).  A read delay adds D (1 - e^{i w
+    delay}) to r_z, D = end_sign e^{i w m T_p} = end_sign (1 + 2i sin(theta) e^{i theta} G): with
+    E = end_sign (1 - e^{i w delay}), X_z gains 2i sin(theta) e^{i theta} E and Y_z loses E.
+    Parts that vanish are 0.0.
     """
+    base, u_p, b, c_y = quadrature_components(p, shape, w)
+    x = [base, 0.0] if u_p is None else [base + b * u_p, c_y * u_p]
+    y = [0.0, 0.0]
+    if junction:
+        x, y = [x[0] + b, x[1] + c_y], [b, c_y]
+    if delay:
+        e = -2j * p.end_sign * np.sin(0.5 * delay * w) * np.exp(0.5j * delay * w)
+        theta = 0.5 * p.duration * w
+        x[0] = x[0] + 2j * np.sin(theta) * np.exp(1j * theta) * e
+        y[0] = y[0] - e
+    return base, x, y
+
+
+def _ff_rows_factory(p: TimingPattern, shape: PulseShape, spec: NoiseSpectrum, m: int = 1) -> RowsFn:
+    """Rows [S*F_total/w^2, S*F_ideal/w^2] of m repeats: |G X - Y|^2 (_repeat_nodes), |G|^2 |X|^2 if Y = 0."""
     t_p = p.duration
+    finite = shape.kind != BANG_BANG and bool(p.pulse_times)
+    junction = m > 1 and finite and p.end_sign < 0
 
     def rows(w: np.ndarray) -> np.ndarray:
-        base, dz, ry = quadrature_components(p, shape, w)
+        base, x, y = _repeat_nodes(p, shape, w, junction)
         weight = evaluate(spec, w) / w**2
-        if not (m > 1 and dz is not None and p.end_sign < 0):
-            f_bb = np.abs(base) ** 2
-            f_total = f_bb if dz is None else np.abs(base + dz) ** 2 + np.abs(ry) ** 2
+        f_bb = np.abs(base) ** 2
+        if not junction:
+            f_total = np.abs(x[0]) ** 2 + np.abs(x[1]) ** 2 if finite else f_bb
             if m > 1:
                 weight = weight * dirichlet_factor(m, t_p, w)
             return np.stack([f_total * weight, f_bb * weight])
         theta = 0.5 * t_p * w
         ratio = dirichlet_ratio(m, theta)
         g_rep = np.exp(1j * (m - 1) * theta) * ratio
-        rz = base + dz
-        rz = g_rep * rz  # g_rep * (base + dz) rounds differently: numpy reuses the temporary
-        b, c_y = _unit_pulse_terms(shape, w)
-        f_total = np.abs(rz + b * (g_rep - 1.0)) ** 2 + np.abs(g_rep * ry + c_y * (g_rep - 1.0)) ** 2
-        return np.stack([f_total * weight, ratio**2 * np.abs(base) ** 2 * weight])
+        f_total = np.abs(g_rep * x[0] - y[0]) ** 2 + np.abs(g_rep * x[1] - y[1]) ** 2
+        return np.stack([f_total * weight, ratio**2 * f_bb * weight])
 
     return rows
 
@@ -417,34 +433,17 @@ def _ff_rows_factory(p: TimingPattern, shape: PulseShape, spec: NoiseSpectrum, m
 def _repeat_terms(
     p: TimingPattern, shape: PulseShape, spec: NoiseSpectrum, delay: float = 0.0
 ) -> Optional[RowsFn]:
-    """The comb walk's rows of one repeat in r = G X - Y, G as in _ff_rows_factory.
+    """The comb walk's rows of one repeat in r = G X - Y (_repeat_nodes), W = S/w^2.
 
-    With b, c_y from _unit_pulse_terms for an odd base with finite pulses (0
-    otherwise), X = (omega*y + dz + b, r_y + c_y) and Y = (b, c_y) per quadrature.
-    A read delay after the repeats adds D (1 - e^{i w delay}) to r_z,
-    D = end_sign e^{i w m T_p} = end_sign (1 + 2i sin(theta) e^{i theta} G), so with
-    E = end_sign (1 - e^{i w delay}) X_z gains 2i sin(theta) e^{i theta} E and Y_z is b - E.
-    The rows, W = S/w^2 and both quadratures summed, are [|X|^2 W, |omega*y|^2 W,
-    X conj(Y) W, |Y|^2 W] (complex); None where Y = 0, as the rows of m = 1 are then
-    the first two.
+    Summed over both quadratures, they are [|X|^2 W, |omega*y|^2 W, X conj(Y) W, |Y|^2 W]
+    (complex); None where Y = 0, as the rows of m = 1 are then the first two.
     """
     junction = p.end_sign < 0 and shape.kind != BANG_BANG and bool(p.pulse_times)
     if not (junction or delay):
         return None
 
     def rows(w: np.ndarray) -> np.ndarray:
-        base, dz, ry = quadrature_components(p, shape, w)
-        xz = base if dz is None else base + dz
-        xy = 0.0 if ry is None else ry
-        yz = yy = 0.0
-        if junction:
-            yz, yy = _unit_pulse_terms(shape, w)
-            xz, xy = xz + yz, xy + yy
-        if delay:
-            e = -2j * p.end_sign * np.sin(0.5 * delay * w) * np.exp(0.5j * delay * w)
-            theta = 0.5 * p.duration * w
-            xz = xz + 2j * np.sin(theta) * np.exp(1j * theta) * e
-            yz = yz - e
+        base, (xz, xy), (yz, yy) = _repeat_nodes(p, shape, w, junction, delay)
         terms = [np.abs(xz) ** 2 + np.abs(xy) ** 2, np.abs(base) ** 2]
         terms += [xz * np.conj(yz) + xy * np.conj(yy), np.abs(yz) ** 2 + np.abs(yy) ** 2]
         return np.stack(terms) * (evaluate(spec, w) / w**2)

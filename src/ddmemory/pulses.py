@@ -25,10 +25,11 @@ The pulses enter the whole sequence through u_p = sum_l (-1)^l e^{i omega t_l}
 over the pulse centers, read off the ideal transform by its vertex form
 omega*y = 1 + 2 u_p + (-1)^(n+1) e^{i omega T_p}: O(1) per frequency on top
 of omega*y, with that transform's accuracy (Walsh product or Taylor series).
+quadrature_components returns (omega*y, u_p, b, c_y), (b, c_y) what one pulse
+of phasor 1 adds to (r_z, r_y): the one evaluation every filter reads.
 
-pulse_order gives the closed-form low-frequency order of the pulse
-contribution and checks it against filters._power_law_fit of the dominant
-quadrature, taken from quadrature_components like every filter here.
+pulse_order gives the closed-form low-frequency order of the pulse part and
+checks it against filters._power_law_fit of the dominant quadrature.
 """
 
 from __future__ import annotations
@@ -213,34 +214,32 @@ def _pulse_phasor(p: TimingPattern, omega: np.ndarray, base: np.ndarray) -> np.n
     return 0.5 * base + np.exp(1j * half_t) * edge
 
 
-def _unit_pulse_terms(shape: PulseShape, omega: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """(b, c_y), what one pulse of phasor 1 adds to (r_z, r_y); u_p scales them per pattern."""
-    rz_pul, ry_pul = pulse_quadratures(shape, omega)
-    half = np.exp(-0.5j * shape.tau_pi * omega)
-    # 2 cos(w tau/2) - 2 written as -4 sin^2(w tau/4) to keep the small-w
-    # cancellation exact
-    return -4.0 * np.sin(0.25 * shape.tau_pi * omega) ** 2 - half * rz_pul, -half * ry_pul
-
-
 def quadrature_components(
     p: TimingPattern, shape: PulseShape, omega: np.ndarray
-) -> Tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]:
-    """(omega*y_tilde, pulse correction to r_z, r_y); corrections None for bang-bang.
+) -> Tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray], Optional[np.ndarray]]:
+    """(omega*y_tilde, u_p, b, c_y); the last three None for bang-bang or no pulses.
 
-    Splitting the ideal part from the pulse-induced parts lets callers form
-    both the ideal and the total filter from one evaluation, and keeps the
-    near-cancelling pulse terms out of the ideal ones.  The corrections are
-    b u_p and c_y u_p, with u_p the pulse phasor and (b, c_y) what one pulse
-    adds.  Returns arrays, also for a number omega.
+    u_p is the pulse phasor and (b, c_y) what one pulse of phasor 1 adds to
+    (r_z, r_y): callers form the ideal and the total filter from this one
+    evaluation, with the near-cancelling pulse terms b u_p and c_y u_p kept
+    out of the ideal one.  Returns arrays, also for a number omega.
     """
     _check_footprint(p, shape)
     w = _omega_array(omega)
     base = omega_y_tilde(p, w)
     if shape.kind == BANG_BANG or not p.pulse_times:
-        return base, None, None
-    u_p = _pulse_phasor(p, w, base)
-    b, c_y = _unit_pulse_terms(shape, w)
-    return base, b * u_p, c_y * u_p
+        return base, None, None, None
+    rz_pul, ry_pul = pulse_quadratures(shape, w)
+    half = np.exp(-0.5j * shape.tau_pi * w)
+    # 2 cos(w tau/2) - 2 written as -4 sin^2(w tau/4) to keep the small-w
+    # cancellation exact
+    b = -4.0 * np.sin(0.25 * shape.tau_pi * w) ** 2 - half * rz_pul
+    return base, _pulse_phasor(p, w, base), b, -half * ry_pul
+
+
+def _totals(base, u_p, b, c_y) -> Tuple[np.ndarray, np.ndarray]:
+    """(r_z, r_y) = (omega*y + b u_p, c_y u_p) from quadrature_components; (omega*y, 0) without pulses."""
+    return (base, np.zeros_like(base)) if u_p is None else (base + b * u_p, c_y * u_p)
 
 
 def total_quadratures(
@@ -259,8 +258,7 @@ def total_quadratures(
     (omega*y_tilde, 0) exactly for any switching parity.  Pulse footprints
     must fit strictly inside the free intervals around each center.
     """
-    base, dz, ry = quadrature_components(p, shape, omega)
-    rz, ry = (base, np.zeros_like(base)) if dz is None else (base + dz, ry)
+    rz, ry = _totals(*quadrature_components(p, shape, omega))
     return _scalar_like(omega, rz), _scalar_like(omega, ry)
 
 
@@ -268,7 +266,7 @@ def total_ff(
     p: TimingPattern, shape: PulseShape, omega: Union[float, np.ndarray]
 ) -> Union[float, np.ndarray]:
     """F(omega) = |r_z|^2 + |r_y|^2, the ideal filter for bang-bang; F(w) == F([w])[0]."""
-    rz, ry = total_quadratures(p, shape, _omega_array(omega))
+    rz, ry = _totals(*quadrature_components(p, shape, omega))
     return _scalar_like(omega, np.abs(rz) ** 2 + np.abs(ry) ** 2)
 
 
@@ -317,14 +315,16 @@ def pulse_order(p: TimingPattern, shape: PulseShape) -> PulseOrder:
     # signed sums of the widths and of their squares, in units of tau_pi
     first = sum(sign * width for _, width, sign in segments)
     second = sum(sign * width**2 for _, width, sign in segments)
-    # part indexes the dominant quadrature in quadrature_components' triple
     if first:
-        alpha, part, amplitude = 1, 2, complex(-t_p * tau * first / math.pi)
+        alpha, part, amplitude = 1, 1, complex(-t_p * tau * first / math.pi)
     else:
-        alpha, part, amplitude = 2, 1, -1j * t_p * tau * tau * (0.125 - second / math.pi**2)
-    _, amplitude_fit, slope, _ = _power_law_fit(
-        lambda w: quadrature_components(p, shape, w)[part], t_p
-    )
+        alpha, part, amplitude = 2, 0, -1j * t_p * tau * tau * (0.125 - second / math.pi**2)
+
+    def dominant(w: np.ndarray) -> np.ndarray:  # (b, c_y)[part] u_p
+        _, u_p, *unit = quadrature_components(p, shape, w)
+        return unit[part] * u_p
+
+    _, amplitude_fit, slope, _ = _power_law_fit(dominant, t_p)
     alpha_fit = slope - 1.0
     mismatch = abs(amplitude_fit - amplitude) / abs(amplitude)
 

@@ -166,7 +166,7 @@ class TestOmegaArguments:
         ids=["omega_y_tilde_series", "omega_y_tilde_product", "y_tilde", "filter_fn", "combine",
              "dirichlet_factor"],
     )
-    @pytest.mark.parametrize("omega", [-1.0, np.array([1e5, -1e5]), math.nan])
+    @pytest.mark.parametrize("omega", [-1.0, np.array([1e5, -1e5]), math.nan, math.inf])
     def test_negative_or_nan_omega_rejected(self, call, omega):
         with pytest.raises(DomainError, match="omega"):
             call(omega)

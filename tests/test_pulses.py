@@ -30,7 +30,7 @@ from ddmemory import (
     udd,
     walsh,
 )
-from ddmemory import filters, pulses
+from ddmemory import filters, integrals, pulses
 
 RNG = np.random.default_rng(77)
 
@@ -135,7 +135,7 @@ class TestTotalFilter:
         ids=["pulse_quadratures", "quadrature_components_bb", "quadrature_components_dcg",
              "total_quadratures_bb", "total_ff_bb", "total_ff_primitive"],
     )
-    @pytest.mark.parametrize("omega", [-1.0, np.array([1e5, -1e5])])
+    @pytest.mark.parametrize("omega", [-1.0, np.array([1e5, -1e5]), math.inf])
     def test_negative_omega_rejected(self, call, omega):
         with pytest.raises(DomainError, match="omega"):
             call(omega)
@@ -295,6 +295,27 @@ def test_finite_pulses_run_no_phasor_sum(monkeypatch, gaas):
     chi_plateau_limit(p, gaas, shape)
     jitter_tolerance(p, 1000, gaas, shape)
     assert calls == []
+
+
+def test_junction_rows_evaluate_the_pulses_once(monkeypatch, gaas):
+    # an odd base with finite pulses: one rows call of the direct walk at m = 10, and one
+    # of the comb walk, each evaluate the pulse quadratures once for omega*y, X and Y
+    calls = []
+    original = pulses.pulse_quadratures
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("ddmemory") and hasattr(module, "pulse_quadratures"):
+            monkeypatch.setattr(module, "pulse_quadratures", counted)
+    p, shape = udd(5, 16e-6), dcg3(1e-8)
+    w = np.geomspace(1e4, 1e9, 45)
+    for rows in (integrals._ff_rows_factory(p, shape, gaas, 10), integrals._repeat_terms(p, shape, gaas)):
+        calls.clear()
+        rows(w)
+        assert len(calls) == 1
 
 
 # -- the segment table against the hand-expanded forms it replaced -------------
